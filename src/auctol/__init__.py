@@ -36,7 +36,6 @@ from .graphs import (
     beta_bound_union,
     beta_exact,
     build_bid_graph,
-    certified_bound,
     check_frontier_property,
     connected_in,
     orient,

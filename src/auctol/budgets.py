@@ -5,14 +5,15 @@ Three constraint kinds over groups of bids:
 * ``unweighted``: groups partition the bids; at most k bids win per group.
   The forward pass extends the opportunity cost with a group charge: a
   1/k-scaled sum of the positive values already seen in the bid's group.
-  Approximation ratio beta + 1.
 * ``overlapping``: groups may overlap, each bid in at most t of them; the
-  group charge is applied once per containing group. Ratio beta + t.
+  group charge is applied once per containing group.
 * ``weighted``: per-group money budgets b. Bids are split into heavy
   (weight > b/2) and light (weight <= b/2); the heavy side reduces to a
   1-of-group unweighted run, the light side uses a multiplicative group
-  discount, and the better of the two solutions is returned. Ratio
-  2*beta + 3.
+  discount, and the better of the two solutions is returned.
+
+The approximation ratio of each solver is in :data:`auctol.instances.RATIO`;
+solvers return an uncertified :class:`Certificate`.
 
 The unweighted and overlapping passes use exact rational arithmetic (the
 only divisor is k), with a pure-integer fast path when every k is 1. The
@@ -23,13 +24,15 @@ update mode ships alongside the lazy linear-time one as a cross-check.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
+from typing import NamedTuple
 
 from .errors import CapacityError, ValidationError
-from .graphs import BidGraph, certified_bound
+from .graphs import BidGraph
 from .solvers import Certificate, Solution, ValueTable, _compiled, assert_independent
 
 KINDS = ("unweighted", "overlapping", "weighted")
@@ -61,27 +64,6 @@ class ConstraintSet:
         if len(set(labels)) != len(labels):
             raise ValidationError("group labels must be unique")
 
-    def validate_for(self, g: BidGraph) -> None:
-        """Check membership shape against a graph's node set."""
-        nodes = set(g.ids)
-        for grp in self.groups:
-            missing = grp.members - nodes
-            if missing:
-                raise ValidationError(
-                    f"group {grp.label!r} member {min(missing)!r} is not a bid node"
-                )
-        if self.kind in ("unweighted", "weighted"):
-            count: dict[str, int] = {}
-            for grp in self.groups:
-                for u in grp.members:
-                    count[u] = count.get(u, 0) + 1
-            for u in g.ids:
-                if count.get(u, 0) != 1:
-                    raise ValidationError(
-                        f"{self.kind} constraints must partition the bids; "
-                        f"bid {u!r} is in {count.get(u, 0)} groups"
-                    )
-
     def overlap(self) -> int:
         """t: the maximum number of groups any single bid belongs to."""
         count: dict[str, int] = {}
@@ -91,73 +73,51 @@ class ConstraintSet:
         return max(count.values(), default=1)
 
 
-def _group_index(cs: ConstraintSet, order: list[str]):
-    """Per-node group memberships in index space.
+class GroupIndex(NamedTuple):
+    """Group membership in index space: node i's groups are
+    ``gidx[gptr[i]:gptr[i+1]]`` in ascending group index. When the groups
+    partition the bids, ``gptr[i] == i`` and ``gidx`` is each node's one
+    group. ``members_by_rank[gi]`` lists group gi's nodes by ascending rank."""
 
-    Returns (groups_of[i] -> list of group indices, k[gi], members_by_rank[gi]).
+    gptr: array
+    gidx: array
+    limits: list[int]
+    members_by_rank: list[list[int]]
+
+
+def _groups_csr(cs: ConstraintSet, pos: dict[str, int]) -> GroupIndex:
+    """Build the group index of ``cs`` over node positions ``pos``.
+
+    Checks that every member is a node and, for the partition kinds
+    (unweighted, weighted), that every node is in exactly one group.
     """
-    pos = {u: i for i, u in enumerate(order)}
-    k = [grp.limit for grp in cs.groups]
-    members_by_rank: list[list[int]] = []
-    groups_of: list[list[int]] = [[] for _ in order]
-    for gi, grp in enumerate(cs.groups):
-        ranks = sorted(pos[u] for u in grp.members if u in pos)
-        members_by_rank.append(ranks)
-        for i in ranks:
-            groups_of[i].append(gi)
-    return groups_of, k, members_by_rank
-
-
-def _partition_index(cs: ConstraintSet, pos: dict[str, int]) -> tuple[list[int], list[int]]:
-    """Partition case: one flat group index per node plus the limits.
-
-    Validates membership and the partition property while filling, so the
-    hot solvers do one pass of id lookups instead of several.
-    """
-    gi_of = [-1] * len(pos)
-    for gi, grp in enumerate(cs.groups):
-        for u in grp.members:
-            i = pos.get(u)
-            if i is None:
-                raise ValidationError(f"group {grp.label!r} member {u!r} is not a bid node")
-            if gi_of[i] != -1:
-                raise ValidationError(
-                    f"{cs.kind} constraints must partition the bids; bid {u!r} is in "
-                    f"groups {cs.groups[gi_of[i]].label!r} and {grp.label!r}"
-                )
-            gi_of[i] = gi
-    if -1 in gi_of:
-        u = next(u for u, i in pos.items() if gi_of[i] == -1)
-        raise ValidationError(
-            f"{cs.kind} constraints must partition the bids; bid {u!r} is in 0 groups"
-        )
-    return array("q", gi_of), [grp.limit for grp in cs.groups]
-
-
-def _groups_csr(cs: ConstraintSet, pos: dict[str, int]):
-    """Flat per-node group membership: node i's groups are
-    gidx[gptr[i]:gptr[i+1]], listed in ascending group index. Also returns
-    the limits and the realized overlap t (max groups per node)."""
     n = len(pos)
     counts = [0] * (n + 1)
+    members_by_rank: list[list[int]] = []
     for grp in cs.groups:
+        ranks = []
         for u in grp.members:
             i = pos.get(u)
             if i is None:
                 raise ValidationError(f"group {grp.label!r} member {u!r} is not a bid node")
             counts[i + 1] += 1
-    t = max(counts[1:], default=0)
+            ranks.append(i)
+        ranks.sort()
+        members_by_rank.append(ranks)
+    if cs.kind != "overlapping" and counts.count(1) != n:
+        u, i = next((u, i) for u, i in pos.items() if counts[i + 1] != 1)
+        raise ValidationError(
+            f"{cs.kind} constraints must partition the bids; bid {u!r} is in {counts[i + 1]} groups"
+        )
     for i in range(n):
         counts[i + 1] += counts[i]
-    gptr = counts
-    gidx = [0] * gptr[n]
-    fill = list(gptr[:n])
-    for gi, grp in enumerate(cs.groups):
-        for u in grp.members:
-            i = pos[u]
+    gidx = [0] * counts[n]
+    fill = counts[:n]
+    for gi, ranks in enumerate(members_by_rank):
+        for i in ranks:
             gidx[fill[i]] = gi
             fill[i] += 1
-    return array("q", gptr), array("q", gidx), [grp.limit for grp in cs.groups], max(t, 1)
+    return GroupIndex(array("q", counts), array("q", gidx), [grp.limit for grp in cs.groups], members_by_rank)
 
 
 def solve_unweighted(g: BidGraph, cs: ConstraintSet) -> tuple[Solution, ValueTable]:
@@ -177,7 +137,8 @@ def solve_unweighted(g: BidGraph, cs: ConstraintSet) -> tuple[Solution, ValueTab
     pred_ptr, pred_idx = c.pred_ptr, c.pred_idx
     succ_ptr, succ_idx = c.succ_ptr, c.succ_idx
     n = len(order)
-    gi_of, k = c.cached(cs, lambda: _partition_index(cs, c.pos))
+    gx = c.cached(cs, lambda: _groups_csr(cs, c.pos))
+    gi_of, k = gx.gidx, gx.limits
 
     exact_ints = all(x == 1 for x in k)
     zero = 0 if exact_ints else Fraction(0)
@@ -211,8 +172,7 @@ def solve_unweighted(g: BidGraph, cs: ConstraintSet) -> tuple[Solution, ValueTab
     c.check_selected_independent(sel)
     chosen = list(compress(order, sel))
     revenue = sum(compress(w, sel))
-    sol = Solution(frozenset(chosen), revenue, _budget_certificate(g, "unweighted", lambda b: b + 1))
-    return sol, ValueTable(order, val, sel)
+    return Solution(frozenset(chosen), revenue, Certificate("unweighted")), ValueTable(order, val, sel)
 
 
 def solve_unweighted_lr(g: BidGraph, cs: ConstraintSet) -> Solution:
@@ -225,13 +185,12 @@ def solve_unweighted_lr(g: BidGraph, cs: ConstraintSet) -> Solution:
     """
     if cs.kind != "unweighted":
         raise ValidationError(f"expected unweighted constraints, got {cs.kind!r}")
-    cs.validate_for(g)
     c = _compiled(g)
     order, w = c.order, c.w
     succ_ptr, succ_idx = c.succ_ptr, c.succ_idx
     n = len(order)
-    groups_of, k, members_by_rank = _group_index(cs, order)
-    gi_of = [gs[0] for gs in groups_of]
+    gx = c.cached(cs, lambda: _groups_csr(cs, c.pos))
+    gi_of, k, members_by_rank = gx.gidx, gx.limits, gx.members_by_rank
     grp_pos = [0] * n
     for ranks in members_by_rank:
         for idx, i in enumerate(ranks):
@@ -261,7 +220,7 @@ def solve_unweighted_lr(g: BidGraph, cs: ConstraintSet) -> Solution:
     c.check_selected_independent(sel)
     chosen = [order[i] for i in processed if sel[i]]
     revenue = sum(w[i] for i in processed if sel[i])
-    return Solution(frozenset(chosen), revenue, _budget_certificate(g, "unweighted-lr", lambda b: b + 1))
+    return Solution(frozenset(chosen), revenue, Certificate("unweighted-lr"))
 
 
 def solve_overlapping(g: BidGraph, cs: ConstraintSet) -> Solution:
@@ -278,7 +237,7 @@ def solve_overlapping(g: BidGraph, cs: ConstraintSet) -> Solution:
     pred_ptr, pred_idx = c.pred_ptr, c.pred_idx
     succ_ptr, succ_idx = c.succ_ptr, c.succ_idx
     n = len(order)
-    gptr, gidx, k, t = c.cached(cs, lambda: _groups_csr(cs, c.pos))
+    gptr, gidx, k, _members = c.cached(cs, lambda: _groups_csr(cs, c.pos))
 
     exact_ints = all(x == 1 for x in k)
     zero = 0 if exact_ints else Fraction(0)
@@ -321,19 +280,18 @@ def solve_overlapping(g: BidGraph, cs: ConstraintSet) -> Solution:
     c.check_selected_independent(sel)
     chosen = list(compress(order, sel))
     revenue = sum(compress(w, sel))
-    return Solution(frozenset(chosen), revenue, _budget_certificate(g, "overlapping", lambda b: b + t))
+    return Solution(frozenset(chosen), revenue, Certificate("overlapping"))
 
 
 def solve_overlapping_lr(g: BidGraph, cs: ConstraintSet) -> Solution:
     """Local-ratio form of the overlapping solver (slow cross-check)."""
     if cs.kind != "overlapping":
         raise ValidationError(f"expected overlapping constraints, got {cs.kind!r}")
-    cs.validate_for(g)
     c = _compiled(g)
     order, w = c.order, c.w
     succ_ptr, succ_idx = c.succ_ptr, c.succ_idx
     n = len(order)
-    groups_of, k, members_by_rank = _group_index(cs, order)
+    gptr, gidx, k, members_by_rank = c.cached(cs, lambda: _groups_csr(cs, c.pos))
 
     cur: list = [Fraction(x) for x in w]
     processed: list[int] = []
@@ -344,7 +302,7 @@ def solve_overlapping_lr(g: BidGraph, cs: ConstraintSet) -> Solution:
         processed.append(i)
         for jj in range(succ_ptr[i], succ_ptr[i + 1]):
             cur[succ_idx[jj]] -= ci
-        for gi in groups_of[i]:
+        for gi in gidx[gptr[i] : gptr[i + 1]]:
             share = ci / k[gi]
             for j in members_by_rank[gi]:
                 if j > i:
@@ -353,17 +311,16 @@ def solve_overlapping_lr(g: BidGraph, cs: ConstraintSet) -> Solution:
     sel = [False] * n
     used = [0] * len(cs.groups)
     for i in reversed(processed):
-        if all(used[gi] < k[gi] for gi in groups_of[i]) and not any(
+        if all(used[gi] < k[gi] for gi in gidx[gptr[i] : gptr[i + 1]]) and not any(
             sel[succ_idx[jj]] for jj in range(succ_ptr[i], succ_ptr[i + 1])
         ):
             sel[i] = True
-            for gi in groups_of[i]:
+            for gi in gidx[gptr[i] : gptr[i + 1]]:
                 used[gi] += 1
     c.check_selected_independent(sel)
     chosen = [order[i] for i in processed if sel[i]]
     revenue = sum(w[i] for i in processed if sel[i])
-    t = cs.overlap()
-    return Solution(frozenset(chosen), revenue, _budget_certificate(g, "overlapping-lr", lambda b: b + t))
+    return Solution(frozenset(chosen), revenue, Certificate("overlapping-lr"))
 
 
 # Light-pass numerics: cur > 1e-9 * b decides "still worth selecting", and a
@@ -393,13 +350,15 @@ def solve_light(g: BidGraph, cs: ConstraintSet, mode: str = "lazy") -> tuple[Sol
         raise ValidationError(f"expected weighted constraints, got {cs.kind!r}")
     if mode not in ("lazy", "direct"):
         raise ValidationError(f"unknown light mode {mode!r}")
-    cs.validate_for(g)
+    for grp in cs.groups:
+        if grp.limit > sys.float_info.max:
+            raise ValidationError(f"group {grp.label!r}: budget exceeds the double precision of the light pass")
     c = _compiled(g)
     order, w = c.order, c.w
     succ_ptr, succ_idx = c.succ_ptr, c.succ_idx
     n = len(order)
-    groups_of, b, members_by_rank = _group_index(cs, order)
-    gi_of = [gs[0] for gs in groups_of]
+    gx = c.cached(cs, lambda: _groups_csr(cs, c.pos))
+    gi_of, b, members_by_rank = gx.gidx, gx.limits, gx.members_by_rank
     for i in range(n):
         if 2 * w[i] > b[gi_of[i]]:
             raise ValidationError(
@@ -456,8 +415,7 @@ def solve_light(g: BidGraph, cs: ConstraintSet, mode: str = "lazy") -> tuple[Sol
     c.check_selected_independent(sel)
     chosen = [order[i] for i in processed if sel[i]]
     revenue = sum(w[i] for i in processed if sel[i])
-    sol = Solution(frozenset(chosen), revenue, _budget_certificate(g, "weighted-light", lambda b_: b_ + 2))
-    return sol, ValueTable(order, vals, sel)
+    return Solution(frozenset(chosen), revenue, Certificate("weighted-light")), ValueTable(order, vals, sel)
 
 
 def solve_weighted(g: BidGraph, cs: ConstraintSet, light_mode: str = "lazy") -> Solution:
@@ -471,16 +429,11 @@ def solve_weighted(g: BidGraph, cs: ConstraintSet, light_mode: str = "lazy") -> 
     """
     if cs.kind != "weighted":
         raise ValidationError(f"expected weighted constraints, got {cs.kind!r}")
-    cs.validate_for(g)
-    budget_of: dict[str, int] = {}
-    group_of: dict[str, str] = {}
-    for grp in cs.groups:
-        for u in grp.members:
-            budget_of[u] = grp.limit
-            group_of[u] = grp.label
-
-    heavy = [u for u in g.ids if g.weights[u] <= budget_of[u] and 2 * g.weights[u] > budget_of[u]]
-    light = [u for u in g.ids if 2 * g.weights[u] <= budget_of[u]]
+    gx = _groups_csr(cs, g.rank())
+    budget = [gx.limits[gi] for gi in gx.gidx]  # the groups partition the bids: one per rank
+    weights = g.weights
+    heavy = [u for u, b in zip(g.order(), budget) if weights[u] <= b and 2 * weights[u] > b]
+    light = [u for u, b in zip(g.order(), budget) if 2 * weights[u] <= b]
 
     heavy_sol = None
     if heavy:
@@ -510,7 +463,7 @@ def solve_weighted(g: BidGraph, cs: ConstraintSet, light_mode: str = "lazy") -> 
         chosen = light_sol.selected
         revenue = l_rev
     assert_independent(g, chosen)
-    return Solution(chosen, revenue, _budget_certificate(g, "weighted", lambda b_: 2 * b_ + 3))
+    return Solution(chosen, revenue, Certificate("weighted"))
 
 
 def check_feasible(sol: Solution, g: BidGraph, cs: ConstraintSet | None = None) -> tuple[bool, list[str]]:
@@ -635,10 +588,3 @@ def exact_feasible(g: BidGraph, cs: ConstraintSet | None, node_cap: int = 20) ->
 
     dfs(0, 0)
     return best_w, frozenset(best_set)
-
-
-def _budget_certificate(g: BidGraph, algorithm: str, ratio_of_beta) -> Certificate:
-    prov = g.ordering.provenance if g.ordering is not None else None
-    bound = certified_bound(g.ordering) if g.ordering is not None else None
-    claimed = Fraction(ratio_of_beta(bound)) if bound is not None else None
-    return Certificate(algorithm, prov, bound, claimed)

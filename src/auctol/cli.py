@@ -18,13 +18,12 @@ import gc
 import json
 import sys
 import time
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 from . import budgets, instances, solvers
 from .errors import CapacityError, NotChordalError, SchemaError, ValidationError
-from .graphs import beta_bound_frontier, beta_exact, build_bid_graph, orient
+from .graphs import beta_exact, build_bid_graph, orient
 from .orderings import (
     NotChordal,
     decreasing_weight_ordering,
@@ -62,7 +61,7 @@ def _solve_dispatch(inst, g, algo: str, use_constraints: bool, oracle_cap: int, 
         raise ValidationError("greedy has no budget-aware mode; pass --constraints ignore")
     if algo == "exact":
         revenue, chosen = budgets.exact_feasible(g, cs, node_cap=oracle_cap if oracle_cap else 20)
-        return solvers.Solution(chosen, revenue, solvers.Certificate("exact", claimed_ratio=Fraction(1)))
+        return solvers.Solution(chosen, revenue, solvers.Certificate("exact"))
     if cs.kind == "unweighted":
         return budgets.solve_unweighted(g, cs)[0] if algo == "opcost" else budgets.solve_unweighted_lr(g, cs)
     if cs.kind == "overlapping":
@@ -74,54 +73,34 @@ def cmd_solve(args) -> int:
     inst = instances.load_instance(args.input)
     g = instances.oriented_graph(inst)
     sol = _solve_dispatch(inst, g, args.algo, args.constraints == "auto", args.cap, args.include_zero_value)
-    bound, _method = instances.beta_bound_info(inst, g.ordering, g)
-    if bound is not None and sol.certificate.beta_bound is None:
-        ratio = None
-        if args.constraints == "auto" and inst.constraints is not None:
-            kind = inst.constraints.kind
-            if kind == "unweighted":
-                ratio = Fraction(bound + 1)
-            elif kind == "overlapping":
-                ratio = Fraction(bound + inst.constraints.overlap())
-            else:
-                ratio = Fraction(2 * bound + 3)
-        elif sol.certificate.algorithm in ("opcost", "lropcost"):
-            ratio = Fraction(bound)
-        sol = replace(
-            sol,
-            certificate=replace(sol.certificate, beta_bound=bound, claimed_ratio=ratio),
-        )
-    _write_output(instances.dumps_solution(sol), args.output)
+    _write_output(instances.dumps_solution(instances.certify(sol, inst, g)), args.output)
     return EXIT_OK
 
 
 def cmd_order(args) -> int:
     inst = instances.load_instance(args.input)
     g = instances.bid_graph(inst)
-    spec = None
+    spec = instances.OrderingSpec(args.method)
+    ordering = None  # decreasing weight certifies no bound
     if args.method == "chordal":
-        result = lexbfs_peo(g)
-        if isinstance(result, NotChordal):
-            raise NotChordalError((result.node, result.a, result.b))
-        spec = instances.OrderingSpec("chordal", beta_bound=1)
+        ordering = lexbfs_peo(g)
+        if isinstance(ordering, NotChordal):
+            raise NotChordalError((ordering.node, ordering.a, ordering.b))
     elif args.method == "tree-decomposition":
         td = inst.ordering_spec.tree_decomposition if inst.ordering_spec else None
         if td is None:
             if inst.object_graph is None:
                 raise ValidationError("tree-decomposition ordering needs an object graph or an embedded decomposition")
             td = min_degree_heuristic_decomposition(inst.object_graph)
+        spec.tree_decomposition = td
         ordering = tree_decomposition_ordering(td, inst.bids, inst.object_graph)
-        spec = instances.OrderingSpec("tree-decomposition", tree_decomposition=td, beta_bound=beta_bound_frontier(ordering))
     elif args.method == "grid":
         if inst.ordering_spec is None or inst.ordering_spec.coords is None:
             raise ValidationError("grid ordering needs coordinates in the instance")
-        ordering = grid_ordering(inst.ordering_spec.coords)
-        g2 = orient(g, ordering)
-        bound, _ = instances.beta_bound_info(inst, ordering, g2)
-        spec = instances.OrderingSpec("grid", coords=inst.ordering_spec.coords, beta_bound=bound)
-    else:
-        decreasing_weight_ordering(g)
-        spec = instances.OrderingSpec("decreasing-weight")
+        spec.coords = inst.ordering_spec.coords
+        ordering = grid_ordering(spec.coords)
+    if ordering is not None:
+        spec.beta_bound, _method = instances.beta_bound_info(inst, ordering, g)
     out = instances.Instance(inst.bids, inst.object_graph, inst.constraints, spec, inst.metadata)
     _write_output(instances.dumps_instance(out), args.output)
     return EXIT_OK
@@ -156,12 +135,15 @@ def _check_solution_file(args) -> int:
     inst = instances.load_instance(args.input)
     g = instances.oriented_graph(inst)
     with open(args.solution, encoding="utf-8") as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SchemaError("", f"not valid JSON: {exc}") from exc
     if not isinstance(obj, dict) or not isinstance(obj.get("selected"), list):
         raise SchemaError("/selected", "solution file needs a selected array")
     sol = solvers.Solution(
-        frozenset(obj["selected"]),
-        obj.get("revenue", 0),
+        frozenset(instances._expect_str(u, f"/selected/{i}") for i, u in enumerate(obj["selected"])),
+        instances._expect_int(obj.get("revenue", 0), "/revenue"),
         solvers.Certificate(obj.get("algorithm", "unknown")),
     )
     ok, violations = budgets.check_feasible(sol, g, inst.constraints)
@@ -223,21 +205,16 @@ def verify_instance(path: Path, oracle_cap: int, timings: bool = False) -> dict:
 
     cs = inst.constraints
     primary = op
-    claimed_of_beta = lambda b: Fraction(b)
     if cs is not None:
         if cs.kind == "unweighted":
             bsol, _ = budgets.solve_unweighted(g, cs)
             cross = budgets.solve_unweighted_lr(g, cs)
-            claimed_of_beta = lambda b: Fraction(b + 1)
         elif cs.kind == "overlapping":
             bsol = budgets.solve_overlapping(g, cs)
             cross = budgets.solve_overlapping_lr(g, cs)
-            t = cs.overlap()
-            claimed_of_beta = lambda b: Fraction(b + t)
         else:
             bsol = budgets.solve_weighted(g, cs, light_mode="lazy")
             cross = budgets.solve_weighted(g, cs, light_mode="direct")
-            claimed_of_beta = lambda b: Fraction(2 * b + 3)
         algos[cs.kind] = {"revenue": bsol.revenue, "selected": len(bsol.selected)}
         if bsol.selected != cross.selected:
             violate(f"{cs.kind}: one-pass and local-ratio modes disagree")
@@ -265,7 +242,8 @@ def verify_instance(path: Path, oracle_cap: int, timings: bool = False) -> dict:
             report["beta_exact"] = beta
             if bound is not None and beta > bound:
                 violate(f"certified bound {bound} below exact beta {beta}")
-            claimed = claimed_of_beta(beta)
+            t = cs.overlap() if cs is not None and cs.kind == "overlapping" else 1
+            claimed = Fraction(instances.RATIO[primary.certificate.algorithm](beta, t))
             report["claimed_ratio"] = _ratio_str(claimed)
             if primary.revenue == 0:
                 if opt > 0:

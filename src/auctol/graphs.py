@@ -22,7 +22,7 @@ iteration order is reproducible across runs.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import CapacityError, UnsupportedOrderingError, ValidationError
 
@@ -359,15 +359,3 @@ def check_frontier_property(ordering: Ordering, bids: list[Bid]) -> list[tuple[s
                 bad.append((a.id, b.id))
     return bad
 
-
-def certified_bound(ordering: Ordering) -> int | None:
-    """Beta bound derivable from the ordering alone, or None.
-
-    A verified perfect elimination ordering certifies 1; frontier sets
-    certify their largest size. Other provenances carry no bound here.
-    """
-    if ordering.provenance == "chordal":
-        return 1
-    if ordering.frontier_sets is not None:
-        return beta_bound_frontier(ordering)
-    return None

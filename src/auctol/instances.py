@@ -19,7 +19,8 @@ stage, so every instance is a pure function of (parameters, seed).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from fractions import Fraction
 
 from .budgets import ConstraintSet, Group
 from .errors import NotChordalError, SchemaError, ValidationError
@@ -44,6 +45,7 @@ from .orderings import (
     validate_tree_decomposition,
 )
 from .rng import SplitMix64
+from .solvers import Solution
 
 FORMAT_TAG = "auctol/1"
 
@@ -139,10 +141,9 @@ def validate_instance(inst: Instance) -> None:
     if spec.method == "tree-decomposition":
         if spec.tree_decomposition is None:
             raise ValidationError("tree-decomposition ordering requires an embedded decomposition")
-        if inst.object_graph is not None:
-            problems = validate_tree_decomposition(inst.object_graph, spec.tree_decomposition)
-            if problems:
-                raise ValidationError("invalid tree decomposition: " + "; ".join(problems))
+        problems = validate_tree_decomposition(inst.object_graph, spec.tree_decomposition)
+        if problems:
+            raise ValidationError("invalid tree decomposition: " + "; ".join(problems))
     if spec.frontier_sets is not None and set(spec.frontier_sets) != ids:
         raise ValidationError("frontier sets must cover exactly the bid ids")
     if spec.beta_bound is not None and spec.beta_bound < 1:
@@ -353,9 +354,10 @@ def obj_to_instance(obj: dict) -> Instance:
             ]
             tedges = []
             for i, e in enumerate(_expect_list(tobj.get("tree_edges"), "/ordering_spec/tree_decomposition/tree_edges")):
-                pair = _expect_list(e, f"/ordering_spec/tree_decomposition/tree_edges/{i}")
-                _expect(len(pair) == 2, f"/ordering_spec/tree_decomposition/tree_edges/{i}", "edge must have two endpoints")
-                tedges.append((pair[0], pair[1]))
+                ptr = f"/ordering_spec/tree_decomposition/tree_edges/{i}"
+                pair = _expect_list(e, ptr)
+                _expect(len(pair) == 2, ptr, "edge must have two endpoints")
+                tedges.append((_expect_str(pair[0], f"{ptr}/0"), _expect_str(pair[1], f"{ptr}/1")))
             bags_obj = _expect_obj(tobj.get("bags"), "/ordering_spec/tree_decomposition/bags")
             bags = {
                 t: frozenset(
@@ -365,6 +367,8 @@ def obj_to_instance(obj: dict) -> Instance:
                 for t, bag in bags_obj.items()
             }
             root = tobj.get("root")
+            if root is not None:
+                root = _expect_str(root, "/ordering_spec/tree_decomposition/root")
             td = TreeDecomposition(tnodes, tedges, bags, root)
         independent_set = None
         if "independent_set" in sobj:
@@ -469,6 +473,35 @@ def beta_bound_info(inst: Instance, ordering: Ordering, g: BidGraph) -> tuple[in
     return None, None
 
 
+# Approximation ratio each algorithm certifies, as a function of the
+# ordering's beta bound and t, the most constraint groups on one bid.
+RATIO = {
+    **dict.fromkeys(("opcost", "lropcost"), lambda beta, t: beta),
+    **dict.fromkeys(("unweighted", "unweighted-lr"), lambda beta, t: beta + 1),
+    **dict.fromkeys(("overlapping", "overlapping-lr"), lambda beta, t: beta + t),
+    "weighted-light": lambda beta, t: beta + 2,
+    "weighted": lambda beta, t: 2 * beta + 3,
+    "exact": lambda beta, t: 1,
+    "greedy": None,
+}
+
+
+def certify(sol: Solution, inst: Instance, g: BidGraph) -> Solution:
+    """Return ``sol`` with its certificate filled in: the beta bound
+    :func:`beta_bound_info` certifies for ``g``'s ordering and the ratio
+    :data:`RATIO` derives from it. An exact answer claims 1 with or without
+    a bound; greedy claims nothing."""
+    bound, _method = beta_bound_info(inst, g.ordering, g)
+    algorithm = sol.certificate.algorithm
+    rule = RATIO[algorithm]
+    claimed = None
+    if rule is not None and (bound is not None or algorithm == "exact"):
+        cs = inst.constraints
+        t = cs.overlap() if cs is not None and cs.kind == "overlapping" else 1  # a partition has t = 1
+        claimed = Fraction(rule(bound, t))
+    return replace(sol, certificate=replace(sol.certificate, beta_bound=bound, claimed_ratio=claimed))
+
+
 # ---------------------------------------------------------------------------
 # generators
 
@@ -533,7 +566,7 @@ def gen_interval_selection(
 
     The conflict structure is an interval graph overlaid with one clique per
     group, so the composed beta bound is 1 + 1 = 2; solving through the
-    k-of-group path instead claims beta + 1 = 2 as well.
+    k-of-group path instead claims 2 as well.
     """
     if n_groups < 1 or per_group < 1:
         raise ValidationError("n_groups and per_group must be >= 1")

@@ -53,8 +53,9 @@ class TreeDecomposition:
         return adj
 
 
-def validate_tree_decomposition(og: ObjectGraph, td: TreeDecomposition) -> list[str]:
-    """Check tree shape plus the three decomposition properties.
+def validate_tree_decomposition(og: ObjectGraph | None, td: TreeDecomposition) -> list[str]:
+    """Check tree shape plus, given an object graph, the three
+    decomposition properties.
 
     Returns human-readable violations, each naming a concrete witness.
     """
@@ -90,6 +91,8 @@ def validate_tree_decomposition(og: ObjectGraph, td: TreeDecomposition) -> list[
             return violations
     if td.root is not None and td.root not in nodes:
         violations.append(f"tree: root {td.root!r} is not a tree node")
+    if og is None:
+        return violations
 
     covered = set()
     for t in td.tree_nodes:
@@ -137,14 +140,14 @@ def tree_decomposition_ordering(
     rank, ties by bid id. The anchor bag becomes A's frontier set, so the
     resulting bound is width + 1.
 
-    When ``object_graph`` is given, the decomposition and bid germaneness are
-    fully validated first; otherwise only bag coverage of bid objects is
-    checked.
+    The tree shape is validated first; when ``object_graph`` is given, so
+    are the decomposition properties and bid germaneness. Bag coverage of
+    bid objects is always checked.
     """
+    violations = validate_tree_decomposition(object_graph, td)
+    if violations:
+        raise ValidationError("invalid tree decomposition: " + "; ".join(violations))
     if object_graph is not None:
-        violations = validate_tree_decomposition(object_graph, td)
-        if violations:
-            raise ValidationError("invalid tree decomposition: " + "; ".join(violations))
         bad = validate_germane(object_graph, bids)
         if bad:
             raise ValidationError(f"bid {bad[0]!r} is not germane (object set disconnected)")

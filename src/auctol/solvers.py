@@ -31,13 +31,16 @@ from fractions import Fraction
 from itertools import compress
 
 from .errors import CapacityError, ValidationError
-from .graphs import BidGraph, certified_bound
+from .graphs import BidGraph
 
 
 @dataclass(frozen=True)
 class Certificate:
+    """The algorithm that produced a solution and, once
+    :func:`auctol.instances.certify` has run, the beta bound of the ordering
+    and the approximation ratio it implies."""
+
     algorithm: str
-    ordering_provenance: str | None = None
     beta_bound: int | None = None
     claimed_ratio: Fraction | None = None
 
@@ -86,10 +89,6 @@ class ValueTable:
         if self._val_map is None:
             self._val_map = dict(zip(self._order, self._val))
         return self._val_map
-
-    @val.setter
-    def val(self, mapping: dict) -> None:
-        self._val_map = mapping
 
     @property
     def select(self) -> dict[str, bool]:
@@ -183,15 +182,6 @@ def assert_independent(g: BidGraph, selected) -> None:
                 raise AssertionError(f"solver produced conflicting bids {u!r} and {v!r}")
 
 
-def _certificate(g: BidGraph, algorithm: str, ratio_of_beta=None) -> Certificate:
-    prov = g.ordering.provenance if g.ordering is not None else None
-    bound = certified_bound(g.ordering) if g.ordering is not None else None
-    claimed = None
-    if bound is not None and ratio_of_beta is not None:
-        claimed = Fraction(ratio_of_beta(bound))
-    return Certificate(algorithm, prov, bound, claimed)
-
-
 def opcost(g: BidGraph, include_zero_value: bool = False) -> tuple[Solution, ValueTable]:
     """Opportunity-cost algorithm.
 
@@ -230,8 +220,7 @@ def opcost(g: BidGraph, include_zero_value: bool = False) -> tuple[Solution, Val
     c.check_selected_independent(sel)
     chosen = list(compress(order, sel))
     revenue = sum(compress(w, sel))
-    sol = Solution(frozenset(chosen), revenue, _certificate(g, "opcost", lambda b: b))
-    return sol, ValueTable(order, val, sel)
+    return Solution(frozenset(chosen), revenue, Certificate("opcost")), ValueTable(order, val, sel)
 
 
 def verify_value_table(g: BidGraph, table: ValueTable) -> bool:
@@ -281,7 +270,7 @@ def lropcost(g: BidGraph) -> Solution:
     c.check_selected_independent(sel)
     chosen = [order[i] for i in processed if sel[i]]
     revenue = sum(w[i] for i in processed if sel[i])
-    return Solution(frozenset(chosen), revenue, _certificate(g, "lropcost", lambda b: b))
+    return Solution(frozenset(chosen), revenue, Certificate("lropcost"))
 
 
 def greedy(g: BidGraph, ordering=None) -> Solution:
@@ -299,10 +288,7 @@ def greedy(g: BidGraph, ordering=None) -> Solution:
     selected = frozenset(chosen)
     revenue = sum(g.weights[u] for u in chosen)
     assert_independent(g, selected)
-    prov = ordering.provenance if ordering is not None else (
-        g.ordering.provenance if g.ordering is not None else None
-    )
-    return Solution(selected, revenue, Certificate("greedy", prov))
+    return Solution(selected, revenue, Certificate("greedy"))
 
 
 def exact_mwis(g: BidGraph, node_cap: int = 30) -> Solution:
@@ -380,4 +366,4 @@ def exact_mwis(g: BidGraph, node_cap: int = 30) -> Solution:
     selected = frozenset(chosen)
     assert_independent(g, selected)
     assert got == opt
-    return Solution(selected, opt, Certificate("exact", claimed_ratio=Fraction(1)))
+    return Solution(selected, opt, Certificate("exact"))

@@ -24,6 +24,47 @@ GOLDEN_SPECS = {
 }
 
 
+# family -> (beta bound its ordering certifies, ratio opcost/lropcost claim
+# under --constraints auto): beta for the plain solvers, beta + 1 for the
+# unweighted groups, beta + t (t = 2 here) for overlapping, 2 beta + 3 for
+# weighted budgets. tight orders explicitly with no frontier sets: no bound.
+CERTIFIED = {
+    "interval": (1, 1),
+    "subtrees": (1, 1),
+    "grid": (2, 2),
+    "tight": (None, None),
+    "interval-selection": (1, 2),
+    "budget-unweighted": (1, 2),
+    "budget-overlapping": (1, 3),
+    "budget-weighted": (1, 5),
+}
+CONSTRAINED = ("interval-selection", "budget-unweighted", "budget-overlapping", "budget-weighted")
+
+
+def _certificate_cases():
+    for path in sorted(GOLDEN.glob("*.json")):
+        family = path.stem.rsplit("-", 1)[0]
+        for algo in ("opcost", "lropcost", "greedy", "exact"):
+            for constraints in ("auto", "ignore"):
+                if algo == "greedy" and constraints == "auto" and family in CONSTRAINED:
+                    continue  # greedy has no budget-aware mode: exit 2 by design
+                yield pytest.param(path, family, algo, constraints, id=f"{path.stem}-{algo}-{constraints}")
+
+
+@pytest.mark.parametrize("path,family,algo,constraints", list(_certificate_cases()))
+def test_solve_certificate(path, family, algo, constraints, tmp_path):
+    out = tmp_path / "sol.json"
+    assert run(["solve", "--input", str(path), "--algo", algo, "--constraints", constraints, "--output", str(out)]) == 0
+    bound, auto_ratio = CERTIFIED[family]
+    if algo == "exact":
+        claimed = 1
+    elif algo == "greedy":
+        claimed = None
+    else:
+        claimed = auto_ratio if constraints == "auto" else bound
+    assert json.loads(out.read_text())["certificate"] == {"beta_bound": bound, "claimed_ratio": claimed}
+
+
 def test_golden_corpus_matches_generators():
     files = sorted(GOLDEN.glob("*.json"))
     assert len(files) == len(GOLDEN_SPECS) * 3
@@ -186,3 +227,66 @@ def test_console_script_end_to_end(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["revenue"] == 1000
+
+
+@pytest.mark.parametrize(
+    "text,pointer",
+    [
+        ('{"selected": [["a"]]}', "/selected/0"),
+        ('{"selected": ["b00", 7]}', "/selected/1"),
+        ('{"selected": [], "revenue": "0"}', "/revenue"),
+        ('{"selected": [], "revenue": 1.5}', "/revenue"),
+        ('{"selected": ', ""),
+    ],
+)
+def test_verify_malformed_solution_exit2(tmp_path, capsys, text, pointer):
+    sol = tmp_path / "sol.json"
+    sol.write_text(text)
+    assert run(["verify", "--input", str(GOLDEN / "interval-1.json"), "--solution", str(sol)]) == 2
+    assert f"schema error: {pointer}:" in capsys.readouterr().err
+
+
+def _subtree_instance_with_td(td: dict) -> dict:
+    return {
+        "format": "auctol/1",
+        "bids": [{"id": "a", "objects": ["x"], "price": 2}, {"id": "b", "objects": ["x", "y"], "price": 3}],
+        "ordering_spec": {"method": "tree-decomposition", "tree_decomposition": td},
+    }
+
+
+@pytest.mark.parametrize(
+    "td,message",
+    [
+        ({"tree_nodes": ["t0", "t1"], "tree_edges": [], "bags": {"t0": ["x"], "t1": ["y"]}}, "not a tree"),
+        ({"tree_nodes": ["t0", "t1"], "tree_edges": [["t0", "t9"]], "bags": {"t0": ["x"], "t1": ["y"]}}, "bad edge"),
+        ({"tree_nodes": ["t0"], "tree_edges": [], "bags": {"t0": ["x", "y"]}, "root": "t9"}, "not a tree node"),
+        ({"tree_nodes": ["t0"], "tree_edges": [], "bags": {"t0": ["x", "y"]}, "root": ["t0"]}, "/root: expected a string"),
+        ({"tree_nodes": ["t0", "t1"], "tree_edges": [["t0", ["t1"]]], "bags": {"t0": ["x"], "t1": ["y"]}}, "/tree_edges/0/1:"),
+    ],
+    ids=["disconnected", "undeclared-edge-end", "unknown-root", "non-string-root", "non-string-edge-end"],
+)
+def test_tree_decomposition_without_object_graph_checks_tree_shape(tmp_path, capsys, td, message):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(_subtree_instance_with_td(td)))
+    assert run(["solve", "--input", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_weighted_budget_beyond_double_range_exit2(tmp_path, capsys):
+    huge = 10**400
+    inst = {
+        "format": "auctol/1",
+        "bids": [
+            {"id": "a", "objects": ["x"], "price": huge, "group": "g0"},
+            {"id": "b", "objects": ["y"], "price": 1, "group": "g0"},
+        ],
+        "constraints": {"kind": "weighted", "groups": [{"label": "g0", "members": ["a", "b"], "b": 2 * huge}]},
+    }
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(inst))
+    for argv in (["solve", "--input", str(path)], ["verify", "--input", str(path)]):
+        assert run(argv) == 2
+        assert "group 'g0'" in capsys.readouterr().err
+    out = tmp_path / "sol.json"
+    assert run(["solve", "--input", str(path), "--constraints", "ignore", "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["revenue"] == huge + 1

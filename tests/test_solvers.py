@@ -7,6 +7,7 @@ import pytest
 from auctol import (
     Bid,
     Ordering,
+    ValueTable,
     build_bid_graph,
     decreasing_weight_ordering,
     exact_mwis,
@@ -75,10 +76,10 @@ def test_value_table_recomputes():
         g = orient(g, Ordering(order))
         _, table = opcost(g)
         assert verify_value_table(g, table)
-        broken = dict(table.val)
-        broken[order[0]] += 1
-        table.val = broken
-        assert not verify_value_table(g, table)
+        vals = [table.val[u] for u in order]
+        vals[0] += 1
+        broken = ValueTable(order, vals, [table.select[u] for u in order])
+        assert not verify_value_table(g, broken)
 
 
 def test_lropcost_chain():
