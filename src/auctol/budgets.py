@@ -32,8 +32,8 @@ from itertools import compress
 from typing import NamedTuple
 
 from .errors import CapacityError, ValidationError
-from .graphs import BidGraph
-from .solvers import Certificate, Solution, ValueTable, _compiled, assert_independent
+from .graphs import BidGraph, check_independent, csr, neighbor_masks
+from .solvers import Certificate, Solution, ValueTable
 
 KINDS = ("unweighted", "overlapping", "weighted")
 
@@ -132,12 +132,11 @@ def solve_unweighted(g: BidGraph, cs: ConstraintSet) -> tuple[Solution, ValueTab
     """
     if cs.kind != "unweighted":
         raise ValidationError(f"expected unweighted constraints, got {cs.kind!r}")
-    c = _compiled(g)
-    order, w = c.order, c.w
-    pred_ptr, pred_idx = c.pred_ptr, c.pred_idx
-    succ_ptr, succ_idx = c.succ_ptr, c.succ_idx
+    order, w = g.order(), g.w
+    pred_ptr, pred_idx = g.pred_ptr, g.pred_idx
+    succ_ptr, succ_idx = g.succ_ptr, g.succ_idx
     n = len(order)
-    gx = c.cached(cs, lambda: _groups_csr(cs, c.pos))
+    gx = g.cached(cs, lambda: _groups_csr(cs, g.rank()))
     gi_of, k = gx.gidx, gx.limits
 
     exact_ints = all(x == 1 for x in k)
@@ -169,7 +168,7 @@ def solve_unweighted(g: BidGraph, cs: ConstraintSet) -> tuple[Solution, ValueTab
             if free:
                 sel[i] = True
                 used[gi_of[i]] += 1
-    c.check_selected_independent(sel)
+    check_independent(succ_ptr, succ_idx, sel, order)
     chosen = list(compress(order, sel))
     revenue = sum(compress(w, sel))
     return Solution(frozenset(chosen), revenue, Certificate("unweighted")), ValueTable(order, val, sel)
@@ -185,11 +184,10 @@ def solve_unweighted_lr(g: BidGraph, cs: ConstraintSet) -> Solution:
     """
     if cs.kind != "unweighted":
         raise ValidationError(f"expected unweighted constraints, got {cs.kind!r}")
-    c = _compiled(g)
-    order, w = c.order, c.w
-    succ_ptr, succ_idx = c.succ_ptr, c.succ_idx
+    order, w = g.order(), g.w
+    succ_ptr, succ_idx = g.succ_ptr, g.succ_idx
     n = len(order)
-    gx = c.cached(cs, lambda: _groups_csr(cs, c.pos))
+    gx = g.cached(cs, lambda: _groups_csr(cs, g.rank()))
     gi_of, k, members_by_rank = gx.gidx, gx.limits, gx.members_by_rank
     grp_pos = [0] * n
     for ranks in members_by_rank:
@@ -217,7 +215,7 @@ def solve_unweighted_lr(g: BidGraph, cs: ConstraintSet) -> Solution:
         if used[gi] < k[gi] and not any(sel[succ_idx[jj]] for jj in range(succ_ptr[i], succ_ptr[i + 1])):
             sel[i] = True
             used[gi] += 1
-    c.check_selected_independent(sel)
+    check_independent(succ_ptr, succ_idx, sel, order)
     chosen = [order[i] for i in processed if sel[i]]
     revenue = sum(w[i] for i in processed if sel[i])
     return Solution(frozenset(chosen), revenue, Certificate("unweighted-lr"))
@@ -232,12 +230,11 @@ def solve_overlapping(g: BidGraph, cs: ConstraintSet) -> Solution:
     """
     if cs.kind != "overlapping":
         raise ValidationError(f"expected overlapping constraints, got {cs.kind!r}")
-    c = _compiled(g)
-    order, w = c.order, c.w
-    pred_ptr, pred_idx = c.pred_ptr, c.pred_idx
-    succ_ptr, succ_idx = c.succ_ptr, c.succ_idx
+    order, w = g.order(), g.w
+    pred_ptr, pred_idx = g.pred_ptr, g.pred_idx
+    succ_ptr, succ_idx = g.succ_ptr, g.succ_idx
     n = len(order)
-    gptr, gidx, k, _members = c.cached(cs, lambda: _groups_csr(cs, c.pos))
+    gptr, gidx, k, _members = g.cached(cs, lambda: _groups_csr(cs, g.rank()))
 
     exact_ints = all(x == 1 for x in k)
     zero = 0 if exact_ints else Fraction(0)
@@ -277,7 +274,7 @@ def solve_overlapping(g: BidGraph, cs: ConstraintSet) -> Solution:
             sel[i] = True
             for gi in gidx[gptr[i] : gptr[i + 1]]:
                 used[gi] += 1
-    c.check_selected_independent(sel)
+    check_independent(succ_ptr, succ_idx, sel, order)
     chosen = list(compress(order, sel))
     revenue = sum(compress(w, sel))
     return Solution(frozenset(chosen), revenue, Certificate("overlapping"))
@@ -287,11 +284,10 @@ def solve_overlapping_lr(g: BidGraph, cs: ConstraintSet) -> Solution:
     """Local-ratio form of the overlapping solver (slow cross-check)."""
     if cs.kind != "overlapping":
         raise ValidationError(f"expected overlapping constraints, got {cs.kind!r}")
-    c = _compiled(g)
-    order, w = c.order, c.w
-    succ_ptr, succ_idx = c.succ_ptr, c.succ_idx
+    order, w = g.order(), g.w
+    succ_ptr, succ_idx = g.succ_ptr, g.succ_idx
     n = len(order)
-    gptr, gidx, k, members_by_rank = c.cached(cs, lambda: _groups_csr(cs, c.pos))
+    gptr, gidx, k, members_by_rank = g.cached(cs, lambda: _groups_csr(cs, g.rank()))
 
     cur: list = [Fraction(x) for x in w]
     processed: list[int] = []
@@ -317,7 +313,7 @@ def solve_overlapping_lr(g: BidGraph, cs: ConstraintSet) -> Solution:
             sel[i] = True
             for gi in gidx[gptr[i] : gptr[i + 1]]:
                 used[gi] += 1
-    c.check_selected_independent(sel)
+    check_independent(succ_ptr, succ_idx, sel, order)
     chosen = [order[i] for i in processed if sel[i]]
     revenue = sum(w[i] for i in processed if sel[i])
     return Solution(frozenset(chosen), revenue, Certificate("overlapping-lr"))
@@ -353,11 +349,10 @@ def solve_light(g: BidGraph, cs: ConstraintSet, mode: str = "lazy") -> tuple[Sol
     for grp in cs.groups:
         if grp.limit > sys.float_info.max:
             raise ValidationError(f"group {grp.label!r}: budget exceeds the double precision of the light pass")
-    c = _compiled(g)
-    order, w = c.order, c.w
-    succ_ptr, succ_idx = c.succ_ptr, c.succ_idx
+    order, w = g.order(), g.w
+    succ_ptr, succ_idx = g.succ_ptr, g.succ_idx
     n = len(order)
-    gx = c.cached(cs, lambda: _groups_csr(cs, c.pos))
+    gx = g.cached(cs, lambda: _groups_csr(cs, g.rank()))
     gi_of, b, members_by_rank = gx.gidx, gx.limits, gx.members_by_rank
     for i in range(n):
         if 2 * w[i] > b[gi_of[i]]:
@@ -412,7 +407,7 @@ def solve_light(g: BidGraph, cs: ConstraintSet, mode: str = "lazy") -> tuple[Sol
         ):
             sel[i] = True
             spent[gi] += w[i]
-    c.check_selected_independent(sel)
+    check_independent(succ_ptr, succ_idx, sel, order)
     chosen = [order[i] for i in processed if sel[i]]
     revenue = sum(w[i] for i in processed if sel[i])
     return Solution(frozenset(chosen), revenue, Certificate("weighted-light")), ValueTable(order, vals, sel)
@@ -429,30 +424,20 @@ def solve_weighted(g: BidGraph, cs: ConstraintSet, light_mode: str = "lazy") -> 
     """
     if cs.kind != "weighted":
         raise ValidationError(f"expected weighted constraints, got {cs.kind!r}")
-    gx = _groups_csr(cs, g.rank())
+    gx = g.cached(cs, lambda: _groups_csr(cs, g.rank()))
     budget = [gx.limits[gi] for gi in gx.gidx]  # the groups partition the bids: one per rank
-    weights = g.weights
-    heavy = [u for u, b in zip(g.order(), budget) if weights[u] <= b and 2 * weights[u] > b]
-    light = [u for u, b in zip(g.order(), budget) if 2 * weights[u] <= b]
+    heavy = [u for u, w, b in zip(g.order(), g.w, budget) if w <= b < 2 * w]
+    light = [u for u, w, b in zip(g.order(), g.w, budget) if 2 * w <= b]
 
-    heavy_sol = None
+    heavy_sol = light_sol = None
     if heavy:
-        hg = g.induced(heavy)
-        hgroups = [
-            Group(grp.label, grp.members & set(heavy), 1)
-            for grp in cs.groups
-            if grp.members & set(heavy)
-        ]
-        heavy_sol, _ = solve_unweighted(hg, ConstraintSet("unweighted", hgroups))
-    light_sol = None
+        keep = set(heavy)
+        hgroups = [Group(grp.label, inside, 1) for grp in cs.groups if (inside := grp.members & keep)]
+        heavy_sol, _ = solve_unweighted(g.induced(keep), ConstraintSet("unweighted", hgroups))
     if light:
-        lg = g.induced(light)
-        lgroups = [
-            Group(grp.label, grp.members & set(light), grp.limit)
-            for grp in cs.groups
-            if grp.members & set(light)
-        ]
-        light_sol, _ = solve_light(lg, ConstraintSet("weighted", lgroups), mode=light_mode)
+        keep = set(light)
+        lgroups = [Group(grp.label, inside, grp.limit) for grp in cs.groups if (inside := grp.members & keep)]
+        light_sol, _ = solve_light(g.induced(keep), ConstraintSet("weighted", lgroups), mode=light_mode)
 
     h_rev = heavy_sol.revenue if heavy_sol else 0
     l_rev = light_sol.revenue if light_sol else 0
@@ -462,7 +447,7 @@ def solve_weighted(g: BidGraph, cs: ConstraintSet, light_mode: str = "lazy") -> 
     else:
         chosen = light_sol.selected
         revenue = l_rev
-    assert_independent(g, chosen)
+    check_independent(g.ptr, g.nbr, [u in chosen for u in g.ids], g.ids)
     return Solution(chosen, revenue, Certificate("weighted"))
 
 
@@ -471,10 +456,10 @@ def check_feasible(sol: Solution, g: BidGraph, cs: ConstraintSet | None = None) 
     violations: list[str] = []
     chosen = set(sol.selected)
     for u in sorted(chosen):
-        if u not in g.adj:
+        if u not in g.index:
             violations.append(f"selected bid {u!r} is not a graph node")
             continue
-        for v in sorted(g.adj[u]):
+        for v in sorted(g.neighbors(u)):
             if v in chosen and u < v:
                 violations.append(f"conflict: {u!r} and {v!r} share an object")
     expected = sum(g.weights[u] for u in chosen if u in g.weights)
@@ -508,25 +493,22 @@ def group_clique_graph(g: BidGraph, cs: ConstraintSet) -> BidGraph:
     for grp in cs.groups:
         if grp.limit != 1:
             raise ValidationError(f"group {grp.label!r} has k={grp.limit}; clique form needs k=1")
-    out = BidGraph(dict(g.weights))
-    for u in g.ids:
-        for v in g.adj[u]:
-            if u < v:
-                out._add_edge(u, v)
+    index, ptr, nbr = g.index, g.ptr, g.nbr
+    cliques: list = [(i, j) for i in range(g.n) for j in nbr[ptr[i] : ptr[i + 1]] if i < j]
     for grp in cs.groups:
-        members = sorted(grp.members)
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                if members[j] not in out.adj[members[i]]:
-                    out._add_edge(members[i], members[j])
-    return out
+        for u in sorted(grp.members):
+            if u not in index:
+                raise ValidationError(f"group {grp.label!r} member {u!r} is not a bid node")
+        cliques.append([index[u] for u in sorted(grp.members)])
+    return BidGraph(dict(g.weights), *csr(g.n, cliques))
 
 
 def exact_feasible(g: BidGraph, cs: ConstraintSet | None, node_cap: int = 20) -> tuple[int, frozenset[str]]:
     """Exhaustive optimum over independent, budget-feasible bid sets.
 
     Depth-first over ids in ascending order with include/exclude branches,
-    pruned by the sum of remaining weights. The oracle for ratio tests.
+    pruned by the sum of remaining weights. An oracle for ratio tests on
+    small graphs.
     """
     if g.n > node_cap:
         raise CapacityError(f"graph has {g.n} nodes, feasibility oracle capped at {node_cap}")
@@ -534,22 +516,15 @@ def exact_feasible(g: BidGraph, cs: ConstraintSet | None, node_cap: int = 20) ->
     n = len(ids)
     pos = {u: i for i, u in enumerate(ids)}
     w = [g.weights[u] for u in ids]
-    nbr = [0] * n
-    for u in ids:
-        for v in g.adj[u]:
-            nbr[pos[u]] |= 1 << pos[v]
-    if cs is not None:
-        groups_of: list[list[int]] = [[] for _ in range(n)]
-        limits = [grp.limit for grp in cs.groups]
-        for gi, grp in enumerate(cs.groups):
-            for u in grp.members:
-                if u in pos:
-                    groups_of[pos[u]].append(gi)
-        usage = [0] * len(limits)
-    else:
-        groups_of = [[] for _ in range(n)]
-        limits = []
-        usage = []
+    nbr = neighbor_masks(g, [g.index[u] for u in ids])
+    groups = cs.groups if cs is not None else []
+    limits = [grp.limit for grp in groups]
+    usage = [0] * len(limits)
+    groups_of: list[list[int]] = [[] for _ in range(n)]
+    for gi, grp in enumerate(groups):
+        for u in grp.members:
+            if u in pos:
+                groups_of[pos[u]].append(gi)
     weighted = cs is not None and cs.kind == "weighted"
 
     best_w = 0

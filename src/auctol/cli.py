@@ -167,7 +167,16 @@ def verify_instance(path: Path, oracle_cap: int, timings: bool = False) -> dict:
     except (ValidationError, NotChordalError, CapacityError) as exc:
         violate(f"setup failed: {exc}")
         return report
+    try:
+        _run_checks(report, violate, inst, g, oracle_cap, timings)
+    except (ValidationError, CapacityError) as exc:
+        violate(f"run failed: {exc}")
+    return report
 
+
+def _run_checks(report: dict, violate, inst, g, oracle_cap: int, timings: bool) -> None:
+    """The solver and oracle part of :func:`verify_instance`: fills
+    ``report`` and calls ``violate`` on every failed inequality."""
     report["family"] = str(inst.metadata.get("family", "unknown"))
     report["n"] = g.n
     report["m"] = g.m
@@ -254,7 +263,6 @@ def verify_instance(path: Path, oracle_cap: int, timings: bool = False) -> dict:
                 report["observed_ratio"] = _ratio_str(observed)
                 if observed > claimed:
                     violate(f"observed ratio {observed} exceeds claimed {claimed}")
-    return report
 
 
 def _ratio_str(r: Fraction) -> str:
@@ -311,7 +319,7 @@ def run_bench(family: str, sizes, seed: int = 0, repeats: int = 3, max_ratio: fl
     """Time the linear-time solvers at each target |V|+|E| and assert the
     per-element cost at the largest size is within ``max_ratio`` of the
     smallest. Each solver gets one untimed warmup (which also pays the
-    one-off graph compilation); the reported time is the minimum over
+    one-off group-index build); the reported time is the minimum over
     ``repeats`` runs. Returns the full measurement report."""
     if family not in BENCH_FAMILIES:
         raise ValidationError(f"unknown bench family {family!r}")

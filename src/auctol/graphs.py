@@ -13,16 +13,23 @@ among v and its successors. Since v conflicts with every successor, that is
 ``max(1, alpha(successors(v)))``. The graph-level ``beta`` is the maximum over
 nodes and equals the approximation ratio of the opportunity-cost solvers.
 
+A bid graph is stored once, in index space: node i is the i-th bid, and its
+neighbours are one slice of a packed index array (compressed sparse rows).
+Orienting a graph renames the nodes to their rank in the ordering and splits
+every row into earlier and later neighbours, again as packed slices, so the
+linear-time solvers read contiguous integer arrays. Rows keep a fixed,
+input-determined neighbour order, so every iteration is reproducible.
+
 All structures are treated as immutable once built; nothing here mutates a
 graph after construction, so instances can be shared freely across threads.
-Adjacency is stored as insertion-ordered dicts rather than sets so that every
-iteration order is reproducible across runs.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass
+from itertools import compress
 
 from .errors import CapacityError, UnsupportedOrderingError, ValidationError
 
@@ -150,27 +157,25 @@ class BetaReport:
 
 
 class BidGraph:
-    """Conflict graph over bids with integer weights and an optional
-    orientation (a node permutation; edges point earlier -> later)."""
+    """Conflict graph over bids in index space, with an optional orientation.
 
-    def __init__(self, weights: dict[str, int], edges=()):
+    Node i is bid ``ids[i]`` (input order). Its neighbours are
+    ``nbr[ptr[i]:ptr[i + 1]]`` (compressed sparse rows: an offset array plus
+    one packed index array). :func:`orient` attaches an ordering and renames
+    nodes to their rank in it: ``w[r]`` is the weight at rank r, and its
+    earlier and later neighbours are the rank slices
+    ``pred_idx[pred_ptr[r]:pred_ptr[r + 1]]`` and
+    ``succ_idx[succ_ptr[r]:succ_ptr[r + 1]]``.
+    """
+
+    def __init__(self, weights: dict[str, int], ptr: array, nbr: array):
         self.ids: list[str] = list(weights)
-        self.weights: dict[str, int] = dict(weights)
-        self.adj: dict[str, dict[str, None]] = {u: {} for u in self.ids}
-        for a, b in edges:
-            self._add_edge(a, b)
-        self.ordering: Ordering | None = None
-        self._rank: dict[str, int] | None = None
-        self._compiled = None
-
-    def _add_edge(self, a: str, b: str) -> None:
-        if a == b:
-            raise ValidationError(f"self-loop on bid {a!r}")
-        if a not in self.adj or b not in self.adj:
-            missing = a if a not in self.adj else b
-            raise ValidationError(f"edge endpoint {missing!r} is not a bid node")
-        self.adj[a][b] = None
-        self.adj[b][a] = None
+        self.weights: dict[str, int] = weights
+        self.index: dict[str, int] = {u: i for i, u in enumerate(self.ids)}
+        self.ptr, self.nbr = ptr, nbr
+        self.ordering: Ordering | None = None  # it and the rank space are filled in by orient()
+        self._rank = self.w = self.pred_ptr = self.pred_idx = self.succ_ptr = self.succ_idx = None
+        self.derived: list = []  # identity-keyed cache of per-constraint indexes
 
     @property
     def n(self) -> int:
@@ -178,10 +183,11 @@ class BidGraph:
 
     @property
     def m(self) -> int:
-        return sum(len(d) for d in self.adj.values()) // 2
+        return len(self.nbr) // 2
 
-    def neighbors(self, u: str):
-        return self.adj[u].keys()
+    def neighbors(self, u: str) -> list[str]:
+        i, ids = self.index[u], self.ids
+        return [ids[j] for j in self.nbr[self.ptr[i] : self.ptr[i + 1]]]
 
     def order(self) -> list[str]:
         if self.ordering is None:
@@ -189,110 +195,171 @@ class BidGraph:
         return self.ordering.order
 
     def rank(self) -> dict[str, int]:
-        if self._rank is None:
-            self._rank = {u: i for i, u in enumerate(self.order())}
+        self.order()  # raises on an unoriented graph
         return self._rank
 
     def successors(self, u: str) -> list[str]:
-        r = self.rank()
-        ru = r[u]
-        return [v for v in self.adj[u] if r[v] > ru]
+        r, order = self.rank()[u], self.order()
+        return [order[s] for s in self.succ_idx[self.succ_ptr[r] : self.succ_ptr[r + 1]]]
 
     def predecessors(self, u: str) -> list[str]:
-        r = self.rank()
-        ru = r[u]
-        return [v for v in self.adj[u] if r[v] < ru]
+        r, order = self.rank()[u], self.order()
+        return [order[s] for s in self.pred_idx[self.pred_ptr[r] : self.pred_ptr[r + 1]]]
+
+    def cached(self, key, build):
+        """``build()``, computed once per ``key`` object on this graph."""
+        for k, value in self.derived:
+            if k is key:
+                return value
+        value = build()
+        self.derived.append((key, value))
+        return value
 
     def induced(self, keep) -> "BidGraph":
         """Node-induced subgraph; restricts the orientation if present."""
         keep = set(keep)
-        sub = BidGraph({u: self.weights[u] for u in self.ids if u in keep})
-        for u in sub.ids:
-            for v in self.adj[u]:
-                if v in keep and u < v:
-                    sub._add_edge(u, v)
-        if self.ordering is not None:
-            sub_order = [u for u in self.ordering.order if u in keep]
-            sub.ordering = Ordering(sub_order, self.ordering.provenance, None)
-        return sub
+        kept = [i for i, u in enumerate(self.ids) if u in keep]
+        new = {i: k for k, i in enumerate(kept)}
+        ptr, nbr = self.ptr, self.nbr
+        pairs = [(new[i], new[j]) for i in kept for j in nbr[ptr[i] : ptr[i + 1]] if j > i and j in new]
+        sub = BidGraph({self.ids[i]: self.weights[self.ids[i]] for i in kept}, *csr(len(kept), pairs))
+        if self.ordering is None:
+            return sub
+        return orient(sub, Ordering([u for u in self.ordering.order if u in keep], self.ordering.provenance, None))
+
+
+def csr(n: int, cliques) -> tuple[array, array]:
+    """Adjacency rows of the graph on nodes 0..n-1 in which the members of
+    every clique in ``cliques`` are pairwise adjacent.
+
+    Node i's row lists its neighbours clique by clique, in clique order and
+    then member order; a per-node "last seen" mark drops repeated pairs, so
+    the cost is the sum of clique sizes times memberships, with no set or
+    dict per node.
+    """
+    cliques_of: list[list] = [[] for _ in range(n)]
+    for c in cliques:
+        for i in c:
+            cliques_of[i].append(c)
+    mark = [-1] * n
+    ptr, nbr = [0], []
+    for i in range(n):
+        mark[i] = i
+        for c in cliques_of[i]:
+            for j in c:
+                if mark[j] != i:
+                    mark[j] = i
+                    nbr.append(j)
+        ptr.append(len(nbr))
+    return array("q", ptr), array("q", nbr)
 
 
 def build_bid_graph(bids: list[Bid]) -> BidGraph:
     """Conflict graph: an edge between every two bids sharing an object.
 
-    Built through an object -> bids inverted index, so the cost is the sum of
+    Each object's holders form a clique, so the cost is the sum of
     intersecting-pair counts rather than a full quadratic scan.
     """
     weights: dict[str, int] = {}
-    for b in bids:
+    holders: dict[str, list[int]] = {}
+    for i, b in enumerate(bids):
         if b.id in weights:
             raise ValidationError(f"duplicate bid id {b.id!r}")
         weights[b.id] = b.price
-    g = BidGraph(weights)
-    holders: dict[str, list[str]] = {}
-    for b in bids:
         for o in sorted(b.objects):
-            holders.setdefault(o, []).append(b.id)
-    for o in holders:
-        ids = holders[o]
-        for i in range(len(ids)):
-            ai = g.adj[ids[i]]
-            for j in range(i + 1, len(ids)):
-                bj = ids[j]
-                if bj not in ai:
-                    g._add_edge(ids[i], bj)
-    return g
+            h = holders.get(o)
+            if h is None:
+                holders[o] = [i]
+            else:
+                h.append(i)
+    return BidGraph(weights, *csr(len(bids), holders.values()))
 
 
 def orient(g: BidGraph, ordering: Ordering) -> BidGraph:
-    """Attach an orientation: a copy of ``g`` sharing its adjacency, with
-    every edge pointing from the earlier node in ``ordering`` to the later."""
-    if len(ordering.order) != g.n or set(ordering.order) != set(g.ids):
+    """Attach an orientation: a graph sharing ``g``'s rows, with every edge
+    pointing from the earlier node in ``ordering`` to the later, and the
+    rank-space weights and predecessor/successor slices built once."""
+    order, rank = ordering.order, ordering.rank()
+    if len(order) != g.n or rank.keys() != g.index.keys():
         raise ValidationError("ordering must be a permutation of exactly the graph's nodes")
-    out = BidGraph.__new__(BidGraph)
-    out.ids = g.ids
-    out.weights = g.weights
-    out.adj = g.adj
-    out.ordering = ordering
-    out._rank = None
-    out._compiled = None
+    out = BidGraph(g.weights, g.ptr, g.nbr)
+    ptr, nbr, index = g.ptr, g.nbr, g.index
+    rank_of = [rank[u] for u in g.ids]
+    # every edge is once a predecessor and once a successor entry: size the
+    # arrays up front rather than grow them
+    pred_ptr, succ_ptr = array("q", [0]) * (g.n + 1), array("q", [0]) * (g.n + 1)
+    pred_idx, succ_idx = array("q", [0]) * g.m, array("q", [0]) * g.m
+    p = q = 0
+    for r, u in enumerate(order):
+        i = index[u]
+        for j in nbr[ptr[i] : ptr[i + 1]]:
+            s = rank_of[j]
+            if s > r:
+                succ_idx[q] = s
+                q += 1
+            else:
+                pred_idx[p] = s
+                p += 1
+        pred_ptr[r + 1], succ_ptr[r + 1] = p, q
+    out.ordering, out._rank, out.w = ordering, rank, [g.weights[u] for u in order]
+    out.pred_ptr, out.pred_idx, out.succ_ptr, out.succ_idx = pred_ptr, pred_idx, succ_ptr, succ_idx
     return out
 
 
+def check_independent(ptr, idx, sel, names: list[str]) -> None:
+    """Defensive check that no two selected positions (``sel[i]`` true) are
+    adjacent in the rows ``idx[ptr[i]:ptr[i + 1]]``: a graph's own rows, or
+    its successor slices in rank space, which hold every edge once."""
+    for i in compress(range(len(sel)), sel):
+        for j in idx[ptr[i] : ptr[i + 1]]:
+            if sel[j]:
+                raise AssertionError(f"solver produced conflicting bids {names[i]!r} and {names[j]!r}")
+
+
+def neighbor_masks(g: BidGraph, nodes: list[int]) -> list[int]:
+    """Bitmask input of the exact oracles: for the k-th node of ``nodes``
+    (node indices), the bit set of positions of its neighbours in ``nodes``."""
+    pos = {v: k for k, v in enumerate(nodes)}
+    ptr, nbr = g.ptr, g.nbr
+    masks = []
+    for v in nodes:
+        mask = 0
+        for j in nbr[ptr[v] : ptr[v + 1]]:
+            if j in pos:
+                mask |= 1 << pos[j]
+        masks.append(mask)
+    return masks
+
+
 def beta_exact(g: BidGraph, cap: int = 25) -> BetaReport:
-    """Exact directed local independence number of an oriented graph.
+    """Exact directed local independence number of an oriented graph (an
+    oracle for small graphs).
 
     For every node, computes the maximum independent set size among its
     successors by exhaustive branch-and-bound; refuses nodes with more than
     ``cap`` successors since the search is exponential in out-degree.
     """
-    order = g.order()
-    rank = g.rank()
+    rank, succ_ptr, succ_idx = g.rank(), g.succ_ptr, g.succ_idx
+    node_of = [g.index[u] for u in g.order()]
     per_node: dict[str, int] = {}
     for u in g.ids:
-        succ = [v for v in g.adj[u] if rank[v] > rank[u]]
+        r = rank[u]
+        succ = [node_of[s] for s in succ_idx[succ_ptr[r] : succ_ptr[r + 1]]]
         if len(succ) > cap:
             raise CapacityError(
                 f"node {u!r} has out-degree {len(succ)} > cap {cap}; "
                 "use a frontier or composition bound instead"
             )
-        per_node[u] = max(1, _alpha(succ, g))
+        per_node[u] = max(1, _alpha(neighbor_masks(g, succ)))
     beta = max(per_node.values(), default=1)
     return BetaReport(beta_graph=beta, per_node=per_node, method="exact-bruteforce")
 
 
-def _alpha(nodes: list[str], g: BidGraph) -> int:
-    """Maximum independent set size within ``nodes`` (induced subgraph)."""
-    k = len(nodes)
+def _alpha(masks: list[int]) -> int:
+    """Maximum independent set size of the graph given by neighbour bitmasks."""
+    k = len(masks)
     if k == 0:
         return 0
-    pos = {u: i for i, u in enumerate(nodes)}
-    masks = [0] * k
-    for i, u in enumerate(nodes):
-        for v in g.adj[u]:
-            j = pos.get(v)
-            if j is not None:
-                masks[i] |= 1 << j
     best = 0
 
     def grow(free: int, size: int) -> None:
@@ -340,22 +407,22 @@ def beta_bound_union(bounds: list[int]) -> int:
 
 
 def check_frontier_property(ordering: Ordering, bids: list[Bid]) -> list[tuple[str, str]]:
-    """Exhaustively check the frontier hypothesis over all ordered bid pairs.
+    """Check the frontier hypothesis on every conflicting pair of bids.
 
     Returns (A, B) pairs with A before B, objects(A) meets objects(B), but
-    B missing frontier(A). Empty list means the frontier bound is sound.
+    B missing frontier(A), ordered by A's then B's position. Empty list
+    means the frontier bound is sound. Walks the successor slices of the
+    conflict graph oriented by ``ordering``: O(|V| + |E|) set tests.
     """
     if ordering.frontier_sets is None:
         raise UnsupportedOrderingError("ordering carries no frontier sets")
-    by_id = {b.id: b for b in bids}
-    seq = [by_id[u] for u in ordering.order]
+    g = orient(build_bid_graph(bids), ordering)
+    objects = [b.objects for b in bids]
+    order, index = g.order(), g.index
     bad = []
-    for i in range(len(seq)):
-        a = seq[i]
-        fa = ordering.frontier_sets[a.id]
-        for j in range(i + 1, len(seq)):
-            b = seq[j]
-            if a.objects & b.objects and not (fa & b.objects):
-                bad.append((a.id, b.id))
+    for r, a in enumerate(order):
+        fa = ordering.frontier_sets[a]
+        for s in sorted(g.succ_idx[g.succ_ptr[r] : g.succ_ptr[r + 1]]):
+            if not (fa & objects[index[order[s]]]):
+                bad.append((a, order[s]))
     return bad
-

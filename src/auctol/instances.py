@@ -31,6 +31,7 @@ from .graphs import (
     Ordering,
     beta_bound_frontier,
     build_bid_graph,
+    check_frontier_property,
     orient,
     validate_germane,
 )
@@ -429,7 +430,8 @@ def bid_graph(inst: Instance) -> BidGraph:
 def ordering_from_spec(inst: Instance, g: BidGraph) -> Ordering:
     """Construct the ordering an instance declares; defaults to decreasing
     weight when no spec is present. Raises NotChordalError when a chordal
-    ordering was demanded but recognition fails."""
+    ordering was demanded but recognition fails, and ValidationError when an
+    explicit ordering carries frontier sets that fail the frontier property."""
     spec = inst.ordering_spec
     if spec is None:
         return decreasing_weight_ordering(g)
@@ -447,6 +449,11 @@ def ordering_from_spec(inst: Instance, g: BidGraph) -> Ordering:
     if spec.method == "planted-optimal":
         return planted_optimal_ordering(g, spec.independent_set)
     ordering = Ordering(list(spec.permutation), "explicit", spec.frontier_sets)
+    if spec.frontier_sets is not None:
+        bad = check_frontier_property(ordering, inst.bids)
+        if bad:
+            a, b = bad[0]
+            raise ValidationError(f"frontier sets fail: {a!r} precedes and meets {b!r}, which misses frontier({a!r})")
     return ordering
 
 
@@ -462,14 +469,13 @@ def beta_bound_info(inst: Instance, ordering: Ordering, g: BidGraph) -> tuple[in
     if ordering.frontier_sets is not None:
         return beta_bound_frontier(ordering), "frontier-bound"
     if ordering.provenance == "grid" and inst.ordering_spec and inst.ordering_spec.coords:
-        coords = inst.ordering_spec.coords
-        k = len(next(iter(coords.values())))
-        for u in g.ids:
-            cu = coords[u]
-            for v in g.adj[u]:
-                if sum(abs(a - b) for a, b in zip(cu, coords[v])) != 1:
+        at = [inst.ordering_spec.coords[u] for u in g.ids]
+        ptr, nbr = g.ptr, g.nbr
+        for i in range(g.n):
+            for j in nbr[ptr[i] : ptr[i + 1]]:
+                if sum(abs(a - b) for a, b in zip(at[i], at[j])) != 1:
                     return None, None
-        return k, "grid-dimension"
+        return len(at[0]), "grid-dimension"
     return None, None
 
 

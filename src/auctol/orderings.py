@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import UnsupportedOrderingError, ValidationError
-from .graphs import Bid, BidGraph, ObjectGraph, Ordering, connected_in, validate_germane
+from .errors import ValidationError
+from .graphs import Bid, BidGraph, ObjectGraph, Ordering, validate_germane
 
 
 @dataclass
@@ -281,9 +281,9 @@ def planted_optimal_ordering(g: BidGraph, independent_set) -> Ordering:
     """
     chosen = set(independent_set)
     for u in sorted(chosen):
-        if u not in g.adj:
+        if u not in g.index:
             raise ValidationError(f"planted set member {u!r} is not a bid node")
-        clash = sorted(v for v in g.adj[u] if v in chosen)
+        clash = sorted(v for v in g.neighbors(u) if v in chosen)
         if clash:
             raise ValidationError(f"planted set is not independent: {u!r} conflicts with {clash[0]!r}")
     order = sorted(chosen) + sorted(u for u in g.ids if u not in chosen)
@@ -294,7 +294,7 @@ class _Block:
     __slots__ = ("members", "prev", "next")
 
     def __init__(self):
-        self.members: dict[str, None] = {}
+        self.members: dict[int, None] = {}
         self.prev: _Block | None = None
         self.next: _Block | None = None
 
@@ -308,22 +308,30 @@ def lexbfs_peo(g: BidGraph) -> Ordering | NotChordal:
     standard parent check certifies in linear time. On failure returns a
     :class:`NotChordal` witness instead of an ordering.
 
+    Ties are broken by bid id: nodes are renamed to their position in
+    ascending id order, so every block lists its members in id order.
     Orientation on ``g`` is ignored; only the undirected structure matters.
     """
-    if g.n == 0:
+    n = g.n
+    if n == 0:
         return Ordering([], "chordal")
+    by_id = sorted(range(n), key=g.ids.__getitem__)
+    name = [0] * n  # node index -> position in id order
+    for p, i in enumerate(by_id):
+        name[i] = p
+    ptr, nbr = g.ptr, g.nbr
+    named = [name[j] for j in nbr]
+    rows = [sorted(named[ptr[i] : ptr[i + 1]]) for i in by_id]
+
     head = _Block()
-    for u in sorted(g.ids):
-        head.members[u] = None
-    block_of = {u: head for u in g.ids}
-    visited: set[str] = set()
-    visit_order: list[str] = []
+    head.members = dict.fromkeys(range(n))
+    block_of: list[_Block | None] = [head] * n
+    visit_order: list[int] = []
 
     while head is not None:
         u = next(iter(head.members))
         del head.members[u]
-        del block_of[u]
-        visited.add(u)
+        block_of[u] = None
         visit_order.append(u)
         if not head.members:
             head = head.next
@@ -331,10 +339,10 @@ def lexbfs_peo(g: BidGraph) -> Ordering | NotChordal:
                 head.prev = None
         # pull unvisited neighbors to a fresh block just ahead of their own
         moved: dict[int, tuple[_Block, _Block]] = {}
-        for v in sorted(g.adj[u]):
-            if v in visited:
-                continue
+        for v in rows[u]:
             blk = block_of[v]
+            if blk is None:
+                continue
             key = id(blk)
             if key not in moved:
                 front = _Block()
@@ -359,14 +367,34 @@ def lexbfs_peo(g: BidGraph) -> Ordering | NotChordal:
                 if blk.next is not None:
                     blk.next.prev = blk.prev
 
-    candidate = list(reversed(visit_order))
-    rank = {u: i for i, u in enumerate(candidate)}
-    for u in candidate:
-        later = [v for v in g.adj[u] if rank[v] > rank[u]]
-        if len(later) < 2:
-            continue
-        parent = min(later, key=lambda v: rank[v])
-        for v in later:
-            if v is not parent and parent not in g.adj[v]:
-                return NotChordal(node=u, a=parent, b=v)
-    return Ordering(candidate, "chordal")
+    # Check the candidate elimination ordering in ranks with the zero fill-in
+    # test (Tarjan and Yannakakis): walking the ranks upwards, the first later
+    # neighbor to reach a node is its parent, and every later neighbor of a
+    # node must be its parent or adjacent to it.
+    candidate = [by_id[p] for p in reversed(visit_order)]
+    rank = [0] * n
+    for r, i in enumerate(candidate):
+        rank[i] = r
+    ranked = [rank[j] for j in nbr]
+    parent = list(range(n))
+    seen = [-1] * n
+    bad = n  # lowest rank whose later neighbors fail the test
+    for r, i in enumerate(candidate):
+        row = ranked[ptr[i] : ptr[i + 1]]
+        seen[r] = r
+        for s in row:
+            if s < r:
+                seen[s] = r
+                if parent[s] == s:
+                    parent[s] = r
+        for s in row:
+            if s < r and seen[parent[s]] != r and s < bad:
+                bad = s
+    if bad == n:
+        return Ordering([g.ids[i] for i in candidate], "chordal")
+    # witness: the failing node's first later neighbor, in row order, that
+    # misses its parent
+    u, p = candidate[bad], parent[bad]
+    near = set(ranked[ptr[candidate[p]] : ptr[candidate[p] + 1]])
+    v = next(s for s in ranked[ptr[u] : ptr[u + 1]] if s > bad and s != p and s not in near)
+    return NotChordal(node=g.ids[u], a=g.ids[candidate[p]], b=g.ids[candidate[v]])

@@ -15,7 +15,9 @@ set of bids:
   recursion it is accepted whenever that keeps the accepted set independent.
 
 Both run in O(|V| + |E|) and approximate the maximum-weight independent set
-within the directed local independence number of the oriented graph.
+within the directed local independence number of the oriented graph. They
+read the rank-space weights and predecessor/successor slices that
+:func:`auctol.graphs.orient` builds once per ordering.
 
 ``greedy`` is the classical first-fit baseline and ``exact_mwis`` a
 branch-and-bound oracle for small graphs, used to measure observed ratios.
@@ -25,13 +27,12 @@ exact.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 
 from .errors import CapacityError, ValidationError
-from .graphs import BidGraph
+from .graphs import BidGraph, check_independent, neighbor_masks
 
 
 @dataclass(frozen=True)
@@ -97,91 +98,6 @@ class ValueTable:
         return self._sel_map
 
 
-class Compiled:
-    """Index-space view of an oriented graph.
-
-    Nodes are renamed to their position in the permutation; predecessor and
-    successor adjacency is stored in flat compressed form (an offset array
-    plus one packed index array) so the linear passes touch contiguous
-    memory instead of a list object per node.
-    """
-
-    __slots__ = ("order", "pos", "w", "pred_ptr", "pred_idx", "succ_ptr", "succ_idx", "derived")
-
-    def __init__(self, g: BidGraph):
-        order = g.order()
-        pos = {u: i for i, u in enumerate(order)}
-        n = len(order)
-        self.order = order
-        self.pos = pos
-        self.w = [g.weights[u] for u in order]
-        pred_counts = [0] * (n + 1)
-        succ_counts = [0] * (n + 1)
-        for i, u in enumerate(order):
-            for v in g.adj[u]:
-                if pos[v] > i:
-                    succ_counts[i + 1] += 1
-                else:
-                    pred_counts[i + 1] += 1
-        for i in range(n):
-            pred_counts[i + 1] += pred_counts[i]
-            succ_counts[i + 1] += succ_counts[i]
-        pred_idx = [0] * pred_counts[n]
-        succ_idx = [0] * succ_counts[n]
-        pfill = list(pred_counts[:n])
-        sfill = list(succ_counts[:n])
-        for i, u in enumerate(order):
-            for v in g.adj[u]:
-                j = pos[v]
-                if j > i:
-                    succ_idx[sfill[i]] = j
-                    sfill[i] += 1
-                else:
-                    pred_idx[pfill[i]] = j
-                    pfill[i] += 1
-        self.pred_ptr = array("q", pred_counts)
-        self.succ_ptr = array("q", succ_counts)
-        self.pred_idx = array("q", pred_idx)
-        self.succ_idx = array("q", succ_idx)
-        self.derived: list = []  # identity-keyed cache for per-constraint indexes
-
-    def cached(self, key, build):
-        for k, value in self.derived:
-            if k is key:
-                return value
-        value = build()
-        self.derived.append((key, value))
-        return value
-
-    def check_selected_independent(self, sel: list[bool]) -> None:
-        """Every edge appears once as (node, later neighbor), so scanning
-        successor slices of selected nodes covers all conflict pairs."""
-        succ_ptr, succ_idx = self.succ_ptr, self.succ_idx
-        for i in range(len(self.order)):
-            if sel[i]:
-                for j in succ_idx[succ_ptr[i] : succ_ptr[i + 1]]:
-                    if sel[j]:
-                        raise AssertionError(
-                            f"solver produced conflicting bids "
-                            f"{self.order[i]!r} and {self.order[j]!r}"
-                        )
-
-
-def _compiled(g: BidGraph) -> Compiled:
-    if g._compiled is None:
-        g._compiled = Compiled(g)
-    return g._compiled
-
-
-def assert_independent(g: BidGraph, selected) -> None:
-    """Defensive check that no two selected bids conflict."""
-    chosen = set(selected)
-    for u in chosen:
-        for v in g.adj[u]:
-            if v in chosen:
-                raise AssertionError(f"solver produced conflicting bids {u!r} and {v!r}")
-
-
 def opcost(g: BidGraph, include_zero_value: bool = False) -> tuple[Solution, ValueTable]:
     """Opportunity-cost algorithm.
 
@@ -194,10 +110,9 @@ def opcost(g: BidGraph, include_zero_value: bool = False) -> tuple[Solution, Val
     selection rule's literal non-negative form); revenue is unchanged either
     way, but the returned set can then differ from ``lropcost``'s.
     """
-    c = _compiled(g)
-    order, w = c.order, c.w
-    pred_ptr, pred_idx = c.pred_ptr, c.pred_idx
-    succ_ptr, succ_idx = c.succ_ptr, c.succ_idx
+    order, w = g.order(), g.w
+    pred_ptr, pred_idx = g.pred_ptr, g.pred_idx
+    succ_ptr, succ_idx = g.succ_ptr, g.succ_idx
     n = len(order)
     val = [0] * n
     for i in range(n):
@@ -217,7 +132,7 @@ def opcost(g: BidGraph, include_zero_value: bool = False) -> tuple[Solution, Val
                     free = False
                     break
             sel[i] = free
-    c.check_selected_independent(sel)
+    check_independent(succ_ptr, succ_idx, sel, order)
     chosen = list(compress(order, sel))
     revenue = sum(compress(w, sel))
     return Solution(frozenset(chosen), revenue, Certificate("opcost")), ValueTable(order, val, sel)
@@ -225,14 +140,14 @@ def opcost(g: BidGraph, include_zero_value: bool = False) -> tuple[Solution, Val
 
 def verify_value_table(g: BidGraph, table: ValueTable) -> bool:
     """Recompute the value recurrence in one pass and compare."""
-    c = _compiled(g)
-    for i, u in enumerate(c.order):
+    order = g.order()
+    for i, u in enumerate(order):
         s = 0
-        for jj in range(c.pred_ptr[i], c.pred_ptr[i + 1]):
-            vj = table.val[c.order[c.pred_idx[jj]]]
+        for j in g.pred_idx[g.pred_ptr[i] : g.pred_ptr[i + 1]]:
+            vj = table.val[order[j]]
             if vj > 0:
                 s += vj
-        if table.val[u] != c.w[i] - s:
+        if table.val[u] != g.w[i] - s:
             return False
     return True
 
@@ -246,9 +161,8 @@ def lropcost(g: BidGraph) -> Solution:
     neighbors and push it on the processing stack. Unwinding the stack,
     accept each node whose later neighbors are all unaccepted.
     """
-    c = _compiled(g)
-    order, w = c.order, c.w
-    succ_ptr, succ_idx = c.succ_ptr, c.succ_idx
+    order, w = g.order(), g.w
+    succ_ptr, succ_idx = g.succ_ptr, g.succ_idx
     n = len(order)
     cur = list(w)
     processed: list[int] = []
@@ -267,7 +181,7 @@ def lropcost(g: BidGraph) -> Solution:
                 free = False
                 break
         sel[i] = free
-    c.check_selected_independent(sel)
+    check_independent(succ_ptr, succ_idx, sel, order)
     chosen = [order[i] for i in processed if sel[i]]
     revenue = sum(w[i] for i in processed if sel[i])
     return Solution(frozenset(chosen), revenue, Certificate("lropcost"))
@@ -278,21 +192,24 @@ def greedy(g: BidGraph, ordering=None) -> Solution:
     order = ordering.order if ordering is not None else g.order()
     if set(order) != set(g.ids):
         raise ValidationError("ordering must cover exactly the graph's nodes")
-    blocked: set[str] = set()
+    index, ptr, nbr = g.index, g.ptr, g.nbr
+    blocked = bytearray(g.n)
     chosen: list[str] = []
     for u in order:
-        if u not in blocked:
+        i = index[u]
+        if not blocked[i]:
             chosen.append(u)
-            blocked.add(u)
-            blocked.update(g.adj[u])
+            blocked[i] = 1
+            for j in nbr[ptr[i] : ptr[i + 1]]:
+                blocked[j] = 1
     selected = frozenset(chosen)
-    revenue = sum(g.weights[u] for u in chosen)
-    assert_independent(g, selected)
-    return Solution(selected, revenue, Certificate("greedy"))
+    check_independent(ptr, nbr, [u in selected for u in g.ids], g.ids)
+    return Solution(selected, sum(g.weights[u] for u in chosen), Certificate("greedy"))
 
 
 def exact_mwis(g: BidGraph, node_cap: int = 30) -> Solution:
-    """Exact maximum-weight independent set by branch and bound.
+    """Exact maximum-weight independent set by branch and bound (an oracle
+    for small graphs).
 
     Branches on the highest-degree remaining node and prunes with the sum of
     remaining weights. Among equal-weight optima, returns the one whose
@@ -302,13 +219,9 @@ def exact_mwis(g: BidGraph, node_cap: int = 30) -> Solution:
     if g.n > node_cap:
         raise CapacityError(f"graph has {g.n} nodes, exact solver capped at {node_cap}")
     ids = sorted(g.ids)
-    pos = {u: i for i, u in enumerate(ids)}
     n = len(ids)
     w = [g.weights[u] for u in ids]
-    closed = [1 << i for i in range(n)]
-    for u in ids:
-        for v in g.adj[u]:
-            closed[pos[u]] |= 1 << pos[v]
+    closed = [mask | 1 << i for i, mask in enumerate(neighbor_masks(g, [g.index[u] for u in ids]))]
 
     def max_weight(free: int, rem: int, floor: int) -> int:
         """Best achievable weight within ``free``; prunes below ``floor``."""
@@ -364,6 +277,6 @@ def exact_mwis(g: BidGraph, node_cap: int = 30) -> Solution:
             free &= ~bit
 
     selected = frozenset(chosen)
-    assert_independent(g, selected)
+    check_independent(g.ptr, g.nbr, [u in selected for u in g.ids], g.ids)
     assert got == opt
     return Solution(selected, opt, Certificate("exact"))

@@ -290,7 +290,7 @@ def test_group_clique_graph():
     g = build_bid_graph(bids)
     cs = ConstraintSet("unweighted", [Group("g", {"a", "b"}, 1), Group("h", {"c"}, 1)])
     gc = group_clique_graph(g, cs)
-    assert "b" in gc.adj["a"] and "c" not in gc.adj["a"]
+    assert "b" in gc.neighbors("a") and "c" not in gc.neighbors("a")
     with pytest.raises(ValidationError, match="k=2"):
         group_clique_graph(g, ConstraintSet("unweighted", [Group("g", {"a", "b"}, 2), Group("h", {"c"}, 1)]))
 
@@ -302,7 +302,7 @@ def brute_feasible(g, cs):
     for r in range(len(ids) + 1):
         for combo in itertools.combinations(ids, r):
             chosen = set(combo)
-            if any(y in g.adj[x] for x, y in itertools.combinations(combo, 2)):
+            if any(y in g.neighbors(x) for x, y in itertools.combinations(combo, 2)):
                 continue
             ok = True
             for grp in cs.groups:

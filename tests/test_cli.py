@@ -284,9 +284,59 @@ def test_weighted_budget_beyond_double_range_exit2(tmp_path, capsys):
     }
     path = tmp_path / "inst.json"
     path.write_text(json.dumps(inst))
-    for argv in (["solve", "--input", str(path)], ["verify", "--input", str(path)]):
-        assert run(argv) == 2
+    for argv, code in ((["solve", "--input", str(path)], 2), (["verify", "--input", str(path)], 5)):
+        assert run(argv) == code  # verify records the refusal as a violation of the file
         assert "group 'g0'" in capsys.readouterr().err
     out = tmp_path / "sol.json"
     assert run(["solve", "--input", str(path), "--constraints", "ignore", "--output", str(out)]) == 0
     assert json.loads(out.read_text())["revenue"] == huge + 1
+
+
+def test_explicit_frontier_sets_are_checked_not_trusted(tmp_path, capsys):
+    # a meets c on y, but c misses frontier(a) = {x}: the claimed bound 1 is
+    # unsound (beta of this ordering is 2), so set-up must refuse it
+    inst = {
+        "format": "auctol/1",
+        "bids": [
+            {"id": "a", "objects": ["x", "y"], "price": 10},
+            {"id": "b", "objects": ["x"], "price": 9},
+            {"id": "c", "objects": ["y"], "price": 9},
+        ],
+        "ordering_spec": {
+            "method": "explicit",
+            "permutation": ["a", "b", "c"],
+            "frontier_sets": {"a": ["x"], "b": ["x"], "c": ["y"]},
+        },
+    }
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(inst))
+    message = "frontier sets fail: 'a' precedes and meets 'c', which misses frontier('a')"
+    assert run(["solve", "--input", str(path)]) == 2
+    assert message in capsys.readouterr().err
+    assert run(["verify", "--input", str(path)]) == 5
+    assert json.loads(capsys.readouterr().out)["violations"] == [f"setup failed: {message}"]
+    inst["ordering_spec"]["frontier_sets"]["a"] = ["x", "y"]
+    path.write_text(json.dumps(inst))
+    out = tmp_path / "sol.json"
+    assert run(["solve", "--input", str(path), "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["certificate"] == {"beta_bound": 2, "claimed_ratio": 2}
+
+
+def test_verify_directory_continues_past_a_failing_instance(tmp_path, capsys):
+    huge = 10**400
+    bad = {
+        "format": "auctol/1",
+        "bids": [
+            {"id": "a", "objects": ["x"], "price": huge, "group": "g0"},
+            {"id": "b", "objects": ["y"], "price": 1, "group": "g0"},
+        ],
+        "constraints": {"kind": "weighted", "groups": [{"label": "g0", "members": ["a", "b"], "b": 2 * huge}]},
+    }
+    (tmp_path / "1-interval.json").write_text((GOLDEN / "interval-1.json").read_text())
+    (tmp_path / "2-huge-budget.json").write_text(json.dumps(bad))
+    (tmp_path / "3-tight.json").write_text((GOLDEN / "tight-1.json").read_text())
+    assert run(["verify", "--input", str(tmp_path)]) == 5
+    reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r["instance"] for r in reports] == ["1-interval.json", "2-huge-budget.json", "3-tight.json"]
+    assert [r["ok"] for r in reports] == [True, False, True]
+    assert "group 'g0'" in reports[1]["violations"][0]

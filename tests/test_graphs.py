@@ -13,6 +13,7 @@ from auctol import (
     beta_bound_union,
     beta_exact,
     build_bid_graph,
+    check_frontier_property,
     connected_in,
     orient,
     validate_germane,
@@ -41,7 +42,7 @@ def naive_conflict_edges(bids):
 
 
 def graph_edges(g):
-    return {(u, v) for u in g.ids for v in g.adj[u] if u < v}
+    return {(u, v) for u in g.ids for v in g.neighbors(u) if u < v}
 
 
 def test_build_bid_graph_shared_object_pairs():
@@ -157,7 +158,7 @@ def test_neighborhood_partition():
         g = orient(g, Ordering(order))
         for u in g.ids:
             succ, pred = set(g.successors(u)), set(g.predecessors(u))
-            assert succ | pred == set(g.adj[u])
+            assert succ | pred == set(g.neighbors(u))
             assert not (succ & pred)
 
 
@@ -180,7 +181,7 @@ def exhaustive_local_alpha(g, u):
     best = 1  # {u} alone is always independent
     for r in range(1, len(succ) + 1):
         for combo in itertools.combinations(succ, r):
-            ok = all(y not in g.adj[x] for x, y in itertools.combinations(combo, 2))
+            ok = all(y not in g.neighbors(x) for x, y in itertools.combinations(combo, 2))
             if ok:
                 best = max(best, r)  # u conflicts with every successor
     return best
@@ -238,3 +239,22 @@ def test_beta_bound_union():
     assert beta_bound_union([5]) == 5
     with pytest.raises(ValidationError):
         beta_bound_union([1, 0])
+
+
+def test_check_frontier_property_matches_all_pairs():
+    # oracle: every ordered pair, as the frontier hypothesis is stated
+    for seed in range(20):
+        rng = SplitMix64(seed)
+        bids = random_bids(10, 5, rng)
+        order = [b.id for b in bids]
+        rng.shuffle(order)
+        frontier = {b.id: frozenset(o for o in sorted(b.objects) if rng.randrange(2)) for b in bids}
+        ordering = Ordering(order, "explicit", frontier)
+        by_id = {b.id: b for b in bids}
+        expected = [
+            (a, b)
+            for i, a in enumerate(order)
+            for b in order[i + 1 :]
+            if by_id[a].objects & by_id[b].objects and not frontier[a] & by_id[b].objects
+        ]
+        assert check_frontier_property(ordering, bids) == expected

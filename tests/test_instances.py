@@ -158,7 +158,7 @@ def test_gen_subtrees_disjoint_edgeless():
     g = bid_graph(inst)
     by_id = {b.id: b for b in inst.bids}
     for u in g.ids:
-        for v in g.adj[u]:
+        for v in g.neighbors(u):
             assert by_id[u].objects & by_id[v].objects
 
 

@@ -33,9 +33,9 @@ from auctol.rng import SplitMix64
 def is_peo(g, ordering):
     rank = ordering.rank()
     for u in ordering.order:
-        later = [v for v in g.adj[u] if rank[v] > rank[u]]
+        later = [v for v in g.neighbors(u) if rank[v] > rank[u]]
         for a, b in itertools.combinations(later, 2):
-            if b not in g.adj[a]:
+            if b not in g.neighbors(a):
                 return False
     return True
 
@@ -54,8 +54,8 @@ def test_lexbfs_rejects_c4_with_witness():
     g = c4_graph()
     result = lexbfs_peo(g)
     assert isinstance(result, NotChordal)
-    assert result.a in g.adj[result.node] and result.b in g.adj[result.node]
-    assert result.b not in g.adj[result.a]
+    assert result.a in g.neighbors(result.node) and result.b in g.neighbors(result.node)
+    assert result.b not in g.neighbors(result.a)
 
 
 def test_lexbfs_accepts_trees():

@@ -177,7 +177,7 @@ def brute_force_mwis(g):
     best_w, best_set = 0, frozenset()
     for r in range(len(ids) + 1):
         for combo in itertools.combinations(ids, r):
-            ok = all(y not in g.adj[x] for x, y in itertools.combinations(combo, 2))
+            ok = all(y not in g.neighbors(x) for x, y in itertools.combinations(combo, 2))
             if not ok:
                 continue
             w = sum(g.weights[u] for u in combo)
