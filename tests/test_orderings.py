@@ -173,6 +173,205 @@ def test_validate_td_matches_naive_oracle():
         assert got_tags == set(expected)
 
 
+def quadratic_validate_td(og, td):
+    """Reference copy of the all-tree-nodes-per-object validator: property 2
+    scans every tree node per object edge, property 3 runs one DFS per
+    object. The library's validator must return the identical list."""
+    violations: list[str] = []
+    nodes = set(td.tree_nodes)
+    if len(nodes) != len(td.tree_nodes):
+        violations.append("tree: duplicate tree-node ids")
+        return violations
+    if set(td.bags) != nodes:
+        violations.append("tree: bags must be keyed by exactly the tree nodes")
+        return violations
+    adj = {t: set() for t in td.tree_nodes}
+    for a, b in td.tree_edges:
+        if a not in nodes or b not in nodes or a == b:
+            violations.append(f"tree: bad edge {a!r}-{b!r}")
+            return violations
+        adj[a].add(b)
+        adj[b].add(a)
+    if td.tree_nodes:
+        if len(td.tree_edges) != len(td.tree_nodes) - 1:
+            violations.append("tree: edge count is not |nodes|-1 (not a tree)")
+            return violations
+        seen = {td.tree_nodes[0]}
+        stack = [td.tree_nodes[0]]
+        while stack:
+            t = stack.pop()
+            for u in adj[t]:
+                if u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+        if len(seen) != len(nodes):
+            violations.append("tree: not connected")
+            return violations
+    if td.root is not None and td.root not in nodes:
+        violations.append(f"tree: root {td.root!r} is not a tree node")
+    if og is None:
+        return violations
+
+    covered = set()
+    for t in td.tree_nodes:
+        for o in td.bags[t]:
+            if o not in og:
+                violations.append(f"property 1: bag {t!r} contains undeclared object {o!r}")
+            covered.add(o)
+    for o in og.objects:
+        if o not in covered:
+            violations.append(f"property 1: object {o!r} is in no bag")
+    for a, b in og.edges:
+        if not any(a in td.bags[t] and b in td.bags[t] for t in td.tree_nodes):
+            violations.append(f"property 2: edge {a!r}-{b!r} is inside no bag")
+    # property 3: occurrence set of each object must induce a connected subtree
+    for o in og.objects:
+        occ = {t for t in td.tree_nodes if o in td.bags[t]}
+        if not occ:
+            continue
+        start = sorted(occ)[0]
+        seen = {start}
+        stack = [start]
+        while stack:
+            t = stack.pop()
+            for u in adj[t]:
+                if u in occ and u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+        if len(seen) != len(occ):
+            violations.append(f"property 3: occurrences of object {o!r} are disconnected in the tree")
+    return violations
+
+
+def random_td_case(seed):
+    """A random object graph and a random, often invalid, decomposition.
+
+    Bags are either random subsets or unions of connected occurrence
+    subtrees (then valid unless perturbed); perturbations add undeclared
+    objects, uncovered edges, split occurrences, broken tree shapes and
+    bad roots. Tree nodes are listed in shuffled order.
+    """
+    rng = SplitMix64(seed)
+    n = 1 + rng.randrange(8)
+    objs = [f"o{i}" for i in range(n)]
+    k = 1 + rng.randrange(6)
+    tnodes = [f"B{i}" for i in range(k)]
+    tadj = {t: [] for t in tnodes}
+    tedges = []
+    for i in range(1, k):
+        a, b = tnodes[rng.randrange(i)], tnodes[i]
+        tedges.append((a, b) if rng.randrange(2) else (b, a))
+        tadj[a].append(b)
+        tadj[b].append(a)
+    members = {t: set() for t in tnodes}
+    if rng.randrange(3) == 0:
+        for t in tnodes:
+            members[t] = {objs[j] for j in rng.sample_indices(n, rng.randrange(n + 1))}
+    else:
+        # each object occupies a connected subtree grown from a random node
+        for o in objs:
+            if rng.randrange(12) == 0:
+                continue  # left out of every bag
+            start = tnodes[rng.randrange(k)]
+            occ, frontier = {start}, list(tadj[start])
+            for _ in range(rng.randrange(k)):
+                if not frontier:
+                    break
+                t = frontier.pop(rng.randrange(len(frontier)))
+                if t not in occ:
+                    occ.add(t)
+                    frontier.extend(tadj[t])
+            for t in occ:
+                members[t].add(o)
+        if rng.randrange(4) == 0 and k >= 3:
+            # drop an inner occurrence, which may split the subtree
+            t = tnodes[rng.randrange(k)]
+            if members[t]:
+                members[t].discard(sorted(members[t])[rng.randrange(len(members[t]))])
+    # object edges: mostly pairs that share a bag, plus random pairs
+    pairs = {(a, b) if a < b else (b, a) for t in tnodes for a in members[t] for b in members[t] if a != b}
+    edges = [p for p in sorted(pairs) if rng.randrange(3)]
+    for _ in range(rng.randrange(3)):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i != j:
+            edges.append((objs[i], objs[j]))
+    og_edges, seen_pairs = [], set()
+    for a, b in edges:
+        key = (a, b) if a < b else (b, a)
+        if key not in seen_pairs:
+            seen_pairs.add(key)
+            og_edges.append((a, b) if rng.randrange(2) else (b, a))
+    rng.shuffle(og_edges)
+    order = list(objs)
+    rng.shuffle(order)
+    og = ObjectGraph(order, og_edges)
+    if rng.randrange(6) == 0:
+        t = tnodes[rng.randrange(k)]
+        members[t].add(f"zz{rng.randrange(3)}")  # undeclared object
+    bags = {t: frozenset(members[t]) for t in tnodes}
+
+    shape = rng.randrange(10)
+    if shape == 0:
+        tnodes.append(tnodes[rng.randrange(k)])  # duplicate tree node
+    elif shape == 1:
+        bags[f"X{rng.randrange(2)}"] = frozenset()  # bag without a tree node
+    elif shape == 2 and k >= 2:
+        del bags[tnodes[rng.randrange(k)]]  # tree node without a bag
+    elif shape == 3:
+        a = tnodes[rng.randrange(k)]
+        tedges.insert(rng.randrange(len(tedges) + 1), (a, a if rng.randrange(2) else "nowhere"))
+    elif shape == 4 and k >= 3:
+        a, b = rng.sample_indices(k, 2)
+        tedges.append((tnodes[a], tnodes[b]))  # one edge too many
+    elif shape == 5 and k >= 2:
+        tedges.pop(rng.randrange(len(tedges)))  # one edge too few
+    elif shape == 6 and k >= 4:
+        # right edge count, but a cycle in one part and another part cut off
+        cut = tedges.pop(rng.randrange(len(tedges)))
+        comp, stack = {cut[0]}, [cut[0]]
+        rest_adj = {t: [] for t in tnodes}
+        for a, b in tedges:
+            rest_adj[a].append(b)
+            rest_adj[b].append(a)
+        while stack:
+            for u in rest_adj[stack.pop()]:
+                if u not in comp:
+                    comp.add(u)
+                    stack.append(u)
+        inside = sorted(comp) if len(comp) >= 3 else sorted(set(tnodes) - comp)
+        if len(inside) >= 3:
+            pairs = [(a, b) for a, b in itertools.combinations(inside, 2) if (a, b) not in tedges and (b, a) not in tedges]
+            if pairs:
+                tedges.append(pairs[rng.randrange(len(pairs))])
+            else:
+                tedges.append(cut)
+        else:
+            tedges.append(cut)
+    rng.shuffle(tnodes)
+    root_kind = rng.randrange(4)
+    root = None if root_kind == 0 else ("nowhere" if root_kind == 1 else tnodes[rng.randrange(len(tnodes))])
+    td = TreeDecomposition(tnodes, tedges, bags, root=root)
+    return og, td
+
+
+def test_validate_td_equals_quadratic_oracle():
+    markers = [
+        "duplicate tree-node", "keyed by exactly", "bad edge", "edge count", "not connected", "root",
+        "undeclared object", "in no bag", "property 2", "property 3",
+    ]
+    hits = dict.fromkeys(markers + ["valid", "several"], 0)
+    for seed in range(2400):
+        og, td = random_td_case(seed)
+        expected = quadratic_validate_td(og, td)
+        assert validate_tree_decomposition(og, td) == expected, seed
+        assert validate_tree_decomposition(None, td) == quadratic_validate_td(None, td), seed
+        for m in markers:
+            hits[m] += any(m in p for p in expected)
+        hits["valid"] += not expected
+        hits["several"] += len(expected) > 1
+    assert all(hits.values()), hits
+
+
 def test_td_ordering_hand_trace():
     og = path_og()
     td = TreeDecomposition(
@@ -259,6 +458,79 @@ def test_min_degree_disconnected_og():
     assert validate_tree_decomposition(og, td) == []
 
 
+def quadratic_min_degree(og):
+    """Reference copy of the min-degree heuristic that scans every remaining
+    object per step; the library's heap-driven version must build the
+    identical decomposition."""
+    work = {o: set(og.adj[o]) for o in og.objects}
+    elim_pos: dict[str, int] = {}
+    bags: dict[str, frozenset[str]] = {}
+    order: list[str] = []
+    remaining = set(og.objects)
+    while remaining:
+        v = min(remaining, key=lambda o: (len(work[o]), o))
+        nbrs = sorted(work[v])
+        bags[v] = frozenset([v] + nbrs)
+        elim_pos[v] = len(order)
+        order.append(v)
+        for i in range(len(nbrs)):
+            work[nbrs[i]].discard(v)
+            for j in range(i + 1, len(nbrs)):
+                work[nbrs[i]].add(nbrs[j])
+                work[nbrs[j]].add(nbrs[i])
+        remaining.discard(v)
+        del work[v]
+
+    edges: list[tuple[str, str]] = []
+    orphans: list[str] = []
+    for v in order:
+        later = [u for u in bags[v] if u != v]
+        if later:
+            parent = min(later, key=lambda u: elim_pos[u])
+            edges.append((v, parent))
+        else:
+            orphans.append(v)
+    for i in range(1, len(orphans)):
+        edges.append((orphans[i - 1], orphans[i]))
+    return TreeDecomposition(tree_nodes=order, tree_edges=edges, bags=bags, root=order[-1])
+
+
+def grid_og(w, h):
+    names = [f"p{x}_{y}" for x in range(w) for y in range(h)]
+    edges = []
+    for x in range(w):
+        for y in range(h):
+            if x < w - 1:
+                edges.append((f"p{x}_{y}", f"p{x + 1}_{y}"))
+            if y < h - 1:
+                edges.append((f"p{x}_{y}", f"p{x}_{y + 1}"))
+    return ObjectGraph(names, edges)
+
+
+def test_min_degree_equals_quadratic_oracle():
+    graphs = [grid_og(5, 5), grid_og(3, 7)]
+    names = [f"o{i}" for i in range(6)]
+    graphs.append(ObjectGraph(names, list(itertools.combinations(names, 2))))
+    graphs.append(ObjectGraph(["a", "b", "c", "d", "e"], [("a", "b"), ("c", "d")]))
+    for seed in range(300):
+        rng = SplitMix64(seed)
+        n = 1 + rng.randrange(24)
+        objs = [f"v{rng.randrange(1000):03d}" for _ in range(n)]
+        objs = list(dict.fromkeys(objs))
+        n = len(objs)
+        # few distinct degrees, so many ties; sparse ones fall apart into components
+        pairs = list(itertools.combinations(range(n), 2))
+        keep = 1 + rng.randrange(4)
+        edges = [(objs[i], objs[j]) for i, j in pairs if rng.randrange(max(1, n // keep)) == 0]
+        graphs.append(ObjectGraph(objs, edges))
+    for og in graphs:
+        got, want = min_degree_heuristic_decomposition(og), quadratic_min_degree(og)
+        assert got.tree_nodes == want.tree_nodes
+        assert got.tree_edges == want.tree_edges
+        assert got.bags == want.bags
+        assert got.root == want.root
+
+
 def test_grid_ordering_2d_beta_two():
     inst = gen_grid((3, 3), seed=0)
     g = oriented = orient(bid_graph(inst), grid_ordering(inst.ordering_spec.coords))
@@ -306,3 +578,4 @@ def test_planted_ordering():
     assert planted_optimal_ordering(g, set()).order == ["iso", "p", "q"]
     with pytest.raises(ValidationError, match="independent"):
         planted_optimal_ordering(g, {"p", "q"})
+
