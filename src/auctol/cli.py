@@ -79,7 +79,8 @@ def cmd_solve(args) -> int:
 
 def cmd_order(args) -> int:
     inst = instances.load_instance(args.input)
-    g = instances.bid_graph(inst)
+    # only lex-BFS and the grid bound read the bid graph
+    g = instances.bid_graph(inst) if args.method in ("chordal", "grid") else None
     spec = instances.OrderingSpec(args.method)
     ordering = None  # decreasing weight certifies no bound
     if args.method == "chordal":

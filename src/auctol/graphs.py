@@ -102,10 +102,9 @@ def connected_in(og: ObjectGraph, objs: frozenset[str] | set[str]) -> bool:
 
     Breadth-first traversal restricted to ``objs``; O(|objs| + induced edges).
     """
-    if not objs:
+    if len(objs) <= 1:
         return True
-    it = iter(sorted(objs))
-    start = next(it)
+    start = next(iter(objs))  # the result does not depend on the start
     seen = {start}
     queue = deque([start])
     while queue:
@@ -123,10 +122,11 @@ def validate_germane(og: ObjectGraph, bids: list[Bid]) -> list[str]:
     Raises ValidationError if a bid references an undeclared object.
     """
     violations = []
+    declared = og._nodes
     for b in bids:
-        for o in sorted(b.objects):
-            if o not in og:
-                raise ValidationError(f"bid {b.id!r} references undeclared object {o!r}")
+        if not b.objects <= declared:
+            o = min(b.objects - declared)
+            raise ValidationError(f"bid {b.id!r} references undeclared object {o!r}")
         if not connected_in(og, b.objects):
             violations.append(b.id)
     return violations

@@ -12,6 +12,7 @@ an ordering seeded with a known independent set (makes the solver optimal).
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -94,33 +95,33 @@ def validate_tree_decomposition(og: ObjectGraph | None, td: TreeDecomposition) -
     if og is None:
         return violations
 
-    covered = set()
+    # one pass over the bags: property 1 and each object's occurrence list
+    occ: dict[str, list[str]] = {o: [] for o in og.objects}
     for t in td.tree_nodes:
         for o in td.bags[t]:
-            if o not in og:
+            if o in occ:
+                occ[o].append(t)
+            else:
                 violations.append(f"property 1: bag {t!r} contains undeclared object {o!r}")
-            covered.add(o)
     for o in og.objects:
-        if o not in covered:
+        if not occ[o]:
             violations.append(f"property 1: object {o!r} is in no bag")
     for a, b in og.edges:
-        if not any(a in td.bags[t] and b in td.bags[t] for t in td.tree_nodes):
+        near, far = (a, b) if len(occ[a]) <= len(occ[b]) else (b, a)
+        if not any(far in td.bags[t] for t in occ[near]):
             violations.append(f"property 2: edge {a!r}-{b!r} is inside no bag")
-    # property 3: occurrence set of each object must induce a connected subtree
+    # property 3: in a tree, k nodes induce a connected subtree exactly when
+    # k - 1 tree edges join them; count the tree edges inside each occurrence set
+    joined = dict.fromkeys(og.objects, 0)
+    for s, t in td.tree_edges:
+        bs, bt = td.bags[s], td.bags[t]
+        if len(bt) < len(bs):
+            bs, bt = bt, bs
+        for o in bs:
+            if o in bt and o in joined:
+                joined[o] += 1
     for o in og.objects:
-        occ = {t for t in td.tree_nodes if o in td.bags[t]}
-        if not occ:
-            continue
-        start = sorted(occ)[0]
-        seen = {start}
-        stack = [start]
-        while stack:
-            t = stack.pop()
-            for u in adj[t]:
-                if u in occ and u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        if len(seen) != len(occ):
+        if occ[o] and joined[o] != len(occ[o]) - 1:
             violations.append(f"property 3: occurrences of object {o!r} are disconnected in the tree")
     return violations
 
@@ -210,10 +211,16 @@ def min_degree_heuristic_decomposition(og: ObjectGraph) -> TreeDecomposition:
     elim_pos: dict[str, int] = {}
     bags: dict[str, frozenset[str]] = {}
     order: list[str] = []
-    remaining = set(og.objects)
-    while remaining:
-        v = min(remaining, key=lambda o: (len(work[o]), o))
-        nbrs = sorted(work[v])
+    # (degree, id) entries, deleted lazily: an object gets a fresh entry
+    # whenever its degree changes, and a popped entry counts only while the
+    # object is uneliminated and its degree still matches
+    heap = [(len(nb), o) for o, nb in work.items()]
+    heapq.heapify(heap)
+    while heap:
+        d, v = heapq.heappop(heap)
+        if v not in work or len(work[v]) != d:
+            continue
+        nbrs = sorted(work.pop(v))
         bags[v] = frozenset([v] + nbrs)
         elim_pos[v] = len(order)
         order.append(v)
@@ -222,8 +229,8 @@ def min_degree_heuristic_decomposition(og: ObjectGraph) -> TreeDecomposition:
             for j in range(i + 1, len(nbrs)):
                 work[nbrs[i]].add(nbrs[j])
                 work[nbrs[j]].add(nbrs[i])
-        remaining.discard(v)
-        del work[v]
+        for u in nbrs:
+            heapq.heappush(heap, (len(work[u]), u))
 
     edges: list[tuple[str, str]] = []
     orphans: list[str] = []

@@ -1,6 +1,7 @@
 """Ordering constructors: lex-BFS recognition, tree decompositions, grids."""
 
 import itertools
+import time
 
 import pytest
 
@@ -579,3 +580,24 @@ def test_planted_ordering():
     with pytest.raises(ValidationError, match="independent"):
         planted_optimal_ordering(g, {"p", "q"})
 
+
+def test_tree_decomposition_stage_linear_time():
+    """Min-degree heuristic, validation and the frontier ordering together
+    cost about the same per element at 8k objects as at 1k (within 3x).
+    Elements are objects + object edges + total bag size; each size takes
+    the fastest of three runs."""
+    cost = {}
+    for tree_size in (1000, 8000):
+        inst = gen_subtrees(tree_size, 2 * tree_size, seed=5)
+        og = inst.object_graph
+        best = float("inf")
+        for _ in range(3):
+            t0 = time.perf_counter()
+            td = min_degree_heuristic_decomposition(og)
+            assert validate_tree_decomposition(og, td) == []
+            tree_decomposition_ordering(td, inst.bids, og)
+            best = min(best, time.perf_counter() - t0)
+        elements = len(og.objects) + len(og.edges) + sum(len(b) for b in td.bags.values())
+        cost[tree_size] = best / elements
+    ratio = cost[8000] / cost[1000]
+    assert ratio <= 3.0, f"per-element cost at 8k objects is {ratio:.1f}x the cost at 1k"
