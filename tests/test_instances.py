@@ -260,3 +260,431 @@ def test_splitmix64_reference_stream():
     ]
     r = SplitMix64(1234567)
     assert r.next_u64() == 6457827717110365317
+
+
+# ---------------------------------------------------------------------------
+# loader oracle: a reference copy of the per-element loader, before bulk
+# schema checks, against single-field mutations of the golden corpus
+
+import copy  # noqa: E402
+import json  # noqa: E402
+import random  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+from auctol import Bid as _Bid  # noqa: E402
+from auctol.budgets import ConstraintSet, Group  # noqa: E402
+from auctol.errors import ValidationError  # noqa: E402
+from auctol.graphs import ObjectGraph  # noqa: E402
+from auctol.instances import (  # noqa: E402
+    FORMAT_TAG,
+    ORDERING_METHODS,
+    Instance,
+    OrderingSpec,
+    instance_to_obj,
+    obj_to_instance,
+)
+from auctol.orderings import (  # noqa: E402
+    TreeDecomposition,
+    min_degree_heuristic_decomposition,
+    tree_decomposition_ordering,
+    validate_tree_decomposition,
+)
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _ref_expect(cond, pointer, message):
+    if not cond:
+        raise SchemaError(pointer, message)
+
+
+def _ref_int(value, pointer):
+    _ref_expect(isinstance(value, int) and not isinstance(value, bool), pointer, "expected an integer")
+    return value
+
+
+def _ref_str(value, pointer):
+    _ref_expect(isinstance(value, str), pointer, "expected a string")
+    return value
+
+
+def _ref_list(value, pointer):
+    _ref_expect(isinstance(value, list), pointer, "expected an array")
+    return value
+
+
+def _ref_obj(value, pointer):
+    _ref_expect(isinstance(value, dict), pointer, "expected an object")
+    return value
+
+
+def _ref_object_graph_adj(objects, edges):
+    """The object-graph checks, in their original order; returns adjacency."""
+    seen = set()
+    for o in objects:
+        if o in seen:
+            raise ValidationError(f"duplicate object id {o!r}")
+        seen.add(o)
+    adj = {o: set() for o in objects}
+    edge_seen = set()
+    for a, b in edges:
+        if a == b:
+            raise ValidationError(f"self-loop on object {a!r}")
+        if a not in seen or b not in seen:
+            missing = a if a not in seen else b
+            raise ValidationError(f"edge endpoint {missing!r} is not a declared object")
+        pair = (a, b) if a < b else (b, a)
+        if pair in edge_seen:
+            raise ValidationError(f"duplicate edge {pair[0]!r}-{pair[1]!r}")
+        edge_seen.add(pair)
+        adj[a].add(b)
+        adj[b].add(a)
+    return adj
+
+
+def _ref_connected(adj, objs):
+    start = min(objs)
+    seen = {start}
+    stack = [start]
+    while stack:
+        for nb in adj[stack.pop()]:
+            if nb in objs and nb not in seen:
+                seen.add(nb)
+                stack.append(nb)
+    return len(seen) == len(objs)
+
+
+def _ref_validate_instance(inst, adj):
+    ids = set()
+    for b in inst.bids:
+        if b.id in ids:
+            raise ValidationError(f"duplicate bid id {b.id!r}")
+        ids.add(b.id)
+    if adj is not None:
+        bad = [b.id for b in inst.bids if not _ref_connected(adj, b.objects)]
+        if bad:
+            raise ValidationError(f"bid {bad[0]!r} is not germane (object set disconnected)")
+    if inst.constraints is not None:
+        cs = inst.constraints
+        for grp in cs.groups:
+            for u in sorted(grp.members):
+                if u not in ids:
+                    raise ValidationError(f"group {grp.label!r} member {u!r} is not a bid")
+        if cs.kind in ("unweighted", "weighted"):
+            owner = {}
+            for grp in cs.groups:
+                for u in grp.members:
+                    if u in owner:
+                        raise ValidationError(
+                            f"bid {u!r} is in groups {owner[u]!r} and {grp.label!r}; "
+                            f"{cs.kind} constraints must partition the bids"
+                        )
+                    owner[u] = grp.label
+            for b in inst.bids:
+                if b.id not in owner:
+                    raise ValidationError(f"bid {b.id!r} belongs to no constraint group")
+                if b.group is not None and b.group != owner[b.id]:
+                    raise ValidationError(
+                        f"bid {b.id!r} declares group {b.group!r} but is a member of {owner[b.id]!r}"
+                    )
+    spec = inst.ordering_spec
+    if spec is None:
+        return
+    if spec.method == "explicit":
+        if spec.permutation is None:
+            raise ValidationError("explicit ordering requires a permutation")
+        if sorted(spec.permutation) != sorted(ids):
+            raise ValidationError("explicit permutation must be a bijection over the bid ids")
+    if spec.method == "grid":
+        if spec.coords is None:
+            raise ValidationError("grid ordering requires coordinates")
+        if set(spec.coords) != ids:
+            raise ValidationError("grid coordinates must cover exactly the bid ids")
+    if spec.method == "planted-optimal":
+        if spec.independent_set is None:
+            raise ValidationError("planted-optimal ordering requires an independent set")
+        for u in sorted(spec.independent_set):
+            if u not in ids:
+                raise ValidationError(f"planted set member {u!r} is not a bid")
+    if spec.method == "tree-decomposition":
+        if spec.tree_decomposition is None:
+            raise ValidationError("tree-decomposition ordering requires an embedded decomposition")
+        problems = validate_tree_decomposition(inst.object_graph, spec.tree_decomposition)
+        if problems:
+            raise ValidationError("invalid tree decomposition: " + "; ".join(problems))
+    if spec.frontier_sets is not None and set(spec.frontier_sets) != ids:
+        raise ValidationError("frontier sets must cover exactly the bid ids")
+    if spec.beta_bound is not None and spec.beta_bound < 1:
+        raise ValidationError("beta bound must be >= 1")
+
+
+def reference_obj_to_instance(obj):
+    """The loader as it was when every element built its pointer up front."""
+    _ref_obj(obj, "")
+    _ref_expect(obj.get("format") == FORMAT_TAG, "/format", f"expected {FORMAT_TAG!r}")
+    known = {"format", "metadata", "objects", "object_edges", "bids", "constraints", "ordering_spec"}
+    for key in obj:
+        _ref_expect(key in known, f"/{key}", "unknown key")
+
+    metadata = {}
+    if "metadata" in obj:
+        metadata = _ref_obj(obj["metadata"], "/metadata")
+        for k, v in metadata.items():
+            _ref_expect(
+                isinstance(v, (str, int, float)) and not isinstance(v, bool),
+                f"/metadata/{k}",
+                "metadata values must be scalars",
+            )
+
+    og = adj = None
+    _ref_expect(("objects" in obj) == ("object_edges" in obj), "/objects", "objects and object_edges must appear together")
+    if "objects" in obj:
+        objects = [_ref_str(o, f"/objects/{i}") for i, o in enumerate(_ref_list(obj["objects"], "/objects"))]
+        edges = []
+        for i, e in enumerate(_ref_list(obj["object_edges"], "/object_edges")):
+            pair = _ref_list(e, f"/object_edges/{i}")
+            _ref_expect(len(pair) == 2, f"/object_edges/{i}", "edge must have two endpoints")
+            edges.append((_ref_str(pair[0], f"/object_edges/{i}/0"), _ref_str(pair[1], f"/object_edges/{i}/1")))
+        try:
+            adj = _ref_object_graph_adj(objects, edges)
+        except ValidationError as exc:
+            raise SchemaError("/object_edges", str(exc)) from exc
+        og = ObjectGraph(objects, edges)
+
+    bids = []
+    ids = set()
+    for i, entry in enumerate(_ref_list(obj.get("bids"), "/bids")):
+        _ref_obj(entry, f"/bids/{i}")
+        for key in entry:
+            _ref_expect(key in {"id", "objects", "price", "group"}, f"/bids/{i}/{key}", "unknown key")
+        bid_id = _ref_str(entry.get("id"), f"/bids/{i}/id")
+        _ref_expect(bid_id not in ids, f"/bids/{i}/id", f"duplicate bid id {bid_id!r}")
+        ids.add(bid_id)
+        objs = [
+            _ref_str(o, f"/bids/{i}/objects/{j}")
+            for j, o in enumerate(_ref_list(entry.get("objects"), f"/bids/{i}/objects"))
+        ]
+        _ref_expect(objs, f"/bids/{i}/objects", "object set must be non-empty")
+        price = _ref_int(entry.get("price"), f"/bids/{i}/price")
+        _ref_expect(price >= 0, f"/bids/{i}/price", "price must be >= 0")
+        group = entry.get("group")
+        if group is not None:
+            group = _ref_str(group, f"/bids/{i}/group")
+        if adj is not None:
+            for o in objs:
+                _ref_expect(o in adj, f"/bids/{i}/objects", f"undeclared object {o!r}")
+        bids.append(_Bid(bid_id, frozenset(objs), price, group))
+
+    constraints = None
+    if "constraints" in obj:
+        cobj = _ref_obj(obj["constraints"], "/constraints")
+        kind = _ref_str(cobj.get("kind"), "/constraints/kind")
+        _ref_expect(kind in ("unweighted", "overlapping", "weighted"), "/constraints/kind", f"unknown kind {kind!r}")
+        limit_key = "b" if kind == "weighted" else "k"
+        groups = []
+        for i, gobj in enumerate(_ref_list(cobj.get("groups"), "/constraints/groups")):
+            _ref_obj(gobj, f"/constraints/groups/{i}")
+            label = _ref_str(gobj.get("label"), f"/constraints/groups/{i}/label")
+            members = [
+                _ref_str(m, f"/constraints/groups/{i}/members/{j}")
+                for j, m in enumerate(_ref_list(gobj.get("members"), f"/constraints/groups/{i}/members"))
+            ]
+            for j, m in enumerate(members):
+                _ref_expect(m in ids, f"/constraints/groups/{i}/members/{j}", f"unknown bid {m!r}")
+            _ref_expect(limit_key in gobj, f"/constraints/groups/{i}", f"missing {limit_key!r} limit")
+            limit = _ref_int(gobj[limit_key], f"/constraints/groups/{i}/{limit_key}")
+            _ref_expect(limit >= 1, f"/constraints/groups/{i}/{limit_key}", "limit must be >= 1")
+            groups.append(Group(label, frozenset(members), limit))
+        try:
+            constraints = ConstraintSet(kind, groups)
+        except ValidationError as exc:
+            raise SchemaError("/constraints", str(exc)) from exc
+
+    spec = None
+    if "ordering_spec" in obj:
+        sobj = _ref_obj(obj["ordering_spec"], "/ordering_spec")
+        method = _ref_str(sobj.get("method"), "/ordering_spec/method")
+        _ref_expect(method in ORDERING_METHODS, "/ordering_spec/method", f"unknown method {method!r}")
+        permutation = None
+        if "permutation" in sobj:
+            permutation = [
+                _ref_str(u, f"/ordering_spec/permutation/{i}")
+                for i, u in enumerate(_ref_list(sobj["permutation"], "/ordering_spec/permutation"))
+            ]
+        coords = None
+        if "coords" in sobj:
+            cmap = _ref_obj(sobj["coords"], "/ordering_spec/coords")
+            coords = {}
+            for u, vec in cmap.items():
+                _ref_expect(u in ids, f"/ordering_spec/coords/{u}", f"unknown bid {u!r}")
+                lst = _ref_list(vec, f"/ordering_spec/coords/{u}")
+                coords[u] = tuple(_ref_int(x, f"/ordering_spec/coords/{u}/{i}") for i, x in enumerate(lst))
+        td = None
+        if "tree_decomposition" in sobj:
+            tp = "/ordering_spec/tree_decomposition"
+            tobj = _ref_obj(sobj["tree_decomposition"], tp)
+            tnodes = [
+                _ref_str(t, f"{tp}/tree_nodes/{i}")
+                for i, t in enumerate(_ref_list(tobj.get("tree_nodes"), f"{tp}/tree_nodes"))
+            ]
+            tedges = []
+            for i, e in enumerate(_ref_list(tobj.get("tree_edges"), f"{tp}/tree_edges")):
+                ptr = f"{tp}/tree_edges/{i}"
+                pair = _ref_list(e, ptr)
+                _ref_expect(len(pair) == 2, ptr, "edge must have two endpoints")
+                tedges.append((_ref_str(pair[0], f"{ptr}/0"), _ref_str(pair[1], f"{ptr}/1")))
+            bags_obj = _ref_obj(tobj.get("bags"), f"{tp}/bags")
+            bags = {
+                t: frozenset(
+                    _ref_str(o, f"{tp}/bags/{t}/{i}") for i, o in enumerate(_ref_list(bag, f"{tp}/bags/{t}"))
+                )
+                for t, bag in bags_obj.items()
+            }
+            root = tobj.get("root")
+            if root is not None:
+                root = _ref_str(root, f"{tp}/root")
+            td = TreeDecomposition(tnodes, tedges, bags, root)
+        independent_set = None
+        if "independent_set" in sobj:
+            independent_set = frozenset(
+                _ref_str(u, f"/ordering_spec/independent_set/{i}")
+                for i, u in enumerate(_ref_list(sobj["independent_set"], "/ordering_spec/independent_set"))
+            )
+        frontier_sets = None
+        if "frontier_sets" in sobj:
+            fobj = _ref_obj(sobj["frontier_sets"], "/ordering_spec/frontier_sets")
+            frontier_sets = {
+                u: frozenset(
+                    _ref_str(o, f"/ordering_spec/frontier_sets/{u}/{i}")
+                    for i, o in enumerate(_ref_list(s, f"/ordering_spec/frontier_sets/{u}"))
+                )
+                for u, s in fobj.items()
+            }
+        beta_bound = None
+        if "beta_bound" in sobj:
+            beta_bound = _ref_int(sobj["beta_bound"], "/ordering_spec/beta_bound")
+        spec = OrderingSpec(method, permutation, coords, td, independent_set, frontier_sets, beta_bound)
+
+    inst = Instance(bids, og, constraints, spec, metadata)
+    try:
+        _ref_validate_instance(inst, adj)
+    except SchemaError:
+        raise
+    except ValidationError as exc:
+        raise SchemaError("", str(exc)) from exc
+    return inst
+
+
+def _oracle_bases() -> list[dict]:
+    """The golden files, plus derived documents for the spec sections the
+    corpus lacks: an embedded tree decomposition with frontier sets and a
+    beta bound, a planted independent set, and explicit frontier sets."""
+    bases = [json.loads(p.read_text()) for p in sorted(GOLDEN.glob("*.json"))]
+    for name in ("subtrees-1", "subtrees-2", "budget-weighted-1"):
+        inst = loads_instance((GOLDEN / f"{name}.json").read_text())
+        td = min_degree_heuristic_decomposition(inst.object_graph)
+        ordering = tree_decomposition_ordering(td, inst.bids, inst.object_graph)
+        spec = OrderingSpec("tree-decomposition", tree_decomposition=td, frontier_sets=ordering.frontier_sets, beta_bound=td.width() + 1)
+        bases.append(instance_to_obj(Instance(inst.bids, inst.object_graph, inst.constraints, spec, inst.metadata)))
+    inst = loads_instance((GOLDEN / "interval-1.json").read_text())
+    planted = OrderingSpec("planted-optimal", independent_set=frozenset(b.id for b in inst.bids[:1]))
+    bases.append(instance_to_obj(Instance(inst.bids, inst.object_graph, None, planted, inst.metadata)))
+    inst = loads_instance((GOLDEN / "tight-1.json").read_text())
+    frontier = {b.id: b.objects for b in inst.bids}
+    explicit = OrderingSpec("explicit", [b.id for b in inst.bids], frontier_sets=frontier, beta_bound=2)
+    bases.append(instance_to_obj(Instance(inst.bids, inst.object_graph, None, explicit, inst.metadata)))
+    return bases
+
+
+def _paths(node, path=()):
+    yield path
+    if isinstance(node, dict):
+        for k, v in node.items():
+            yield from _paths(v, path + (k,))
+    elif isinstance(node, list):
+        for i, v in enumerate(node):
+            yield from _paths(v, path + (i,))
+
+
+def _strings(node):
+    if isinstance(node, str):
+        yield node
+    elif isinstance(node, dict):
+        for k, v in node.items():
+            yield k
+            yield from _strings(v)
+    elif isinstance(node, list):
+        for v in node:
+            yield from _strings(v)
+
+
+WRONG = [None, True, False, 0, -1, 1.5, "", "x", [], {}, ["x"], [1], {"x": 1}, 10**30]
+
+
+def _mutate(doc: dict, rng: random.Random) -> dict:
+    """One seeded single-field mutation of ``doc``: a wrong type, a deleted
+    key or element, an emptied array, a duplicated element, a string swapped
+    for another string of the document, a renamed or an unknown key."""
+    doc = copy.deepcopy(doc)
+    path = rng.choice(list(_paths(doc)))
+    if not path:
+        return rng.choice([[], "x", {**doc, "zz": 1}])
+    *head, key = path
+    parent = doc
+    for k in head:
+        parent = parent[k]
+    value = parent[key]
+    kind = rng.choice(["wrong", "delete", "empty", "duplicate", "swap", "rename", "unknown", "number"])
+    if kind == "wrong":
+        parent[key] = rng.choice([w for w in WRONG if type(w) is not type(value)])
+    elif kind == "delete":
+        del parent[key]
+    elif kind == "empty":
+        parent[key] = {list: [], dict: {}, str: ""}.get(type(value), None)
+    elif kind == "duplicate" and isinstance(parent, list):
+        parent.insert(key + 1, copy.deepcopy(value))
+    elif kind == "duplicate" and isinstance(parent, dict) and len(parent) > 1:
+        parent[key] = copy.deepcopy(parent[rng.choice([k for k in parent if k != key])])
+    elif kind == "swap":
+        parent[key] = rng.choice(list(_strings(doc)))
+    elif kind == "rename" and isinstance(parent, dict):
+        parent[rng.choice(list(_strings(doc)) + ["zz"])] = parent.pop(key)
+    elif kind == "unknown" and isinstance(value, dict):
+        value["zz"] = rng.choice(WRONG)
+    elif kind == "number":
+        parent[key] = rng.choice([-1, 0, 1, 2, 10**400])
+    else:
+        parent[key] = rng.choice(WRONG)
+    return doc
+
+
+def _outcome(load, doc):
+    try:
+        inst = load(copy.deepcopy(doc))
+        return ("ok", dumps_instance(inst))
+    except Exception as exc:  # the oracle compares whatever either side raises
+        return (type(exc).__name__, str(exc))
+
+
+# the two loader errors that once had no JSON pointer (each has its own test)
+UNPOINTED = ("bid id must be a non-empty string", "has no members")
+
+
+def test_loader_matches_reference_on_mutated_corpus():
+    bases = _oracle_bases()
+    compared = skipped = accepted = 0
+    messages = set()
+    for seed in range(2400):
+        rng = random.Random(seed)
+        doc = _mutate(rng.choice(bases), rng)
+        want = _outcome(reference_obj_to_instance, doc)
+        if want[0] == "ValidationError":
+            assert any(s in want[1] for s in UNPOINTED), want
+            skipped += 1
+            continue
+        got = _outcome(obj_to_instance, doc)
+        assert got == want, f"seed {seed}"
+        compared += 1
+        accepted += want[0] == "ok"
+        messages.add(want[1] if want[0] != "ok" else "ok")
+    assert compared >= 2000 and accepted >= 100 and len(messages) >= 150, (compared, accepted, len(messages))

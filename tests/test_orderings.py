@@ -601,3 +601,134 @@ def test_tree_decomposition_stage_linear_time():
         cost[tree_size] = best / elements
     ratio = cost[8000] / cost[1000]
     assert ratio <= 3.0, f"per-element cost at 8k objects is {ratio:.1f}x the cost at 1k"
+
+
+class _RefBlock:
+    __slots__ = ("members", "prev", "next")
+
+    def __init__(self):
+        self.members = {}
+        self.prev = None
+        self.next = None
+
+
+def reference_lexbfs_peo(g):
+    """lex-BFS as it was before blocks were compacted: the head block's first
+    live member is found by walking its dict from the front."""
+    n = g.n
+    if n == 0:
+        return Ordering([], "chordal")
+    by_id = sorted(range(n), key=g.ids.__getitem__)
+    name = [0] * n
+    for p, i in enumerate(by_id):
+        name[i] = p
+    ptr, nbr = g.ptr, g.nbr
+    named = [name[j] for j in nbr]
+    rows = [sorted(named[ptr[i] : ptr[i + 1]]) for i in by_id]
+    head = _RefBlock()
+    head.members = dict.fromkeys(range(n))
+    block_of = [head] * n
+    visit_order = []
+    while head is not None:
+        u = next(iter(head.members))
+        del head.members[u]
+        block_of[u] = None
+        visit_order.append(u)
+        if not head.members:
+            head = head.next
+            if head is not None:
+                head.prev = None
+        moved = {}
+        for v in rows[u]:
+            blk = block_of[v]
+            if blk is None:
+                continue
+            key = id(blk)
+            if key not in moved:
+                front = _RefBlock()
+                front.prev = blk.prev
+                front.next = blk
+                if blk.prev is not None:
+                    blk.prev.next = front
+                else:
+                    head = front
+                blk.prev = front
+                moved[key] = (blk, front)
+            front = moved[key][1]
+            del blk.members[v]
+            front.members[v] = None
+            block_of[v] = front
+        for blk, _front in moved.values():
+            if not blk.members:
+                if blk.prev is not None:
+                    blk.prev.next = blk.next
+                else:
+                    head = blk.next
+                if blk.next is not None:
+                    blk.next.prev = blk.prev
+    candidate = [by_id[p] for p in reversed(visit_order)]
+    rank = [0] * n
+    for r, i in enumerate(candidate):
+        rank[i] = r
+    ranked = [rank[j] for j in nbr]
+    parent = list(range(n))
+    seen = [-1] * n
+    bad = n
+    for r, i in enumerate(candidate):
+        row = ranked[ptr[i] : ptr[i + 1]]
+        seen[r] = r
+        for s in row:
+            if s < r:
+                seen[s] = r
+                if parent[s] == s:
+                    parent[s] = r
+        for s in row:
+            if s < r and seen[parent[s]] != r and s < bad:
+                bad = s
+    if bad == n:
+        return Ordering([g.ids[i] for i in candidate], "chordal")
+    u, p = candidate[bad], parent[bad]
+    near = set(ranked[ptr[candidate[p]] : ptr[candidate[p] + 1]])
+    v = next(s for s in ranked[ptr[u] : ptr[u + 1]] if s > bad and s != p and s not in near)
+    return NotChordal(node=g.ids[u], a=g.ids[candidate[p]], b=g.ids[candidate[v]])
+
+
+def random_lexbfs_bids(seed):
+    """Random bid sets: conflict-free, many small components, intervals
+    (chordal) and random object sets (often not chordal), ids shuffled."""
+    r = SplitMix64(seed)
+    shape = seed % 4
+    n = 1 + r.randrange(60)
+    objects = [f"o{i}" for i in range(max(1, {0: n, 1: n // 2, 2: 2 * n, 3: n // 3 + 1}[shape]))]
+    bids = []
+    for i in range(n):
+        if shape == 0:
+            objs = {objects[i % len(objects)] + f"_{i}"}
+        elif shape == 1:
+            c = r.randrange(max(1, n // 4))
+            objs = {f"c{c}_{r.randrange(3)}" for _ in range(1 + r.randrange(2))}
+        elif shape == 2:
+            a = r.randrange(len(objects))
+            objs = set(objects[a : a + 1 + r.randrange(4)])
+        else:
+            objs = {objects[r.randrange(len(objects))] for _ in range(1 + r.randrange(3))}
+        bids.append(Bid(f"b{r.randrange(10**6):06d}_{i}", objs, 1 + r.randrange(9)))
+    r.shuffle(bids)
+    return bids
+
+
+def test_lexbfs_equals_reference_loop():
+    outcomes = set()
+    for seed in range(800):
+        g = build_bid_graph(random_lexbfs_bids(seed))
+        got = lexbfs_peo(g)
+        assert got == reference_lexbfs_peo(g), f"seed {seed}"
+        outcomes.add(type(got).__name__)
+    for bids in (
+        [Bid(f"b{i:05d}", {f"o{i}"}, 1) for i in range(3000)],
+        gen_interval(500, seed=2).bids,
+        gen_subtrees(200, 400, seed=3).bids,
+    ):
+        g = build_bid_graph(bids)
+        assert lexbfs_peo(g) == reference_lexbfs_peo(g)
+    assert outcomes == {"Ordering", "NotChordal"}
