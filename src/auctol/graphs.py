@@ -27,9 +27,8 @@ graph after construction, so instances can be shared freely across threads.
 from __future__ import annotations
 
 from array import array
-from collections import deque
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 
 from .errors import CapacityError, UnsupportedOrderingError, ValidationError
 
@@ -60,35 +59,32 @@ class ObjectGraph:
     """Undirected relevance graph over auction objects.
 
     Bids are *germane* when their object set induces a connected subgraph.
+    ``adj`` maps each object to its neighbours (a dict used as an ordered
+    set); ``edges`` lists each edge once, endpoints in ascending order.
     """
 
     def __init__(self, objects, edges=()):
         self.objects = list(objects)
-        seen = set()
-        for o in self.objects:
-            if o in seen:
-                raise ValidationError(f"duplicate object id {o!r}")
-            seen.add(o)
-        self._nodes = seen
         self.adj: dict[str, dict[str, None]] = {o: {} for o in self.objects}
+        if len(self.adj) != len(self.objects):
+            seen = set()
+            for o in self.objects:
+                if o in seen:
+                    raise ValidationError(f"duplicate object id {o!r}")
+                seen.add(o)
+        adj = self.adj
         self.edges: list[tuple[str, str]] = []
-        edge_seen = set()
+        append = self.edges.append
         for a, b in edges:
-            if a == b:
-                raise ValidationError(f"self-loop on object {a!r}")
-            if a not in seen or b not in seen:
-                missing = a if a not in seen else b
-                raise ValidationError(f"edge endpoint {missing!r} is not a declared object")
-            pair = (a, b) if a < b else (b, a)
-            if pair in edge_seen:
-                raise ValidationError(f"duplicate edge {pair[0]!r}-{pair[1]!r}")
-            edge_seen.add(pair)
-            self.edges.append(pair)
-            self.adj[a][b] = None
-            self.adj[b][a] = None
+            row_a, row_b = adj.get(a), adj.get(b)
+            if row_a is None or row_b is None or a == b or b in row_a:
+                _reject_edge(a, b, adj)
+            row_a[b] = None
+            row_b[a] = None
+            append((a, b) if a < b else (b, a))
 
     def __contains__(self, o: str) -> bool:
-        return o in self._nodes
+        return o in self.adj
 
     def neighbors(self, o: str):
         return self.adj[o].keys()
@@ -97,23 +93,41 @@ class ObjectGraph:
         return b in self.adj.get(a, ())
 
 
-def connected_in(og: ObjectGraph, objs: frozenset[str] | set[str]) -> bool:
-    """True iff ``objs`` induces a connected subgraph of ``og``.
+def _reject_edge(a: str, b: str, adj: dict) -> None:
+    """Raise the error for an edge :class:`ObjectGraph` cannot add."""
+    if a == b:
+        raise ValidationError(f"self-loop on object {a!r}")
+    if a not in adj or b not in adj:
+        missing = a if a not in adj else b
+        raise ValidationError(f"edge endpoint {missing!r} is not a declared object")
+    lo, hi = (a, b) if a < b else (b, a)
+    raise ValidationError(f"duplicate edge {lo!r}-{hi!r}")
 
-    Breadth-first traversal restricted to ``objs``; O(|objs| + induced edges).
+
+def _disconnected(adj: dict, object_sets):
+    """Positions, in order, of the sets in ``object_sets`` that do not induce
+    a connected subgraph of the graph with adjacency ``adj``.
+
+    One search per set of two or more objects, restricted to the set and
+    stopped once every member is reached; O(|objs| + edges leaving its
+    members) each.
     """
-    if len(objs) <= 1:
-        return True
-    start = next(iter(objs))  # the result does not depend on the start
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        o = queue.popleft()
-        for nb in og.adj[o]:
-            if nb in objs and nb not in seen:
-                seen.add(nb)
-                queue.append(nb)
-    return len(seen) == len(objs)
+    for i, objs in enumerate(object_sets):
+        if len(objs) > 1:
+            unreached = set(objs)
+            stack = [unreached.pop()]  # the result does not depend on the start
+            while stack and unreached:
+                for nb in adj[stack.pop()]:
+                    if nb in unreached:
+                        unreached.remove(nb)
+                        stack.append(nb)
+            if unreached:
+                yield i
+
+
+def connected_in(og: ObjectGraph, objs: frozenset[str] | set[str]) -> bool:
+    """True iff ``objs`` induces a connected subgraph of ``og``."""
+    return next(_disconnected(og.adj, [objs]), None) is None
 
 
 def validate_germane(og: ObjectGraph, bids: list[Bid]) -> list[str]:
@@ -121,15 +135,14 @@ def validate_germane(og: ObjectGraph, bids: list[Bid]) -> list[str]:
 
     Raises ValidationError if a bid references an undeclared object.
     """
-    violations = []
-    declared = og._nodes
-    for b in bids:
-        if not b.objects <= declared:
-            o = min(b.objects - declared)
-            raise ValidationError(f"bid {b.id!r} references undeclared object {o!r}")
-        if not connected_in(og, b.objects):
-            violations.append(b.id)
-    return violations
+    adj = og.adj
+    object_sets = [b.objects for b in bids]
+    if not all(map(adj.__contains__, chain.from_iterable(object_sets))):
+        for b in bids:
+            undeclared = [o for o in b.objects if o not in adj]
+            if undeclared:
+                raise ValidationError(f"bid {b.id!r} references undeclared object {min(undeclared)!r}")
+    return [bids[i].id for i in _disconnected(adj, object_sets)]
 
 
 @dataclass

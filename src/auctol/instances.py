@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import chain, repeat
 
 from .budgets import ConstraintSet, Group
 from .errors import NotChordalError, SchemaError, ValidationError
@@ -86,11 +87,13 @@ class Instance:
 
 def validate_instance(inst: Instance) -> None:
     """Full semantic validation; raises ValidationError on the first problem."""
-    ids = set()
-    for b in inst.bids:
-        if b.id in ids:
-            raise ValidationError(f"duplicate bid id {b.id!r}")
-        ids.add(b.id)
+    ids = {b.id for b in inst.bids}
+    if len(ids) != len(inst.bids):
+        seen = set()
+        for b in inst.bids:
+            if b.id in seen:
+                raise ValidationError(f"duplicate bid id {b.id!r}")
+            seen.add(b.id)
     if inst.object_graph is not None:
         bad = validate_germane(inst.object_graph, inst.bids)
         if bad:
@@ -246,47 +249,81 @@ def _expect_obj(value, pointer: str) -> dict:
     return value
 
 
-def obj_to_instance(obj: dict) -> Instance:
-    _expect_obj(obj, "")
-    _expect(obj.get("format") == FORMAT_TAG, "/format", f"expected {FORMAT_TAG!r}")
-    known = {"format", "metadata", "objects", "object_edges", "bids", "constraints", "ordering_spec"}
-    for key in obj:
-        _expect(key in known, f"/{key}", "unknown key")
+# Arrays are checked in bulk, one pass at C speed with no pointer built.
+# Only when a bulk check fails is the array walked element by element, and
+# that walk raises the SchemaError naming the first failing element in
+# document order. A bulk check compares exact types, so a subclass (never
+# produced by json.loads) takes the walk, which accepts it.
 
-    metadata = {}
-    if "metadata" in obj:
-        metadata = _expect_obj(obj["metadata"], "/metadata")
-        for k, v in metadata.items():
-            _expect(
-                isinstance(v, (str, int, float)) and not isinstance(v, bool),
-                f"/metadata/{k}",
-                "metadata values must be scalars",
-            )
 
-    og = None
-    _expect(
-        ("objects" in obj) == ("object_edges" in obj),
-        "/objects",
-        "objects and object_edges must appear together",
-    )
-    if "objects" in obj:
-        objects = [_expect_str(o, f"/objects/{i}") for i, o in enumerate(_expect_list(obj["objects"], "/objects"))]
-        edges = []
-        for i, e in enumerate(_expect_list(obj["object_edges"], "/object_edges")):
-            pair = _expect_list(e, f"/object_edges/{i}")
-            _expect(len(pair) == 2, f"/object_edges/{i}", "edge must have two endpoints")
-            edges.append((_expect_str(pair[0], f"/object_edges/{i}/0"), _expect_str(pair[1], f"/object_edges/{i}/1")))
-        try:
-            og = ObjectGraph(objects, edges)
-        except ValidationError as exc:
-            raise SchemaError("/object_edges", str(exc)) from exc
+def _only(values, types: set) -> bool:
+    """True when the exact type of every value is in ``types``."""
+    return set(map(type, values)) <= types
 
+
+def _column(entries: list[dict], key: str) -> list:
+    return list(map(dict.get, entries, repeat(key)))
+
+
+def _str_list(value, pointer: str) -> list:
+    """``value`` as an array of strings."""
+    lst = _expect_list(value, pointer)
+    if not _only(lst, {str}):
+        for i, x in enumerate(lst):
+            _expect_str(x, f"{pointer}/{i}")
+    return lst
+
+
+def _str_pairs(value, pointer: str) -> list:
+    """``value`` as an array of two-string arrays."""
+    lst = _expect_list(value, pointer)
+    if not (_only(lst, {list}) and set(map(len, lst)) <= {2} and _only(chain.from_iterable(lst), {str})):
+        for i, e in enumerate(lst):
+            pair = _expect_list(e, f"{pointer}/{i}")
+            _expect(len(pair) == 2, f"{pointer}/{i}", "edge must have two endpoints")
+            _expect_str(pair[0], f"{pointer}/{i}/0")
+            _expect_str(pair[1], f"{pointer}/{i}/1")
+    return lst
+
+
+def _str_sets(value, pointer: str) -> dict[str, frozenset[str]]:
+    """``value`` as an object whose values are arrays of strings, as sets."""
+    obj = _expect_obj(value, pointer)
+    lists = obj.values()
+    if not (_only(lists, {list}) and _only(chain.from_iterable(lists), {str})):
+        for key, lst in obj.items():
+            _str_list(lst, f"{pointer}/{key}")
+    return dict(zip(obj, map(frozenset, lists)))
+
+
+_TOP_KEYS = {"format", "metadata", "objects", "object_edges", "bids", "constraints", "ordering_spec"}
+_BID_KEYS = {"id", "objects", "price", "group"}
+
+
+def _load_bids(value, og: ObjectGraph | None) -> tuple[list[Bid], set[str]]:
+    """The bids and their id set."""
+    entries = _expect_list(value, "/bids")
+    if _only(entries, {dict}) and set(chain.from_iterable(entries)) <= _BID_KEYS:
+        ids, objs, prices, groups = (_column(entries, key) for key in ("id", "objects", "price", "group"))
+        if (
+            _only(ids, {str})
+            and all(ids)
+            and len(id_set := set(ids)) == len(ids)
+            and _only(objs, {list})
+            and all(objs)
+            and _only(chain.from_iterable(objs), {str})
+            and _only(prices, {int})
+            and min(prices, default=0) >= 0
+            and _only(groups, {str, type(None)})
+            and (og is None or all(map(og.adj.__contains__, chain.from_iterable(objs))))
+        ):
+            return list(map(Bid, ids, map(frozenset, objs), prices, groups)), id_set
     bids = []
     ids = set()
-    for i, entry in enumerate(_expect_list(obj.get("bids"), "/bids")):
+    for i, entry in enumerate(entries):
         _expect_obj(entry, f"/bids/{i}")
         for key in entry:
-            _expect(key in {"id", "objects", "price", "group"}, f"/bids/{i}/{key}", "unknown key")
+            _expect(key in _BID_KEYS, f"/bids/{i}/{key}", "unknown key")
         bid_id = _expect_str(entry.get("id"), f"/bids/{i}/id")
         _expect(bid_id not in ids, f"/bids/{i}/id", f"duplicate bid id {bid_id!r}")
         ids.add(bid_id)
@@ -300,28 +337,93 @@ def obj_to_instance(obj: dict) -> Instance:
         if og is not None:
             for o in objs:
                 _expect(o in og, f"/bids/{i}/objects", f"undeclared object {o!r}")
+        _expect(bid_id, f"/bids/{i}/id", "bid id must be a non-empty string")
         bids.append(Bid(bid_id, frozenset(objs), price, group))
+    return bids, ids
+
+
+def _load_groups(value, limit_key: str, ids: set[str]) -> list[Group]:
+    gobjs = _expect_list(value, "/constraints/groups")
+    if _only(gobjs, {dict}):
+        labels, members, limits = (_column(gobjs, key) for key in ("label", "members", limit_key))
+        if (
+            _only(labels, {str})
+            and _only(members, {list})
+            and all(members)
+            and _only(chain.from_iterable(members), {str})
+            and ids.issuperset(chain.from_iterable(members))
+            and _only(limits, {int})
+            and min(limits, default=1) >= 1
+        ):
+            return list(map(Group, labels, map(frozenset, members), limits))
+    groups = []
+    for i, gobj in enumerate(gobjs):
+        _expect_obj(gobj, f"/constraints/groups/{i}")
+        label = _expect_str(gobj.get("label"), f"/constraints/groups/{i}/label")
+        members = _str_list(gobj.get("members"), f"/constraints/groups/{i}/members")
+        for j, m in enumerate(members):
+            _expect(m in ids, f"/constraints/groups/{i}/members/{j}", f"unknown bid {m!r}")
+        _expect(limit_key in gobj, f"/constraints/groups/{i}", f"missing {limit_key!r} limit")
+        limit = _expect_int(gobj[limit_key], f"/constraints/groups/{i}/{limit_key}")
+        _expect(limit >= 1, f"/constraints/groups/{i}/{limit_key}", "limit must be >= 1")
+        _expect(members, f"/constraints/groups/{i}/members", f"group {label!r} has no members")
+        groups.append(Group(label, frozenset(members), limit))
+    return groups
+
+
+def _load_coords(value, ids: set[str]) -> dict[str, tuple[int, ...]]:
+    cmap = _expect_obj(value, "/ordering_spec/coords")
+    vectors = cmap.values()
+    if ids.issuperset(cmap) and _only(vectors, {list}) and _only(chain.from_iterable(vectors), {int}):
+        return dict(zip(cmap, map(tuple, vectors)))
+    coords = {}
+    for u, vec in cmap.items():
+        _expect(u in ids, f"/ordering_spec/coords/{u}", f"unknown bid {u!r}")
+        lst = _expect_list(vec, f"/ordering_spec/coords/{u}")
+        coords[u] = tuple(_expect_int(x, f"/ordering_spec/coords/{u}/{i}") for i, x in enumerate(lst))
+    return coords
+
+
+def obj_to_instance(obj: dict) -> Instance:
+    _expect_obj(obj, "")
+    _expect(obj.get("format") == FORMAT_TAG, "/format", f"expected {FORMAT_TAG!r}")
+    if not obj.keys() <= _TOP_KEYS:
+        for key in obj:
+            _expect(key in _TOP_KEYS, f"/{key}", "unknown key")
+
+    metadata = {}
+    if "metadata" in obj:
+        metadata = _expect_obj(obj["metadata"], "/metadata")
+        if not _only(metadata.values(), {str, int, float}):
+            for k, v in metadata.items():
+                _expect(
+                    isinstance(v, (str, int, float)) and not isinstance(v, bool),
+                    f"/metadata/{k}",
+                    "metadata values must be scalars",
+                )
+
+    og = None
+    _expect(
+        ("objects" in obj) == ("object_edges" in obj),
+        "/objects",
+        "objects and object_edges must appear together",
+    )
+    if "objects" in obj:
+        objects = _str_list(obj["objects"], "/objects")
+        edges = _str_pairs(obj["object_edges"], "/object_edges")
+        try:
+            og = ObjectGraph(objects, edges)
+        except ValidationError as exc:
+            raise SchemaError("/object_edges", str(exc)) from exc
+
+    bids, ids = _load_bids(obj.get("bids"), og)
 
     constraints = None
     if "constraints" in obj:
         cobj = _expect_obj(obj["constraints"], "/constraints")
         kind = _expect_str(cobj.get("kind"), "/constraints/kind")
         _expect(kind in ("unweighted", "overlapping", "weighted"), "/constraints/kind", f"unknown kind {kind!r}")
-        limit_key = "b" if kind == "weighted" else "k"
-        groups = []
-        for i, gobj in enumerate(_expect_list(cobj.get("groups"), "/constraints/groups")):
-            _expect_obj(gobj, f"/constraints/groups/{i}")
-            label = _expect_str(gobj.get("label"), f"/constraints/groups/{i}/label")
-            members = [
-                _expect_str(m, f"/constraints/groups/{i}/members/{j}")
-                for j, m in enumerate(_expect_list(gobj.get("members"), f"/constraints/groups/{i}/members"))
-            ]
-            for j, m in enumerate(members):
-                _expect(m in ids, f"/constraints/groups/{i}/members/{j}", f"unknown bid {m!r}")
-            _expect(limit_key in gobj, f"/constraints/groups/{i}", f"missing {limit_key!r} limit")
-            limit = _expect_int(gobj[limit_key], f"/constraints/groups/{i}/{limit_key}")
-            _expect(limit >= 1, f"/constraints/groups/{i}/{limit_key}", "limit must be >= 1")
-            groups.append(Group(label, frozenset(members), limit))
+        groups = _load_groups(cobj.get("groups"), "b" if kind == "weighted" else "k", ids)
         try:
             constraints = ConstraintSet(kind, groups)
         except ValidationError as exc:
@@ -334,59 +436,26 @@ def obj_to_instance(obj: dict) -> Instance:
         _expect(method in ORDERING_METHODS, "/ordering_spec/method", f"unknown method {method!r}")
         permutation = None
         if "permutation" in sobj:
-            permutation = [
-                _expect_str(u, f"/ordering_spec/permutation/{i}")
-                for i, u in enumerate(_expect_list(sobj["permutation"], "/ordering_spec/permutation"))
-            ]
+            permutation = list(_str_list(sobj["permutation"], "/ordering_spec/permutation"))
         coords = None
         if "coords" in sobj:
-            cmap = _expect_obj(sobj["coords"], "/ordering_spec/coords")
-            coords = {}
-            for u, vec in cmap.items():
-                _expect(u in ids, f"/ordering_spec/coords/{u}", f"unknown bid {u!r}")
-                lst = _expect_list(vec, f"/ordering_spec/coords/{u}")
-                coords[u] = tuple(_expect_int(x, f"/ordering_spec/coords/{u}/{i}") for i, x in enumerate(lst))
+            coords = _load_coords(sobj["coords"], ids)
         td = None
         if "tree_decomposition" in sobj:
             tobj = _expect_obj(sobj["tree_decomposition"], "/ordering_spec/tree_decomposition")
-            tnodes = [
-                _expect_str(t, f"/ordering_spec/tree_decomposition/tree_nodes/{i}")
-                for i, t in enumerate(_expect_list(tobj.get("tree_nodes"), "/ordering_spec/tree_decomposition/tree_nodes"))
-            ]
-            tedges = []
-            for i, e in enumerate(_expect_list(tobj.get("tree_edges"), "/ordering_spec/tree_decomposition/tree_edges")):
-                ptr = f"/ordering_spec/tree_decomposition/tree_edges/{i}"
-                pair = _expect_list(e, ptr)
-                _expect(len(pair) == 2, ptr, "edge must have two endpoints")
-                tedges.append((_expect_str(pair[0], f"{ptr}/0"), _expect_str(pair[1], f"{ptr}/1")))
-            bags_obj = _expect_obj(tobj.get("bags"), "/ordering_spec/tree_decomposition/bags")
-            bags = {
-                t: frozenset(
-                    _expect_str(o, f"/ordering_spec/tree_decomposition/bags/{t}/{i}")
-                    for i, o in enumerate(_expect_list(bag, f"/ordering_spec/tree_decomposition/bags/{t}"))
-                )
-                for t, bag in bags_obj.items()
-            }
+            tnodes = list(_str_list(tobj.get("tree_nodes"), "/ordering_spec/tree_decomposition/tree_nodes"))
+            tedges = list(map(tuple, _str_pairs(tobj.get("tree_edges"), "/ordering_spec/tree_decomposition/tree_edges")))
+            bags = _str_sets(tobj.get("bags"), "/ordering_spec/tree_decomposition/bags")
             root = tobj.get("root")
             if root is not None:
                 root = _expect_str(root, "/ordering_spec/tree_decomposition/root")
             td = TreeDecomposition(tnodes, tedges, bags, root)
         independent_set = None
         if "independent_set" in sobj:
-            independent_set = frozenset(
-                _expect_str(u, f"/ordering_spec/independent_set/{i}")
-                for i, u in enumerate(_expect_list(sobj["independent_set"], "/ordering_spec/independent_set"))
-            )
+            independent_set = frozenset(_str_list(sobj["independent_set"], "/ordering_spec/independent_set"))
         frontier_sets = None
         if "frontier_sets" in sobj:
-            fobj = _expect_obj(sobj["frontier_sets"], "/ordering_spec/frontier_sets")
-            frontier_sets = {
-                u: frozenset(
-                    _expect_str(o, f"/ordering_spec/frontier_sets/{u}/{i}")
-                    for i, o in enumerate(_expect_list(s, f"/ordering_spec/frontier_sets/{u}"))
-                )
-                for u, s in fobj.items()
-            }
+            frontier_sets = _str_sets(sobj["frontier_sets"], "/ordering_spec/frontier_sets")
         beta_bound = None
         if "beta_bound" in sobj:
             beta_bound = _expect_int(sobj["beta_bound"], "/ordering_spec/beta_bound")

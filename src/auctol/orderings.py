@@ -298,10 +298,17 @@ def planted_optimal_ordering(g: BidGraph, independent_set) -> Ordering:
 
 
 class _Block:
-    __slots__ = ("members", "prev", "next")
+    """One class of the lex-BFS partition. ``members`` only grows: a node
+    that leaves the block stays in the list and is skipped, since its
+    ``block_of`` entry no longer names this block, and ``first`` marks where
+    the next live member may start, so no entry is passed over twice."""
 
-    def __init__(self):
-        self.members: dict[int, None] = {}
+    __slots__ = ("members", "first", "size", "prev", "next")
+
+    def __init__(self, members: list[int]):
+        self.members = members
+        self.first = 0
+        self.size = len(members)
         self.prev: _Block | None = None
         self.next: _Block | None = None
 
@@ -330,17 +337,20 @@ def lexbfs_peo(g: BidGraph) -> Ordering | NotChordal:
     named = [name[j] for j in nbr]
     rows = [sorted(named[ptr[i] : ptr[i + 1]]) for i in by_id]
 
-    head = _Block()
-    head.members = dict.fromkeys(range(n))
+    head = _Block(list(range(n)))
     block_of: list[_Block | None] = [head] * n
     visit_order: list[int] = []
 
     while head is not None:
-        u = next(iter(head.members))
-        del head.members[u]
+        members, i = head.members, head.first
+        while block_of[members[i]] is not head:
+            i += 1
+        u = members[i]
+        head.first = i + 1
+        head.size -= 1
         block_of[u] = None
         visit_order.append(u)
-        if not head.members:
+        if not head.size:
             head = head.next
             if head is not None:
                 head.prev = None
@@ -352,7 +362,7 @@ def lexbfs_peo(g: BidGraph) -> Ordering | NotChordal:
                 continue
             key = id(blk)
             if key not in moved:
-                front = _Block()
+                front = _Block([])
                 front.prev = blk.prev
                 front.next = blk
                 if blk.prev is not None:
@@ -362,11 +372,12 @@ def lexbfs_peo(g: BidGraph) -> Ordering | NotChordal:
                 blk.prev = front
                 moved[key] = (blk, front)
             front = moved[key][1]
-            del blk.members[v]
-            front.members[v] = None
+            blk.size -= 1
+            front.members.append(v)
+            front.size += 1
             block_of[v] = front
         for blk, _front in moved.values():
-            if not blk.members:
+            if not blk.size:
                 if blk.prev is not None:
                     blk.prev.next = blk.next
                 else:

@@ -109,6 +109,26 @@ def test_solve_validation_error_exit(tmp_path, capsys):
     assert run(["solve", "--input", str(path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "doc, pointer",
+    [
+        ({"bids": [{"id": "", "objects": ["o0"], "price": 1}]}, "/bids/0/id"),
+        (
+            {
+                "bids": [{"id": "b0", "objects": ["o0"], "price": 1}],
+                "constraints": {"kind": "overlapping", "groups": [{"label": "g", "members": [], "k": 1}]},
+            },
+            "/constraints/groups/0/members",
+        ),
+    ],
+)
+def test_load_errors_name_a_pointer(tmp_path, capsys, doc, pointer):
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps({"format": "auctol/1", **doc}))
+    assert run(["solve", "--input", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"schema error: {pointer}: ")
+
+
 def test_order_chordal_embeds_bound(tmp_path):
     path = tmp_path / "inst.json"
     save_instance(gen_interval(15, seed=3), path)

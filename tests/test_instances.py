@@ -85,6 +85,39 @@ def test_non_germane_bid_rejected_on_load():
         loads_instance(bad)
 
 
+def test_empty_bid_id_reports_pointer():
+    bad = """
+    {
+      "format": "auctol/1",
+      "bids": [
+        {"id": "b0", "objects": ["o0"], "price": 1},
+        {"id": "", "objects": ["o1"], "price": 1}
+      ]
+    }
+    """
+    with pytest.raises(SchemaError) as err:
+        loads_instance(bad)
+    assert err.value.pointer == "/bids/1/id"
+    assert str(err.value) == "/bids/1/id: bid id must be a non-empty string"
+
+
+def test_group_without_members_reports_pointer():
+    bad = """
+    {
+      "format": "auctol/1",
+      "bids": [{"id": "b0", "objects": ["o0"], "price": 1}],
+      "constraints": {
+        "kind": "overlapping",
+        "groups": [{"label": "g0", "members": ["b0"], "k": 1}, {"label": "g", "members": [], "k": 1}]
+      }
+    }
+    """
+    with pytest.raises(SchemaError) as err:
+        loads_instance(bad)
+    assert err.value.pointer == "/constraints/groups/1/members"
+    assert str(err.value) == "/constraints/groups/1/members: group 'g' has no members"
+
+
 ALL_FAMILIES = [
     lambda seed: gen_interval(14, seed=seed),
     lambda seed: gen_interval_selection(4, 3, seed=seed),
@@ -688,3 +721,22 @@ def test_loader_matches_reference_on_mutated_corpus():
         accepted += want[0] == "ok"
         messages.add(want[1] if want[0] != "ok" else "ok")
     assert compared >= 2000 and accepted >= 100 and len(messages) >= 150, (compared, accepted, len(messages))
+
+
+def test_load_stage_linear_time():
+    """Loading an interval instance with its object graph costs about the same
+    per input byte at 16k bids as at 2k (within 3x). Each size takes the
+    fastest of three runs."""
+    import time
+
+    cost = {}
+    for n in (2000, 16000):
+        text = dumps_instance(gen_interval(n, seed=4))
+        best = float("inf")
+        for _ in range(3):
+            t0 = time.perf_counter()
+            loads_instance(text)
+            best = min(best, time.perf_counter() - t0)
+        cost[n] = best / len(text.encode("utf-8"))
+    ratio = cost[16000] / cost[2000]
+    assert ratio <= 3.0, f"per-byte load cost at 16k bids is {ratio:.1f}x the cost at 2k"
