@@ -327,7 +327,7 @@ def _load_bids(value, og: ObjectGraph | None) -> tuple[list[Bid], set[str]]:
         bid_id = _expect_str(entry.get("id"), f"/bids/{i}/id")
         _expect(bid_id not in ids, f"/bids/{i}/id", f"duplicate bid id {bid_id!r}")
         ids.add(bid_id)
-        objs = [_expect_str(o, f"/bids/{i}/objects/{j}") for j, o in enumerate(_expect_list(entry.get("objects"), f"/bids/{i}/objects"))]
+        objs = _str_list(entry.get("objects"), f"/bids/{i}/objects")
         _expect(objs, f"/bids/{i}/objects", "object set must be non-empty")
         price = _expect_int(entry.get("price"), f"/bids/{i}/price")
         _expect(price >= 0, f"/bids/{i}/price", "price must be >= 0")

@@ -1,10 +1,16 @@
 """Instance files, canonical JSON, and the generators."""
 
+import copy
+import json
+import random
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from auctol import (
+    Bid,
     beta_bound_union,
     beta_exact,
     bid_graph,
@@ -26,9 +32,24 @@ from auctol import (
     save_instance,
     validate_instance,
 )
-from auctol.errors import SchemaError
-from auctol.graphs import Ordering
-from auctol.orderings import NotChordal
+from auctol.budgets import ConstraintSet, Group
+from auctol.errors import SchemaError, ValidationError
+from auctol.graphs import ObjectGraph, Ordering
+from auctol.instances import (
+    FORMAT_TAG,
+    ORDERING_METHODS,
+    Instance,
+    OrderingSpec,
+    instance_to_obj,
+    obj_to_instance,
+)
+from auctol.orderings import (
+    NotChordal,
+    TreeDecomposition,
+    min_degree_heuristic_decomposition,
+    tree_decomposition_ordering,
+    validate_tree_decomposition,
+)
 from auctol.rng import SplitMix64
 
 MINIMAL = """
@@ -296,32 +317,8 @@ def test_splitmix64_reference_stream():
 
 
 # ---------------------------------------------------------------------------
-# loader oracle: a reference copy of the per-element loader, before bulk
-# schema checks, against single-field mutations of the golden corpus
-
-import copy  # noqa: E402
-import json  # noqa: E402
-import random  # noqa: E402
-from pathlib import Path  # noqa: E402
-
-from auctol import Bid as _Bid  # noqa: E402
-from auctol.budgets import ConstraintSet, Group  # noqa: E402
-from auctol.errors import ValidationError  # noqa: E402
-from auctol.graphs import ObjectGraph  # noqa: E402
-from auctol.instances import (  # noqa: E402
-    FORMAT_TAG,
-    ORDERING_METHODS,
-    Instance,
-    OrderingSpec,
-    instance_to_obj,
-    obj_to_instance,
-)
-from auctol.orderings import (  # noqa: E402
-    TreeDecomposition,
-    min_degree_heuristic_decomposition,
-    tree_decomposition_ordering,
-    validate_tree_decomposition,
-)
+# loader oracle: a reference loader that checks every element on its own,
+# compared with obj_to_instance on single-field mutations of the golden corpus
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -452,7 +449,8 @@ def _ref_validate_instance(inst, adj):
 
 
 def reference_obj_to_instance(obj):
-    """The loader as it was when every element built its pointer up front."""
+    """Reference loader: each element is checked on its own, in document
+    order, with its pointer built before the check."""
     _ref_obj(obj, "")
     _ref_expect(obj.get("format") == FORMAT_TAG, "/format", f"expected {FORMAT_TAG!r}")
     known = {"format", "metadata", "objects", "object_edges", "bids", "constraints", "ordering_spec"}
@@ -506,7 +504,7 @@ def reference_obj_to_instance(obj):
         if adj is not None:
             for o in objs:
                 _ref_expect(o in adj, f"/bids/{i}/objects", f"undeclared object {o!r}")
-        bids.append(_Bid(bid_id, frozenset(objs), price, group))
+        bids.append(Bid(bid_id, frozenset(objs), price, group))
 
     constraints = None
     if "constraints" in obj:
@@ -727,8 +725,6 @@ def test_load_stage_linear_time():
     """Loading an interval instance with its object graph costs about the same
     per input byte at 16k bids as at 2k (within 3x). Each size takes the
     fastest of three runs."""
-    import time
-
     cost = {}
     for n in (2000, 16000):
         text = dumps_instance(gen_interval(n, seed=4))

@@ -613,8 +613,9 @@ class _RefBlock:
 
 
 def reference_lexbfs_peo(g):
-    """lex-BFS as it was before blocks were compacted: the head block's first
-    live member is found by walking its dict from the front."""
+    """Reference lex-BFS over dict blocks: a node leaving a block is deleted
+    from its dict, and the head block's first member is taken with
+    ``next(iter(...))``."""
     n = g.n
     if n == 0:
         return Ordering([], "chordal")
