@@ -109,15 +109,18 @@ def _disconnected(adj: dict, object_sets):
     a connected subgraph of the graph with adjacency ``adj``.
 
     One search per set of two or more objects, restricted to the set and
-    stopped once every member is reached; O(|objs| + edges leaving its
-    members) each.
+    stopped once every member is reached. A member with more neighbours than
+    the set has members is searched from the set's side (``keys() & set``
+    walks the smaller operand), so a set costs
+    O(|objs| * min(|objs|, largest degree)).
     """
     for i, objs in enumerate(object_sets):
-        if len(objs) > 1:
+        if (k := len(objs)) > 1:
             unreached = set(objs)
             stack = [unreached.pop()]  # the result does not depend on the start
             while stack and unreached:
-                for nb in adj[stack.pop()]:
+                row = adj[stack.pop()]
+                for nb in row if len(row) <= k else row.keys() & unreached:
                     if nb in unreached:
                         unreached.remove(nb)
                         stack.append(nb)

@@ -296,7 +296,6 @@ def _str_sets(value, pointer: str) -> dict[str, frozenset[str]]:
     return dict(zip(obj, map(frozenset, lists)))
 
 
-_TOP_KEYS = {"format", "metadata", "objects", "object_edges", "bids", "constraints", "ordering_spec"}
 _BID_KEYS = {"id", "objects", "price", "group"}
 
 
@@ -371,36 +370,22 @@ def _load_groups(value, limit_key: str, ids: set[str]) -> list[Group]:
     return groups
 
 
-def _load_coords(value, ids: set[str]) -> dict[str, tuple[int, ...]]:
-    cmap = _expect_obj(value, "/ordering_spec/coords")
-    vectors = cmap.values()
-    if ids.issuperset(cmap) and _only(vectors, {list}) and _only(chain.from_iterable(vectors), {int}):
-        return dict(zip(cmap, map(tuple, vectors)))
-    coords = {}
-    for u, vec in cmap.items():
-        _expect(u in ids, f"/ordering_spec/coords/{u}", f"unknown bid {u!r}")
-        lst = _expect_list(vec, f"/ordering_spec/coords/{u}")
-        coords[u] = tuple(_expect_int(x, f"/ordering_spec/coords/{u}/{i}") for i, x in enumerate(lst))
-    return coords
-
-
 def obj_to_instance(obj: dict) -> Instance:
     _expect_obj(obj, "")
     _expect(obj.get("format") == FORMAT_TAG, "/format", f"expected {FORMAT_TAG!r}")
-    if not obj.keys() <= _TOP_KEYS:
-        for key in obj:
-            _expect(key in _TOP_KEYS, f"/{key}", "unknown key")
+    known = {"format", "metadata", "objects", "object_edges", "bids", "constraints", "ordering_spec"}
+    for key in obj:
+        _expect(key in known, f"/{key}", "unknown key")
 
     metadata = {}
     if "metadata" in obj:
         metadata = _expect_obj(obj["metadata"], "/metadata")
-        if not _only(metadata.values(), {str, int, float}):
-            for k, v in metadata.items():
-                _expect(
-                    isinstance(v, (str, int, float)) and not isinstance(v, bool),
-                    f"/metadata/{k}",
-                    "metadata values must be scalars",
-                )
+        for k, v in metadata.items():
+            _expect(
+                isinstance(v, (str, int, float)) and not isinstance(v, bool),
+                f"/metadata/{k}",
+                "metadata values must be scalars",
+            )
 
     og = None
     _expect(
@@ -439,7 +424,12 @@ def obj_to_instance(obj: dict) -> Instance:
             permutation = list(_str_list(sobj["permutation"], "/ordering_spec/permutation"))
         coords = None
         if "coords" in sobj:
-            coords = _load_coords(sobj["coords"], ids)
+            cmap = _expect_obj(sobj["coords"], "/ordering_spec/coords")
+            coords = {}
+            for u, vec in cmap.items():
+                _expect(u in ids, f"/ordering_spec/coords/{u}", f"unknown bid {u!r}")
+                lst = _expect_list(vec, f"/ordering_spec/coords/{u}")
+                coords[u] = tuple(_expect_int(x, f"/ordering_spec/coords/{u}/{i}") for i, x in enumerate(lst))
         td = None
         if "tree_decomposition" in sobj:
             tobj = _expect_obj(sobj["tree_decomposition"], "/ordering_spec/tree_decomposition")

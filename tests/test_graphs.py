@@ -1,6 +1,7 @@
 """Graph core: construction, germaneness, orientation, beta."""
 
 import itertools
+import time
 
 import pytest
 
@@ -88,6 +89,26 @@ def test_germane_undeclared_object():
     og = path_graph(["o1", "o2"])
     with pytest.raises(ValidationError, match="undeclared"):
         validate_germane(og, [Bid("b", {"o9"}, 1)])
+
+
+def test_germane_hub_in_every_bid_linear_time():
+    """A hub object adjacent to n leaves, and n bids {hub, leaf}: checking
+    germaneness costs about the same per bid at 16k bids as at 2k (within
+    3x), although every search can reach the hub's n neighbours. Each size
+    takes the fastest of three runs."""
+    cost = {}
+    for n in (2000, 16000):
+        leaves = [f"l{i}" for i in range(n)]
+        og = ObjectGraph(["hub"] + leaves, [("hub", leaf) for leaf in leaves])
+        bids = [Bid(f"b{i}", {"hub", leaf}, 1) for i, leaf in enumerate(leaves)]
+        best = float("inf")
+        for _ in range(3):
+            t0 = time.perf_counter()
+            assert validate_germane(og, bids) == []
+            best = min(best, time.perf_counter() - t0)
+        cost[n] = best / n
+    ratio = cost[16000] / cost[2000]
+    assert ratio <= 3.0, f"per-bid germaneness cost at 16k bids is {ratio:.1f}x the cost at 2k"
 
 
 def test_germane_random_trees_bfs_crosscheck():
