@@ -252,8 +252,7 @@ def _run_checks(report: dict, violate, inst, g, oracle_cap: int, timings: bool) 
             report["beta_exact"] = beta
             if bound is not None and beta > bound:
                 violate(f"certified bound {bound} below exact beta {beta}")
-            t = cs.overlap() if cs is not None and cs.kind == "overlapping" else 1
-            claimed = Fraction(instances.RATIO[primary.certificate.algorithm](beta, t))
+            claimed = instances.claimed_ratio(primary.certificate.algorithm, beta, cs)
             report["claimed_ratio"] = _ratio_str(claimed)
             if primary.revenue == 0:
                 if opt > 0:

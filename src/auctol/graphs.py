@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import accumulate, chain, compress
 
 from .errors import CapacityError, UnsupportedOrderingError, ValidationError
 
@@ -55,82 +55,153 @@ class Bid:
             raise ValidationError(f"bid {self.id!r}: price must be >= 0")
 
 
+def _trusted_bid(bid_id: str, objects: frozenset[str], price: int, group: str | None) -> Bid:
+    """A :class:`Bid` from fields already known to be valid, without the
+    constructor's checks (the loader has checked the whole array in bulk)."""
+    bid = object.__new__(Bid)
+    bid.__dict__.update(id=bid_id, objects=objects, price=price, group=group)
+    return bid
+
+
 class ObjectGraph:
     """Undirected relevance graph over auction objects.
 
     Bids are *germane* when their object set induces a connected subgraph.
-    ``adj`` maps each object to its neighbours (a dict used as an ordered
-    set); ``edges`` lists each edge once, endpoints in ascending order.
+    ``objects`` keeps the input order; ``edges`` lists each edge once, in
+    input order, endpoints in ascending order.
+
+    The graph is stored in index space. Object id o is ``names[o]``, ids
+    ascending by name, so sorting ids sorts names; ``index`` maps a name to
+    its id. The neighbours of o are ``nbr[ptr[o]:ptr[o + 1]]`` in edge order.
+    ``adj`` (each object's neighbours as a dict used as an ordered set) and
+    the edge-key set are built on first use.
     """
 
     def __init__(self, objects, edges=()):
         self.objects = list(objects)
-        self.adj: dict[str, dict[str, None]] = {o: {} for o in self.objects}
-        if len(self.adj) != len(self.objects):
-            seen = set()
-            for o in self.objects:
-                if o in seen:
-                    raise ValidationError(f"duplicate object id {o!r}")
-                seen.add(o)
-        adj = self.adj
-        self.edges: list[tuple[str, str]] = []
-        append = self.edges.append
-        for a, b in edges:
-            row_a, row_b = adj.get(a), adj.get(b)
-            if row_a is None or row_b is None or a == b or b in row_a:
-                _reject_edge(a, b, adj)
-            row_a[b] = None
-            row_b[a] = None
-            append((a, b) if a < b else (b, a))
+        self.names = sorted(self.objects)
+        self.index = dict(zip(self.names, range(len(self.names))))
+        edges = list(edges)
+        if len(self.index) != len(self.objects):
+            _reject_edges(self.objects, edges)
+        try:
+            src, dst = (list(map(self.index.__getitem__, side)) for side in zip(*edges)) if edges else ([], [])
+        except KeyError:
+            _reject_edges(self.objects, edges)
+        # an edge given twice in one direction shrinks the pair set; one given
+        # both ways round, or a self-loop, has its reverse in the set
+        pairs = set(zip(src, dst))
+        if len(pairs) != len(src) or not pairs.isdisjoint(zip(dst, src)):
+            _reject_edges(self.objects, edges)
+        rows: list[list[int]] = [[] for _ in self.names]
+        for a, b in zip(src, dst):
+            rows[a].append(b)
+            rows[b].append(a)
+        self.ptr = [0, *accumulate(map(len, rows))]
+        self.nbr = list(chain.from_iterable(rows))
+        self._src, self._dst = src, dst
+        self._edges = self._adj = self._keys = None
+
+    @property
+    def edges(self) -> list[tuple[str, str]]:
+        if self._edges is None:
+            names = self.names
+            self._edges = [(names[a], names[b]) if a < b else (names[b], names[a]) for a, b in zip(self._src, self._dst)]
+        return self._edges
+
+    @property
+    def adj(self) -> dict[str, dict[str, None]]:
+        if self._adj is None:
+            names, ptr, nbr, index = self.names, self.ptr, self.nbr, self.index
+            self._adj = {
+                o: dict.fromkeys(map(names.__getitem__, nbr[ptr[i] : ptr[i + 1]]))
+                for o, i in zip(self.objects, map(index.__getitem__, self.objects))
+            }
+        return self._adj
+
+    def edge_keys(self) -> set[tuple[int, int]]:
+        """Every edge as both id pairs (a, b) and (b, a)."""
+        if self._keys is None:
+            src, dst = self._src, self._dst
+            self._keys = set(zip(src + dst, dst + src))
+        return self._keys
 
     def __contains__(self, o: str) -> bool:
-        return o in self.adj
+        return o in self.index
 
     def neighbors(self, o: str):
         return self.adj[o].keys()
 
     def has_edge(self, a: str, b: str) -> bool:
-        return b in self.adj.get(a, ())
+        return (self.index.get(a), self.index.get(b)) in self.edge_keys()
 
 
-def _reject_edge(a: str, b: str, adj: dict) -> None:
-    """Raise the error for an edge :class:`ObjectGraph` cannot add."""
-    if a == b:
-        raise ValidationError(f"self-loop on object {a!r}")
-    if a not in adj or b not in adj:
-        missing = a if a not in adj else b
-        raise ValidationError(f"edge endpoint {missing!r} is not a declared object")
-    lo, hi = (a, b) if a < b else (b, a)
-    raise ValidationError(f"duplicate edge {lo!r}-{hi!r}")
+def _reject_edges(objects: list[str], edges) -> None:
+    """Raise the error for the first object or edge :class:`ObjectGraph`
+    cannot add, walking them in input order."""
+    declared = set()
+    for o in objects:
+        if o in declared:
+            raise ValidationError(f"duplicate object id {o!r}")
+        declared.add(o)
+    seen = set()
+    for a, b in edges:
+        if a == b:
+            raise ValidationError(f"self-loop on object {a!r}")
+        if a not in declared or b not in declared:
+            missing = a if a not in declared else b
+            raise ValidationError(f"edge endpoint {missing!r} is not a declared object")
+        key = (a, b) if a < b else (b, a)
+        if key in seen:
+            raise ValidationError(f"duplicate edge {key[0]!r}-{key[1]!r}")
+        seen.add(key)
 
 
-def _disconnected(adj: dict, object_sets):
-    """Positions, in order, of the sets in ``object_sets`` that do not induce
-    a connected subgraph of the graph with adjacency ``adj``.
+def _intern(index: dict[str, int], object_sets) -> list[list[int]]:
+    """Each object set as a row of distinct object ids, ascending. Raises
+    KeyError on a name ``index`` does not hold."""
+    get = index.__getitem__
+    return [sorted({*map(get, objs)}) for objs in object_sets]
 
-    One search per set of two or more objects, restricted to the set and
-    stopped once every member is reached. A member with more neighbours than
-    the set has members is searched from the set's side (``keys() & set``
-    walks the smaller operand), so a set costs
-    O(|objs| * min(|objs|, largest degree)).
+
+def _disconnected(og: ObjectGraph, rows):
+    """Positions, in order, of the rows (distinct object ids of ``og``) that
+    do not induce a connected subgraph of ``og``.
+
+    One search per row of two or more objects, restricted to the row and
+    stopped once every member is reached. Row i stamps its members i + 1 and
+    resets a member's stamp to 0 once reached, so no set is built per row. A
+    member with more neighbours than the row has members tests the row's
+    members against ``og``'s edge-key set instead of scanning its
+    neighbours, so a row of k objects costs O(k * min(k, largest degree)).
     """
-    for i, objs in enumerate(object_sets):
-        if (k := len(objs)) > 1:
-            unreached = set(objs)
-            stack = [unreached.pop()]  # the result does not depend on the start
-            while stack and unreached:
-                row = adj[stack.pop()]
-                for nb in row if len(row) <= k else row.keys() & unreached:
-                    if nb in unreached:
-                        unreached.remove(nb)
-                        stack.append(nb)
-            if unreached:
+    ptr, nbr = og.ptr, og.nbr
+    stamp = [0] * len(og.names)
+    for i, row in enumerate(rows):
+        if (k := len(row)) > 1:
+            tag = i + 1
+            for o in row:
+                stamp[o] = tag
+            reached = [row[0]]  # the result does not depend on the start
+            stamp[row[0]] = 0
+            for v in reached:  # grows as the search goes
+                lo, hi = ptr[v], ptr[v + 1]
+                for w in nbr[lo:hi] if hi - lo <= k else [w for w in row if (v, w) in og.edge_keys()]:
+                    if stamp[w] == tag:
+                        stamp[w] = 0
+                        reached.append(w)
+                if len(reached) == k:
+                    break
+            if len(reached) < k:
                 yield i
 
 
 def connected_in(og: ObjectGraph, objs: frozenset[str] | set[str]) -> bool:
-    """True iff ``objs`` induces a connected subgraph of ``og``."""
-    return next(_disconnected(og.adj, [objs]), None) is None
+    """True iff ``objs`` induces a connected subgraph of ``og`` (so False when
+    some object is not in ``og``)."""
+    if not all(map(og.index.__contains__, objs)):
+        return False
+    return next(_disconnected(og, _intern(og.index, [objs])), None) is None
 
 
 def validate_germane(og: ObjectGraph, bids: list[Bid]) -> list[str]:
@@ -138,14 +209,7 @@ def validate_germane(og: ObjectGraph, bids: list[Bid]) -> list[str]:
 
     Raises ValidationError if a bid references an undeclared object.
     """
-    adj = og.adj
-    object_sets = [b.objects for b in bids]
-    if not all(map(adj.__contains__, chain.from_iterable(object_sets))):
-        for b in bids:
-            undeclared = [o for o in b.objects if o not in adj]
-            if undeclared:
-                raise ValidationError(f"bid {b.id!r} references undeclared object {min(undeclared)!r}")
-    return [bids[i].id for i in _disconnected(adj, object_sets)]
+    return BidTable.from_bids(bids, og).disconnected(og)
 
 
 @dataclass
@@ -270,25 +334,89 @@ def csr(n: int, cliques) -> tuple[array, array]:
     return array("q", ptr), array("q", nbr)
 
 
+class BidTable:
+    """Bids in index space: bid i has id ``ids[i]``, price ``prices[i]``,
+    group ``groups[i]`` and the object ids ``rows[i]`` (distinct,
+    ascending); object id o is ``names[o]``, ids ascending by name.
+
+    The loader keeps an instance's bids in this form, interned against its
+    object graph's ids, and creates :class:`Bid` objects only on request.
+    """
+
+    def __init__(self, ids: list[str], prices: list[int], groups: list, rows: list[list[int]], names: list[str]):
+        self.ids, self.prices, self.groups, self.rows, self.names = ids, prices, groups, rows, names
+
+    @classmethod
+    def from_columns(cls, ids, prices, groups, object_sets, og: ObjectGraph | None = None) -> "BidTable":
+        """Bid columns interned against ``og``'s object ids or, without an
+        object graph, against the sorted names the bids use. Raises KeyError
+        on an object ``og`` does not declare."""
+        if og is None:
+            names = sorted(set().union(*object_sets))
+            index = dict(zip(names, range(len(names))))
+        else:
+            names, index = og.names, og.index
+        return cls(ids, prices, groups, _intern(index, object_sets), names)
+
+    @classmethod
+    def from_bids(cls, bids: list[Bid], og: ObjectGraph | None = None) -> "BidTable":
+        """:meth:`from_columns` of ``bids``, raising ValidationError on the
+        first bid that references an object ``og`` does not declare."""
+        try:
+            return cls.from_columns([b.id for b in bids], [b.price for b in bids], [b.group for b in bids], [b.objects for b in bids], og)
+        except KeyError:
+            for b in bids:
+                undeclared = [o for o in b.objects if o not in og]
+                if undeclared:
+                    raise ValidationError(f"bid {b.id!r} references undeclared object {min(undeclared)!r}") from None
+            raise
+
+    def bids(self) -> list[Bid]:
+        names = self.names
+        objects = [frozenset(map(names.__getitem__, row)) for row in self.rows]
+        return list(map(_trusted_bid, self.ids, objects, self.prices, self.groups))
+
+    def disconnected(self, og: ObjectGraph) -> list[str]:
+        """Ids of the bids whose objects are not connected in ``og``, which
+        must be the graph the rows were interned against."""
+        return [self.ids[i] for i in _disconnected(og, self.rows)]
+
+    def graph(self) -> BidGraph:
+        """The conflict graph. Each object's holders form a clique, in the
+        order objects first appear when the bids are read in order and each
+        bid's objects in ascending order, so the rows do not depend on how
+        the objects were interned."""
+        holders: list = [None] * len(self.names)
+        cliques = []  # the holder lists, made in first-appearance order
+        for i, row in enumerate(self.rows):
+            for o in row:
+                h = holders[o]
+                if h is None:
+                    holders[o] = h = []
+                    cliques.append(h)
+                h.append(i)
+        return BidGraph(dict(zip(self.ids, self.prices)), *csr(len(self.ids), cliques))
+
+
 def build_bid_graph(bids: list[Bid]) -> BidGraph:
     """Conflict graph: an edge between every two bids sharing an object.
 
     Each object's holders form a clique, so the cost is the sum of
     intersecting-pair counts rather than a full quadratic scan.
     """
-    weights: dict[str, int] = {}
-    holders: dict[str, list[int]] = {}
-    for i, b in enumerate(bids):
-        if b.id in weights:
-            raise ValidationError(f"duplicate bid id {b.id!r}")
-        weights[b.id] = b.price
-        for o in sorted(b.objects):
-            h = holders.get(o)
-            if h is None:
-                holders[o] = [i]
-            else:
-                h.append(i)
-    return BidGraph(weights, *csr(len(bids), holders.values()))
+    table = BidTable.from_bids(bids)
+    check_unique_ids(table.ids)
+    return table.graph()
+
+
+def check_unique_ids(ids: list[str]) -> None:
+    """Raise ValidationError naming the first bid id that repeats an earlier one."""
+    if len(set(ids)) != len(ids):
+        seen = set()
+        for u in ids:
+            if u in seen:
+                raise ValidationError(f"duplicate bid id {u!r}")
+            seen.add(u)
 
 
 def orient(g: BidGraph, ordering: Ordering) -> BidGraph:
@@ -427,17 +555,22 @@ def check_frontier_property(ordering: Ordering, bids: list[Bid]) -> list[tuple[s
 
     Returns (A, B) pairs with A before B, objects(A) meets objects(B), but
     B missing frontier(A), ordered by A's then B's position. Empty list
-    means the frontier bound is sound. Walks the successor slices of the
-    conflict graph oriented by ``ordering``: O(|V| + |E|) set tests.
+    means the frontier bound is sound.
     """
     if ordering.frontier_sets is None:
         raise UnsupportedOrderingError("ordering carries no frontier sets")
-    g = orient(build_bid_graph(bids), ordering)
-    objects = [b.objects for b in bids]
-    order, index = g.order(), g.index
+    return frontier_violations(build_bid_graph(bids), ordering, [b.objects for b in bids])
+
+
+def frontier_violations(g: BidGraph, ordering: Ordering, objects: list) -> list[tuple[str, str]]:
+    """:func:`check_frontier_property` on ``g``, the conflict graph of bids
+    whose object sets are ``objects`` (by node). Walks the successor slices
+    of ``g`` oriented by ``ordering``: O(|V| + |E|) set tests."""
+    g = orient(g, ordering)
+    order, index, frontier = g.order(), g.index, ordering.frontier_sets
     bad = []
     for r, a in enumerate(order):
-        fa = ordering.frontier_sets[a]
+        fa = frontier[a]
         for s in sorted(g.succ_idx[g.succ_ptr[r] : g.succ_ptr[r + 1]]):
             if not (fa & objects[index[order[s]]]):
                 bad.append((a, order[s]))

@@ -19,7 +19,7 @@ stage, so every instance is a pure function of (parameters, seed).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain, repeat
 
@@ -28,11 +28,13 @@ from .errors import NotChordalError, SchemaError, ValidationError
 from .graphs import (
     Bid,
     BidGraph,
+    BidTable,
     ObjectGraph,
     Ordering,
     beta_bound_frontier,
     build_bid_graph,
-    check_frontier_property,
+    check_unique_ids,
+    frontier_violations,
     orient,
     validate_germane,
 )
@@ -72,13 +74,32 @@ class OrderingSpec:
     beta_bound: int | None = None
 
 
-@dataclass
 class Instance:
-    bids: list[Bid]
-    object_graph: ObjectGraph | None = None
-    constraints: ConstraintSet | None = None
-    ordering_spec: OrderingSpec | None = None
-    metadata: dict = field(default_factory=dict)
+    """Bids, an optional object graph, optional budget constraints and an
+    ordering recipe.
+
+    ``bids`` is a list of :class:`Bid` or, from the loader, a
+    :class:`BidTable` interned against ``object_graph``. The pipeline reads
+    such a table directly, and the ``bids`` list is made from it only when
+    something asks for it; from then on that list is the instance's bids.
+    """
+
+    def __init__(self, bids, object_graph=None, constraints=None, ordering_spec=None, metadata=None):
+        self.bids = bids
+        self.object_graph: ObjectGraph | None = object_graph
+        self.constraints: ConstraintSet | None = constraints
+        self.ordering_spec: OrderingSpec | None = ordering_spec
+        self.metadata: dict = {} if metadata is None else metadata
+
+    @property
+    def bids(self) -> list[Bid]:
+        if self._bids is None:
+            self._bids, self._table = self._table.bids(), None
+        return self._bids
+
+    @bids.setter
+    def bids(self, bids) -> None:
+        self._bids, self._table = (None, bids) if isinstance(bids, BidTable) else (bids, None)
 
 
 # ---------------------------------------------------------------------------
@@ -87,15 +108,16 @@ class Instance:
 
 def validate_instance(inst: Instance) -> None:
     """Full semantic validation; raises ValidationError on the first problem."""
-    ids = {b.id for b in inst.bids}
-    if len(ids) != len(inst.bids):
-        seen = set()
-        for b in inst.bids:
-            if b.id in seen:
-                raise ValidationError(f"duplicate bid id {b.id!r}")
-            seen.add(b.id)
-    if inst.object_graph is not None:
-        bad = validate_germane(inst.object_graph, inst.bids)
+    table, og = inst._table, inst.object_graph
+    if table is not None:
+        bid_ids, groups = table.ids, table.groups
+    else:
+        bid_ids, groups = [b.id for b in inst.bids], [b.group for b in inst.bids]
+    check_unique_ids(bid_ids)
+    ids = set(bid_ids)
+    if og is not None:
+        # a loaded table was interned against og and holds declared objects only
+        bad = table.disconnected(og) if table is not None and table.names is og.names else validate_germane(og, inst.bids)
         if bad:
             raise ValidationError(f"bid {bad[0]!r} is not germane (object set disconnected)")
     if inst.constraints is not None:
@@ -114,13 +136,11 @@ def validate_instance(inst: Instance) -> None:
                             f"{cs.kind} constraints must partition the bids"
                         )
                     owner[u] = grp.label
-            for b in inst.bids:
-                if b.id not in owner:
-                    raise ValidationError(f"bid {b.id!r} belongs to no constraint group")
-                if b.group is not None and b.group != owner[b.id]:
-                    raise ValidationError(
-                        f"bid {b.id!r} declares group {b.group!r} but is a member of {owner[b.id]!r}"
-                    )
+            for u, group in zip(bid_ids, groups):
+                if u not in owner:
+                    raise ValidationError(f"bid {u!r} belongs to no constraint group")
+                if group is not None and group != owner[u]:
+                    raise ValidationError(f"bid {u!r} declares group {group!r} but is a member of {owner[u]!r}")
     spec = inst.ordering_spec
     if spec is None:
         return
@@ -299,8 +319,8 @@ def _str_sets(value, pointer: str) -> dict[str, frozenset[str]]:
 _BID_KEYS = {"id", "objects", "price", "group"}
 
 
-def _load_bids(value, og: ObjectGraph | None) -> tuple[list[Bid], set[str]]:
-    """The bids and their id set."""
+def _load_bids(value, og: ObjectGraph | None) -> tuple[BidTable, set[str]]:
+    """The bids, interned against ``og`` (or the names they use), and their id set."""
     entries = _expect_list(value, "/bids")
     if _only(entries, {dict}) and set(chain.from_iterable(entries)) <= _BID_KEYS:
         ids, objs, prices, groups = (_column(entries, key) for key in ("id", "objects", "price", "group"))
@@ -314,31 +334,30 @@ def _load_bids(value, og: ObjectGraph | None) -> tuple[list[Bid], set[str]]:
             and _only(prices, {int})
             and min(prices, default=0) >= 0
             and _only(groups, {str, type(None)})
-            and (og is None or all(map(og.adj.__contains__, chain.from_iterable(objs))))
         ):
-            return list(map(Bid, ids, map(frozenset, objs), prices, groups)), id_set
-    bids = []
-    ids = set()
+            try:
+                return BidTable.from_columns(ids, prices, groups, objs, og), id_set
+            except KeyError:  # an undeclared object: the walk names it
+                pass
+    ids, objs, prices, groups = [], [], [], []
     for i, entry in enumerate(entries):
         _expect_obj(entry, f"/bids/{i}")
         for key in entry:
             _expect(key in _BID_KEYS, f"/bids/{i}/{key}", "unknown key")
         bid_id = _expect_str(entry.get("id"), f"/bids/{i}/id")
         _expect(bid_id not in ids, f"/bids/{i}/id", f"duplicate bid id {bid_id!r}")
-        ids.add(bid_id)
-        objs = _str_list(entry.get("objects"), f"/bids/{i}/objects")
-        _expect(objs, f"/bids/{i}/objects", "object set must be non-empty")
-        price = _expect_int(entry.get("price"), f"/bids/{i}/price")
-        _expect(price >= 0, f"/bids/{i}/price", "price must be >= 0")
+        ids.append(bid_id)
+        objs.append(_str_list(entry.get("objects"), f"/bids/{i}/objects"))
+        _expect(objs[-1], f"/bids/{i}/objects", "object set must be non-empty")
+        prices.append(_expect_int(entry.get("price"), f"/bids/{i}/price"))
+        _expect(prices[-1] >= 0, f"/bids/{i}/price", "price must be >= 0")
         group = entry.get("group")
-        if group is not None:
-            group = _expect_str(group, f"/bids/{i}/group")
+        groups.append(group if group is None else _expect_str(group, f"/bids/{i}/group"))
         if og is not None:
-            for o in objs:
+            for o in objs[-1]:
                 _expect(o in og, f"/bids/{i}/objects", f"undeclared object {o!r}")
         _expect(bid_id, f"/bids/{i}/id", "bid id must be a non-empty string")
-        bids.append(Bid(bid_id, frozenset(objs), price, group))
-    return bids, ids
+    return BidTable.from_columns(ids, prices, groups, objs, og), set(ids)
 
 
 def _load_groups(value, limit_key: str, ids: set[str]) -> list[Group]:
@@ -401,7 +420,7 @@ def obj_to_instance(obj: dict) -> Instance:
         except ValidationError as exc:
             raise SchemaError("/object_edges", str(exc)) from exc
 
-    bids, ids = _load_bids(obj.get("bids"), og)
+    table, ids = _load_bids(obj.get("bids"), og)
 
     constraints = None
     if "constraints" in obj:
@@ -451,7 +470,7 @@ def obj_to_instance(obj: dict) -> Instance:
             beta_bound = _expect_int(sobj["beta_bound"], "/ordering_spec/beta_bound")
         spec = OrderingSpec(method, permutation, coords, td, independent_set, frontier_sets, beta_bound)
 
-    inst = Instance(bids, og, constraints, spec, metadata)
+    inst = Instance(table, og, constraints, spec, metadata)
     try:
         validate_instance(inst)
     except SchemaError:
@@ -483,14 +502,16 @@ def dumps_solution(sol) -> str:
 
 
 def bid_graph(inst: Instance) -> BidGraph:
-    return build_bid_graph(inst.bids)
+    table = inst._table
+    return build_bid_graph(inst.bids) if table is None else table.graph()
 
 
 def ordering_from_spec(inst: Instance, g: BidGraph) -> Ordering:
     """Construct the ordering an instance declares; defaults to decreasing
-    weight when no spec is present. Raises NotChordalError when a chordal
-    ordering was demanded but recognition fails, and ValidationError when an
-    explicit ordering carries frontier sets that fail the frontier property."""
+    weight when no spec is present. ``g`` is the instance's bid graph.
+    Raises NotChordalError when a chordal ordering was demanded but
+    recognition fails, and ValidationError when an explicit ordering carries
+    frontier sets that fail the frontier property on ``g``."""
     spec = inst.ordering_spec
     if spec is None:
         return decreasing_weight_ordering(g)
@@ -509,7 +530,7 @@ def ordering_from_spec(inst: Instance, g: BidGraph) -> Ordering:
         return planted_optimal_ordering(g, spec.independent_set)
     ordering = Ordering(list(spec.permutation), "explicit", spec.frontier_sets)
     if spec.frontier_sets is not None:
-        bad = check_frontier_property(ordering, inst.bids)
+        bad = frontier_violations(g, ordering, [b.objects for b in inst.bids])
         if bad:
             a, b = bad[0]
             raise ValidationError(f"frontier sets fail: {a!r} precedes and meets {b!r}, which misses frontier({a!r})")
@@ -551,19 +572,21 @@ RATIO = {
 }
 
 
+def claimed_ratio(algorithm: str, beta: int | None, cs: ConstraintSet | None) -> Fraction | None:
+    """:data:`RATIO` for ``algorithm`` at ``beta``, t being 1 unless ``cs``
+    overlaps (a partition has t = 1). An exact answer claims 1 with or
+    without a bound; greedy, or a missing bound, claims nothing."""
+    if RATIO[algorithm] is None or (beta is None and algorithm != "exact"):
+        return None
+    return Fraction(RATIO[algorithm](beta, cs.overlap() if cs is not None and cs.kind == "overlapping" else 1))
+
+
 def certify(sol: Solution, inst: Instance, g: BidGraph) -> Solution:
     """Return ``sol`` with its certificate filled in: the beta bound
     :func:`beta_bound_info` certifies for ``g``'s ordering and the ratio
-    :data:`RATIO` derives from it. An exact answer claims 1 with or without
-    a bound; greedy claims nothing."""
+    :func:`claimed_ratio` derives from it."""
     bound, _method = beta_bound_info(inst, g.ordering, g)
-    algorithm = sol.certificate.algorithm
-    rule = RATIO[algorithm]
-    claimed = None
-    if rule is not None and (bound is not None or algorithm == "exact"):
-        cs = inst.constraints
-        t = cs.overlap() if cs is not None and cs.kind == "overlapping" else 1  # a partition has t = 1
-        claimed = Fraction(rule(bound, t))
+    claimed = claimed_ratio(sol.certificate.algorithm, bound, inst.constraints)
     return replace(sol, certificate=replace(sol.certificate, beta_bound=bound, claimed_ratio=claimed))
 
 

@@ -1,7 +1,6 @@
 """Graph core: construction, germaneness, orientation, beta."""
 
 import itertools
-import time
 
 import pytest
 
@@ -21,6 +20,7 @@ from auctol import (
 )
 from auctol.errors import CapacityError, UnsupportedOrderingError, ValidationError
 from auctol.rng import SplitMix64
+from flatness import cost_ratio
 
 
 def random_bids(n, n_objects, rng, wmax=100):
@@ -94,20 +94,16 @@ def test_germane_undeclared_object():
 def test_germane_hub_in_every_bid_linear_time():
     """A hub object adjacent to n leaves, and n bids {hub, leaf}: checking
     germaneness costs about the same per bid at 16k bids as at 2k (within
-    3x), although every search can reach the hub's n neighbours. Each size
-    takes the fastest of three runs."""
-    cost = {}
-    for n in (2000, 16000):
+    3x), although every search can reach the hub's n neighbours."""
+
+    def stage(n):
         leaves = [f"l{i}" for i in range(n)]
         og = ObjectGraph(["hub"] + leaves, [("hub", leaf) for leaf in leaves])
         bids = [Bid(f"b{i}", {"hub", leaf}, 1) for i, leaf in enumerate(leaves)]
-        best = float("inf")
-        for _ in range(3):
-            t0 = time.perf_counter()
-            assert validate_germane(og, bids) == []
-            best = min(best, time.perf_counter() - t0)
-        cost[n] = best / n
-    ratio = cost[16000] / cost[2000]
+        assert validate_germane(og, bids) == []
+        return lambda: validate_germane(og, bids), n
+
+    ratio = cost_ratio(stage, (2000, 16000))
     assert ratio <= 3.0, f"per-bid germaneness cost at 16k bids is {ratio:.1f}x the cost at 2k"
 
 

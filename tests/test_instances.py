@@ -3,7 +3,6 @@
 import copy
 import json
 import random
-import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -32,6 +31,7 @@ from auctol import (
     save_instance,
     validate_instance,
 )
+from auctol import graphs
 from auctol.budgets import ConstraintSet, Group
 from auctol.errors import SchemaError, ValidationError
 from auctol.graphs import ObjectGraph, Ordering
@@ -51,6 +51,7 @@ from auctol.orderings import (
     validate_tree_decomposition,
 )
 from auctol.rng import SplitMix64
+from flatness import cost_ratio
 
 MINIMAL = """
 {
@@ -302,6 +303,22 @@ def test_explicit_ordering_with_frontier_sets():
     ordering = ordering_from_spec(inst, g)
     assert ordering.frontier_sets["b0"] == frozenset({"y"})
     assert dumps_instance(loads_instance(dumps_instance(inst))) == dumps_instance(inst)
+
+
+def test_explicit_frontier_ordering_builds_the_bid_graph_once(monkeypatch):
+    """Checking an explicit ordering's frontier sets reuses the bid graph
+    ``oriented_graph`` has built, loaded or hand-built alike."""
+    base = gen_tight(4, 100, seed=1)
+    spec = OrderingSpec("explicit", [b.id for b in base.bids], frontier_sets={b.id: b.objects for b in base.bids})
+    built = Instance(base.bids, base.object_graph, None, spec, base.metadata)
+    builds = []
+    csr = graphs.csr
+    monkeypatch.setattr(graphs, "csr", lambda n, cliques: builds.append(n) or csr(n, cliques))
+    for inst in (built, loads_instance(dumps_instance(built))):
+        builds.clear()
+        g = oriented_graph(inst)
+        assert g.ordering.frontier_sets == spec.frontier_sets
+        assert builds == [g.n]
 
 
 def test_splitmix64_reference_stream():
@@ -723,16 +740,25 @@ def test_loader_matches_reference_on_mutated_corpus():
 
 def test_load_stage_linear_time():
     """Loading an interval instance with its object graph costs about the same
-    per input byte at 16k bids as at 2k (within 3x). Each size takes the
-    fastest of three runs."""
-    cost = {}
-    for n in (2000, 16000):
+    per input byte at 16k bids as at 2k (within 3x)."""
+
+    def stage(n):
         text = dumps_instance(gen_interval(n, seed=4))
-        best = float("inf")
-        for _ in range(3):
-            t0 = time.perf_counter()
-            loads_instance(text)
-            best = min(best, time.perf_counter() - t0)
-        cost[n] = best / len(text.encode("utf-8"))
-    ratio = cost[16000] / cost[2000]
+        return lambda: loads_instance(text), len(text.encode("utf-8"))
+
+    ratio = cost_ratio(stage, (2000, 16000))
     assert ratio <= 3.0, f"per-byte load cost at 16k bids is {ratio:.1f}x the cost at 2k"
+
+
+def test_load_and_bid_graph_stage_linear_time():
+    """Loading an interval instance with its object graph and building its
+    bid graph from the interned bids costs about the same per element
+    (|V| + |E|) at 16k bids as at 2k (within 3x)."""
+
+    def stage(n):
+        text = dumps_instance(gen_interval(n, seed=4))
+        g = bid_graph(loads_instance(text))
+        return lambda: bid_graph(loads_instance(text)), g.n + g.m
+
+    ratio = cost_ratio(stage, (2000, 16000))
+    assert ratio <= 3.0, f"per-element load and build cost at 16k bids is {ratio:.1f}x the cost at 2k"

@@ -1,7 +1,6 @@
 """Ordering constructors: lex-BFS recognition, tree decompositions, grids."""
 
 import itertools
-import time
 
 import pytest
 
@@ -29,6 +28,7 @@ from auctol.errors import ValidationError
 from auctol.instances import bid_graph
 from auctol.orderings import NotChordal, TreeDecomposition
 from auctol.rng import SplitMix64
+from flatness import cost_ratio
 
 
 def is_peo(g, ordering):
@@ -584,22 +584,21 @@ def test_planted_ordering():
 def test_tree_decomposition_stage_linear_time():
     """Min-degree heuristic, validation and the frontier ordering together
     cost about the same per element at 8k objects as at 1k (within 3x).
-    Elements are objects + object edges + total bag size; each size takes
-    the fastest of three runs."""
-    cost = {}
-    for tree_size in (1000, 8000):
+    Elements are objects + object edges + total bag size."""
+
+    def stage(tree_size):
         inst = gen_subtrees(tree_size, 2 * tree_size, seed=5)
         og = inst.object_graph
-        best = float("inf")
-        for _ in range(3):
-            t0 = time.perf_counter()
+
+        def run():
             td = min_degree_heuristic_decomposition(og)
             assert validate_tree_decomposition(og, td) == []
             tree_decomposition_ordering(td, inst.bids, og)
-            best = min(best, time.perf_counter() - t0)
-        elements = len(og.objects) + len(og.edges) + sum(len(b) for b in td.bags.values())
-        cost[tree_size] = best / elements
-    ratio = cost[8000] / cost[1000]
+
+        td = min_degree_heuristic_decomposition(og)
+        return run, len(og.objects) + len(og.edges) + sum(len(b) for b in td.bags.values())
+
+    ratio = cost_ratio(stage, (1000, 8000))
     assert ratio <= 3.0, f"per-element cost at 8k objects is {ratio:.1f}x the cost at 1k"
 
 
@@ -738,16 +737,11 @@ def test_lexbfs_equals_reference_loop():
 def test_lexbfs_linear_time():
     """lex-BFS costs about the same per element on 16k conflict-free bids as
     on 2k (within 3x): every bid leaves the head block from its front, which
-    must not make finding the next live member walk the deleted ones. Each
-    size takes the fastest of three runs."""
-    cost = {}
-    for n in (2000, 16000):
+    must not make finding the next live member walk the deleted ones."""
+
+    def stage(n):
         g = build_bid_graph([Bid(f"b{i:05d}", {f"o{i}"}, 1) for i in range(n)])
-        best = float("inf")
-        for _ in range(3):
-            t0 = time.perf_counter()
-            lexbfs_peo(g)
-            best = min(best, time.perf_counter() - t0)
-        cost[n] = best / (g.n + g.m)
-    ratio = cost[16000] / cost[2000]
+        return lambda: lexbfs_peo(g), g.n + g.m
+
+    ratio = cost_ratio(stage, (2000, 16000))
     assert ratio <= 3.0, f"per-element cost at 16k bids is {ratio:.1f}x the cost at 2k"
