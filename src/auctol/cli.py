@@ -18,6 +18,7 @@ import gc
 import json
 import sys
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -47,6 +48,21 @@ def _write_output(text: str, output: str | None) -> None:
         Path(output).write_text(text, encoding="utf-8")
 
 
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector while one instance goes through
+    the pipeline, and restore its previous state on the way out. A run
+    allocates hundreds of thousands of objects that reference counting
+    frees; collector passes over them find almost nothing to collect."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _solve_dispatch(inst, g, algo: str, use_constraints: bool, oracle_cap: int, include_zero_value: bool = False):
     cs = inst.constraints if use_constraints else None
     if cs is None:
@@ -69,6 +85,7 @@ def _solve_dispatch(inst, g, algo: str, use_constraints: bool, oracle_cap: int, 
     return budgets.solve_weighted(g, cs, light_mode="lazy" if algo == "opcost" else "direct")
 
 
+@_collector_paused()
 def cmd_solve(args) -> int:
     inst = instances.load_instance(args.input)
     g = instances.oriented_graph(inst)
@@ -77,6 +94,7 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
+@_collector_paused()
 def cmd_order(args) -> int:
     inst = instances.load_instance(args.input)
     # only lex-BFS and the grid bound read the bid graph
@@ -153,6 +171,7 @@ def _check_solution_file(args) -> int:
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
+@_collector_paused()
 def verify_instance(path: Path, oracle_cap: int, timings: bool = False) -> dict:
     """Run every applicable solver plus the oracles on one instance and
     check each claimed inequality. Returns a RunReport dict."""

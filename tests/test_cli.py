@@ -1,12 +1,15 @@
 """Command-line surface: exit codes, dispatch, golden corpus."""
 
+import gc
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from auctol import cli, instances
 from auctol import dumps_instance, gen_budget, gen_grid, gen_interval, gen_interval_selection, gen_subtrees, gen_tight, save_instance
 from auctol.cli import run
 
@@ -360,3 +363,72 @@ def test_verify_directory_continues_past_a_failing_instance(tmp_path, capsys):
     assert [r["instance"] for r in reports] == ["1-interval.json", "2-huge-budget.json", "3-tight.json"]
     assert [r["ok"] for r in reports] == [True, False, True]
     assert "group 'g0'" in reports[1]["violations"][0]
+
+
+C4_CHORDAL = {
+    "format": "auctol/1",
+    "bids": [
+        {"id": "a", "objects": ["x41", "x12"], "price": 1},
+        {"id": "b", "objects": ["x12", "x23"], "price": 1},
+        {"id": "c", "objects": ["x23", "x34"], "price": 1},
+        {"id": "d", "objects": ["x34", "x41"], "price": 1},
+    ],
+    "ordering_spec": {"method": "chordal"},
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_run_leaves_the_collector_as_it_found_it(tmp_path, monkeypatch, enabled):
+    """solve, order and verify pause the collector only while they run, on
+    success (exit 0), on a schema error (2) and on a non-chordal graph (4)."""
+    ok, bad, c4 = tmp_path / "ok.json", tmp_path / "bad.json", tmp_path / "c4.json"
+    ok.write_text((GOLDEN / "interval-1.json").read_text())
+    bad.write_text('{"format": "auctol/1", "bids": 7}')
+    c4.write_text(json.dumps(C4_CHORDAL))
+    inside = []
+    load = instances.load_instance
+    monkeypatch.setattr(instances, "load_instance", lambda path: inside.append(gc.isenabled()) or load(path))
+    cases = [
+        (["solve", "--input", str(ok), "--output", str(tmp_path / "sol.json")], 0),
+        (["order", "--input", str(ok), "--method", "chordal", "--output", str(tmp_path / "ord.json")], 0),
+        (["verify", "--input", str(ok)], 0),
+        (["solve", "--input", str(bad)], 2),
+        (["order", "--input", str(bad), "--method", "chordal"], 2),
+        (["solve", "--input", str(c4)], 4),
+        (["order", "--input", str(c4), "--method", "chordal"], 4),
+    ]
+    try:
+        for argv, code in cases:
+            (gc.enable if enabled else gc.disable)()
+            assert run(argv) == code, argv
+            assert gc.isenabled() is enabled, argv
+    finally:
+        gc.enable()
+    assert inside == [False] * len(cases)
+
+
+def test_verify_directory_turns_the_collector_back_on_between_files(tmp_path, monkeypatch, capsys):
+    for name in ("interval-1.json", "grid-1.json", "tight-1.json"):
+        (tmp_path / name).write_text((GOLDEN / name).read_text())
+    states = []
+    verify, load = cli.verify_instance, instances.load_instance
+    monkeypatch.setattr(cli, "verify_instance", lambda *a, **k: states.append(("between", gc.isenabled())) or verify(*a, **k))
+    monkeypatch.setattr(instances, "load_instance", lambda path: states.append(("inside", gc.isenabled())) or load(path))
+    assert gc.isenabled()
+    assert run(["verify", "--input", str(tmp_path)]) == 0
+    assert states == [("between", True), ("inside", False)] * 3
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_import_does_not_touch_the_collector(enabled):
+    code = (
+        "import gc\n"
+        f"{'gc.enable()' if enabled else 'gc.disable()'}\n"
+        "before = (gc.isenabled(), gc.get_threshold(), gc.get_freeze_count())\n"
+        "import auctol, auctol.cli\n"
+        "assert (gc.isenabled(), gc.get_threshold(), gc.get_freeze_count()) == before, before\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
