@@ -74,7 +74,7 @@ class ObjectGraph:
     ascending by name, so sorting ids sorts names; ``index`` maps a name to
     its id. The neighbours of o are ``nbr[ptr[o]:ptr[o + 1]]`` in edge order.
     ``adj`` (each object's neighbours as a dict used as an ordered set) and
-    the edge-key set are built on first use.
+    ``edges`` are built on first use.
     """
 
     def __init__(self, objects, edges=()):
@@ -100,7 +100,7 @@ class ObjectGraph:
         self.ptr = [0, *accumulate(map(len, rows))]
         self.nbr = list(chain.from_iterable(rows))
         self._src, self._dst = src, dst
-        self._edges = self._adj = self._keys = None
+        self._edges = self._adj = None
 
     @property
     def edges(self) -> list[tuple[str, str]]:
@@ -120,11 +120,9 @@ class ObjectGraph:
         return self._adj
 
     def edge_keys(self) -> set[tuple[int, int]]:
-        """Every edge as both id pairs (a, b) and (b, a)."""
-        if self._keys is None:
-            src, dst = self._src, self._dst
-            self._keys = set(zip(src + dst, dst + src))
-        return self._keys
+        """Every edge as both id pairs (a, b) and (b, a), built on each call."""
+        src, dst = self._src, self._dst
+        return set(zip(src + dst, dst + src))
 
     def __contains__(self, o: str) -> bool:
         return o in self.index
@@ -133,7 +131,7 @@ class ObjectGraph:
         return self.adj[o].keys()
 
     def has_edge(self, a: str, b: str) -> bool:
-        return (self.index.get(a), self.index.get(b)) in self.edge_keys()
+        return b in self.adj.get(a, ())
 
 
 def _reject_edges(objects: list[str], edges) -> None:
@@ -172,11 +170,13 @@ def _disconnected(og: ObjectGraph, rows):
     stopped once every member is reached. Row i stamps its members i + 1 and
     resets a member's stamp to 0 once reached, so no set is built per row. A
     member with more neighbours than the row has members tests the row's
-    members against ``og``'s edge-key set instead of scanning its
-    neighbours, so a row of k objects costs O(k * min(k, largest degree)).
+    members against ``og``'s edge-key set (built once, at the first such
+    member) instead of scanning its neighbours, so a row of k objects costs
+    O(k * min(k, largest degree)).
     """
     ptr, nbr = og.ptr, og.nbr
     stamp = [0] * len(og.names)
+    keys = None
     for i, row in enumerate(rows):
         if (k := len(row)) > 1:
             tag = i + 1
@@ -186,7 +186,12 @@ def _disconnected(og: ObjectGraph, rows):
             stamp[row[0]] = 0
             for v in reached:  # grows as the search goes
                 lo, hi = ptr[v], ptr[v + 1]
-                for w in nbr[lo:hi] if hi - lo <= k else [w for w in row if (v, w) in og.edge_keys()]:
+                if hi - lo <= k:
+                    near = nbr[lo:hi]
+                else:  # a hub: test the row's members, not its neighbours
+                    keys = keys or og.edge_keys()
+                    near = [w for w in row if (v, w) in keys]
+                for w in near:
                     if stamp[w] == tag:
                         stamp[w] = 0
                         reached.append(w)
@@ -362,8 +367,9 @@ class BidTable:
     def from_bids(cls, bids: list[Bid], og: ObjectGraph | None = None) -> "BidTable":
         """:meth:`from_columns` of ``bids``, raising ValidationError on the
         first bid that references an object ``og`` does not declare."""
+        columns = [b.id for b in bids], [b.price for b in bids], [b.group for b in bids], [b.objects for b in bids]
         try:
-            return cls.from_columns([b.id for b in bids], [b.price for b in bids], [b.group for b in bids], [b.objects for b in bids], og)
+            return cls.from_columns(*columns, og)
         except KeyError:
             for b in bids:
                 undeclared = [o for o in b.objects if o not in og]

@@ -116,8 +116,10 @@ def validate_instance(inst: Instance) -> None:
     check_unique_ids(bid_ids)
     ids = set(bid_ids)
     if og is not None:
-        # a loaded table was interned against og and holds declared objects only
-        bad = table.disconnected(og) if table is not None and table.names is og.names else validate_germane(og, inst.bids)
+        if table is not None and table.names is og.names:
+            bad = table.disconnected(og)  # interning against og has found every object declared
+        else:
+            bad = validate_germane(og, inst.bids)
         if bad:
             raise ValidationError(f"bid {bad[0]!r} is not germane (object set disconnected)")
     if inst.constraints is not None:
