@@ -53,8 +53,13 @@ def _collector_paused():
     """Pause the cyclic garbage collector while one instance goes through
     the pipeline, and restore its previous state on the way out. A run
     allocates hundreds of thousands of objects that reference counting
-    frees; collector passes over them find almost nothing to collect."""
+    frees; collector passes over them find almost nothing to collect. An
+    enabled collector first collects its youngest generation, so that the
+    cyclic garbage made so far (argument parsing leaves some) is not kept
+    alive through the run."""
     enabled = gc.isenabled()
+    if enabled:
+        gc.collect(0)
     gc.disable()
     try:
         yield

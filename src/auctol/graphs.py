@@ -18,10 +18,15 @@ neighbours are one slice of a packed index array (compressed sparse rows).
 Orienting a graph renames the nodes to their rank in the ordering and splits
 every row into earlier and later neighbours, again as packed slices, so the
 linear-time solvers read contiguous integer arrays. Rows keep a fixed,
-input-determined neighbour order, so every iteration is reproducible.
+input-determined neighbour order, so every iteration is reproducible. The
+object graph is stored the same way, over object ids in ascending name
+order, and a loaded instance keeps its bids as rows of those ids
+(:class:`BidTable`).
 
 All structures are treated as immutable once built; nothing here mutates a
-graph after construction, so instances can be shared freely across threads.
+graph after construction, apart from views an object graph fills in on
+first use (each the same whichever thread fills it), so instances can be
+shared freely across threads.
 """
 
 from __future__ import annotations
@@ -57,9 +62,15 @@ class Bid:
 
 def _trusted_bid(bid_id: str, objects: frozenset[str], price: int, group: str | None) -> Bid:
     """A :class:`Bid` from fields already known to be valid, without the
-    constructor's checks (the loader has checked the whole array in bulk)."""
+    constructor's checks (the loader has checked the whole array in bulk).
+    The fields are set one by one, in declaration order, as the generated
+    ``__init__`` sets them, so the instance keeps the compact shared-key
+    attribute dict; filling ``__dict__`` at once doubles its memory."""
     bid = object.__new__(Bid)
-    bid.__dict__.update(id=bid_id, objects=objects, price=price, group=group)
+    object.__setattr__(bid, "id", bid_id)
+    object.__setattr__(bid, "objects", objects)
+    object.__setattr__(bid, "price", price)
+    object.__setattr__(bid, "group", group)
     return bid
 
 

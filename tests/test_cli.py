@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -418,6 +419,25 @@ def test_verify_directory_turns_the_collector_back_on_between_files(tmp_path, mo
     assert run(["verify", "--input", str(tmp_path)]) == 0
     assert states == [("between", True), ("inside", False)] * 3
     assert gc.isenabled()
+
+
+def test_pause_frees_earlier_cyclic_garbage_first(tmp_path, monkeypatch):
+    """Cyclic garbage made before a run is freed before the pipeline starts,
+    not kept alive through it while the collector is paused."""
+
+    class Node:
+        pass
+
+    node = Node()
+    node.loop = node
+    ref = weakref.ref(node)
+    del node
+    freed = []
+    load = instances.load_instance
+    monkeypatch.setattr(instances, "load_instance", lambda path: freed.append(ref() is None) or load(path))
+    assert gc.isenabled()
+    assert run(["solve", "--input", str(GOLDEN / "interval-1.json"), "--output", str(tmp_path / "sol.json")]) == 0
+    assert freed == [True]
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
