@@ -214,7 +214,9 @@ def _disconnected(og: ObjectGraph, rows):
 
 def connected_in(og: ObjectGraph, objs: frozenset[str] | set[str]) -> bool:
     """True iff ``objs`` induces a connected subgraph of ``og`` (so False when
-    some object is not in ``og``)."""
+    some object is not in ``og``). Besides the search, the call allocates
+    one stamp array over ``og``'s objects: to test many sets, use
+    :func:`validate_germane`, which shares it."""
     if not all(map(og.index.__contains__, objs)):
         return False
     return next(_disconnected(og, _intern(og.index, [objs])), None) is None
