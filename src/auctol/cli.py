@@ -24,15 +24,8 @@ from pathlib import Path
 
 from . import budgets, instances, solvers
 from .errors import CapacityError, NotChordalError, SchemaError, ValidationError
-from .graphs import beta_exact, build_bid_graph, orient
-from .orderings import (
-    NotChordal,
-    decreasing_weight_ordering,
-    grid_ordering,
-    lexbfs_peo,
-    min_degree_heuristic_decomposition,
-    tree_decomposition_ordering,
-)
+from .graphs import beta_exact, orient
+from .orderings import decreasing_weight_ordering, min_degree_heuristic_decomposition
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -102,30 +95,23 @@ def cmd_solve(args) -> int:
 @_collector_paused()
 def cmd_order(args) -> int:
     inst = instances.load_instance(args.input)
-    # only lex-BFS and the grid bound read the bid graph
-    g = instances.bid_graph(inst) if args.method in ("chordal", "grid") else None
     spec = instances.OrderingSpec(args.method)
-    ordering = None  # decreasing weight certifies no bound
-    if args.method == "chordal":
-        ordering = lexbfs_peo(g)
-        if isinstance(ordering, NotChordal):
-            raise NotChordalError((ordering.node, ordering.a, ordering.b))
-    elif args.method == "tree-decomposition":
+    if args.method == "tree-decomposition":
         td = inst.ordering_spec.tree_decomposition if inst.ordering_spec else None
         if td is None:
             if inst.object_graph is None:
                 raise ValidationError("tree-decomposition ordering needs an object graph or an embedded decomposition")
             td = min_degree_heuristic_decomposition(inst.object_graph)
         spec.tree_decomposition = td
-        ordering = tree_decomposition_ordering(td, inst.bids, inst.object_graph)
     elif args.method == "grid":
         if inst.ordering_spec is None or inst.ordering_spec.coords is None:
             raise ValidationError("grid ordering needs coordinates in the instance")
         spec.coords = inst.ordering_spec.coords
-        ordering = grid_ordering(spec.coords)
-    if ordering is not None:
-        spec.beta_bound, _method = instances.beta_bound_info(inst, ordering, g)
-    out = instances.Instance(inst.bids, inst.object_graph, inst.constraints, spec, inst.metadata)
+    out = instances.Instance(inst.table, inst.object_graph, inst.constraints, spec, inst.metadata)
+    if args.method != "decreasing-weight":  # which certifies no bound
+        # only lex-BFS and the grid bound read the bid graph
+        g = instances.bid_graph(out) if args.method in ("chordal", "grid") else None
+        spec.beta_bound, _method = instances.beta_bound_info(out, instances.ordering_from_spec(out, g), g)
     _write_output(instances.dumps_instance(out), args.output)
     return EXIT_OK
 
@@ -323,7 +309,7 @@ def _bench_instance(family: str, target: int, seed: int):
         kind = "unweighted" if family == "budget-unweighted" else "overlapping"
         params = {"n": n, "group_size": 3, "k_max": 1, "t": 1, "include_object_graph": False}
         inst = instances.gen_budget("interval", kind, params, seed)
-    g = build_bid_graph(inst.bids)
+    g = instances.bid_graph(inst)
     g = orient(g, decreasing_weight_ordering(g))
     return inst, g
 

@@ -20,7 +20,7 @@ every row into earlier and later neighbours, again as packed slices, so the
 linear-time solvers read contiguous integer arrays. Rows keep a fixed,
 input-determined neighbour order, so every iteration is reproducible. The
 object graph is stored the same way, over object ids in ascending name
-order, and a loaded instance keeps its bids as rows of those ids
+order, and an instance keeps its bids as rows of those ids
 (:class:`BidTable`).
 
 All structures are treated as immutable once built; nothing here mutates a
@@ -357,8 +357,8 @@ class BidTable:
     group ``groups[i]`` and the object ids ``rows[i]`` (distinct,
     ascending); object id o is ``names[o]``, ids ascending by name.
 
-    The loader keeps an instance's bids in this form, interned against its
-    object graph's ids, and creates :class:`Bid` objects only on request.
+    An instance keeps its bids in this form, interned against its object
+    graph's ids, and creates :class:`Bid` objects only on request.
     """
 
     def __init__(self, ids: list[str], prices: list[int], groups: list, rows: list[list[int]], names: list[str]):
@@ -379,8 +379,10 @@ class BidTable:
     @classmethod
     def from_bids(cls, bids: list[Bid], og: ObjectGraph | None = None) -> "BidTable":
         """:meth:`from_columns` of ``bids``, raising ValidationError on the
-        first bid that references an object ``og`` does not declare."""
+        first repeated bid id or, failing that, on the first bid that
+        references an object ``og`` does not declare."""
         columns = [b.id for b in bids], [b.price for b in bids], [b.group for b in bids], [b.objects for b in bids]
+        check_unique_ids(columns[0])
         try:
             return cls.from_columns(*columns, og)
         except KeyError:
@@ -390,10 +392,13 @@ class BidTable:
                     raise ValidationError(f"bid {b.id!r} references undeclared object {min(undeclared)!r}") from None
             raise
 
-    def bids(self) -> list[Bid]:
+    def object_sets(self) -> list[frozenset[str]]:
+        """Each bid's object names, as a set."""
         names = self.names
-        objects = [frozenset(map(names.__getitem__, row)) for row in self.rows]
-        return list(map(_trusted_bid, self.ids, objects, self.prices, self.groups))
+        return [frozenset(map(names.__getitem__, row)) for row in self.rows]
+
+    def bids(self) -> list[Bid]:
+        return list(map(_trusted_bid, self.ids, self.object_sets(), self.prices, self.groups))
 
     def disconnected(self, og: ObjectGraph) -> list[str]:
         """Ids of the bids whose objects are not connected in ``og``, which
@@ -423,9 +428,7 @@ def build_bid_graph(bids: list[Bid]) -> BidGraph:
     Each object's holders form a clique, so the cost is the sum of
     intersecting-pair counts rather than a full quadratic scan.
     """
-    table = BidTable.from_bids(bids)
-    check_unique_ids(table.ids)
-    return table.graph()
+    return BidTable.from_bids(bids).graph()
 
 
 def check_unique_ids(ids: list[str]) -> None:

@@ -32,11 +32,9 @@ from .graphs import (
     ObjectGraph,
     Ordering,
     beta_bound_frontier,
-    build_bid_graph,
     check_unique_ids,
     frontier_violations,
     orient,
-    validate_germane,
 )
 from .orderings import (
     NotChordal,
@@ -78,28 +76,31 @@ class Instance:
     """Bids, an optional object graph, optional budget constraints and an
     ordering recipe.
 
-    ``bids`` is a list of :class:`Bid` or, from the loader, a
-    :class:`BidTable` interned against ``object_graph``. The pipeline reads
-    such a table directly, and the ``bids`` list is made from it only when
-    something asks for it; from then on that list is the instance's bids.
+    ``bids`` is a list of :class:`Bid` or a :class:`BidTable` interned
+    against ``object_graph`` (the loader passes one). ``table`` is the one
+    bid representation the pipeline reads: a given table as it is, a given
+    list interned on first use. ``bids`` is a list of :class:`Bid` made from
+    the table on first access and kept; reading it changes nothing else.
     """
 
     def __init__(self, bids, object_graph=None, constraints=None, ordering_spec=None, metadata=None):
-        self.bids = bids
+        self._table, self._bids = (bids, None) if isinstance(bids, BidTable) else (None, bids)
         self.object_graph: ObjectGraph | None = object_graph
         self.constraints: ConstraintSet | None = constraints
         self.ordering_spec: OrderingSpec | None = ordering_spec
         self.metadata: dict = {} if metadata is None else metadata
 
     @property
+    def table(self) -> BidTable:
+        if self._table is None:
+            self._table = BidTable.from_bids(self._bids, self.object_graph)
+        return self._table
+
+    @property
     def bids(self) -> list[Bid]:
         if self._bids is None:
-            self._bids, self._table = self._table.bids(), None
+            self._bids = self._table.bids()
         return self._bids
-
-    @bids.setter
-    def bids(self, bids) -> None:
-        self._bids, self._table = (None, bids) if isinstance(bids, BidTable) else (bids, None)
 
 
 # ---------------------------------------------------------------------------
@@ -108,18 +109,11 @@ class Instance:
 
 def validate_instance(inst: Instance) -> None:
     """Full semantic validation; raises ValidationError on the first problem."""
-    table, og = inst._table, inst.object_graph
-    if table is not None:
-        bid_ids, groups = table.ids, table.groups
-    else:
-        bid_ids, groups = [b.id for b in inst.bids], [b.group for b in inst.bids]
-    check_unique_ids(bid_ids)
-    ids = set(bid_ids)
+    table, og = inst.table, inst.object_graph
+    check_unique_ids(table.ids)
+    ids = set(table.ids)
     if og is not None:
-        if table is not None and table.names is og.names:
-            bad = table.disconnected(og)  # interning against og has found every object declared
-        else:
-            bad = validate_germane(og, inst.bids)
+        bad = table.disconnected(og)  # interning against og has found every object declared
         if bad:
             raise ValidationError(f"bid {bad[0]!r} is not germane (object set disconnected)")
     if inst.constraints is not None:
@@ -138,7 +132,7 @@ def validate_instance(inst: Instance) -> None:
                             f"{cs.kind} constraints must partition the bids"
                         )
                     owner[u] = grp.label
-            for u, group in zip(bid_ids, groups):
+            for u, group in zip(table.ids, table.groups):
                 if u not in owner:
                     raise ValidationError(f"bid {u!r} belongs to no constraint group")
                 if group is not None and group != owner[u]:
@@ -192,11 +186,12 @@ def instance_to_obj(inst: Instance) -> dict:
         og = inst.object_graph
         obj["objects"] = sorted(og.objects)
         obj["object_edges"] = sorted([list(e) for e in og.edges])
-    bids = []
-    for b in sorted(inst.bids, key=lambda x: x.id):
-        entry = {"id": b.id, "objects": sorted(b.objects), "price": b.price}
-        if b.group is not None:
-            entry["group"] = b.group
+    table, bids = inst.table, []
+    names = table.names
+    for i in sorted(range(len(table.ids)), key=table.ids.__getitem__):
+        entry = {"id": table.ids[i], "objects": list(map(names.__getitem__, table.rows[i])), "price": table.prices[i]}
+        if table.groups[i] is not None:
+            entry["group"] = table.groups[i]
         bids.append(entry)
     obj["bids"] = bids
     if inst.constraints is not None:
@@ -504,8 +499,7 @@ def dumps_solution(sol) -> str:
 
 
 def bid_graph(inst: Instance) -> BidGraph:
-    table = inst._table
-    return build_bid_graph(inst.bids) if table is None else table.graph()
+    return inst.table.graph()
 
 
 def ordering_from_spec(inst: Instance, g: BidGraph) -> Ordering:
@@ -523,7 +517,7 @@ def ordering_from_spec(inst: Instance, g: BidGraph) -> Ordering:
             raise NotChordalError((result.node, result.a, result.b))
         return result
     if spec.method == "tree-decomposition":
-        return tree_decomposition_ordering(spec.tree_decomposition, inst.bids, inst.object_graph)
+        return tree_decomposition_ordering(spec.tree_decomposition, inst.table, inst.object_graph)
     if spec.method == "grid":
         return grid_ordering(spec.coords)
     if spec.method == "decreasing-weight":
@@ -532,7 +526,7 @@ def ordering_from_spec(inst: Instance, g: BidGraph) -> Ordering:
         return planted_optimal_ordering(g, spec.independent_set)
     ordering = Ordering(list(spec.permutation), "explicit", spec.frontier_sets)
     if spec.frontier_sets is not None:
-        bad = frontier_violations(g, ordering, [b.objects for b in inst.bids])
+        bad = frontier_violations(g, ordering, inst.table.object_sets())
         if bad:
             a, b = bad[0]
             raise ValidationError(f"frontier sets fail: {a!r} precedes and meets {b!r}, which misses frontier({a!r})")
@@ -883,9 +877,10 @@ def gen_budget(
     t = max(1, params.get("t", 2))
     r_assign, r_limit = master.split(), master.split()
 
-    ids = sorted(b.id for b in base.bids)
+    table = base.table
+    ids = sorted(table.ids)
     n = len(ids)
-    weights = {b.id: b.price for b in base.bids}
+    weights = dict(zip(table.ids, table.prices))
 
     if constraint_kind in ("unweighted", "weighted"):
         shuffled = list(ids)
@@ -905,7 +900,7 @@ def gen_budget(
             groups.append(Group(label, frozenset(chunk), limit))
             for u in chunk:
                 label_of[u] = label
-        bids = [Bid(b.id, b.objects, b.price, label_of[b.id]) for b in base.bids]
+        table = BidTable(table.ids, table.prices, list(map(label_of.__getitem__, table.ids)), table.rows, table.names)
         cs = ConstraintSet(constraint_kind, groups)
     else:
         n_groups = max(1, (n + group_size - 1) // group_size)
@@ -921,7 +916,6 @@ def gen_budget(
                 continue
             limit = 1 + r_limit.randrange(k_max)
             groups.append(Group(f"g{j:0{gpad}d}", frozenset(members), limit))
-        bids = list(base.bids)
         cs = ConstraintSet("overlapping", groups)
 
     metadata = dict(base.metadata)
@@ -933,6 +927,6 @@ def gen_budget(
             "group_size": group_size,
         }
     )
-    inst = Instance(bids, base.object_graph, cs, base.ordering_spec, metadata)
+    inst = Instance(table, base.object_graph, cs, base.ordering_spec, metadata)
     validate_instance(inst)
     return inst

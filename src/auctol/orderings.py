@@ -16,7 +16,7 @@ import heapq
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .graphs import Bid, BidGraph, ObjectGraph, Ordering, validate_germane
+from .graphs import Bid, BidGraph, BidTable, ObjectGraph, Ordering
 
 
 @dataclass
@@ -128,7 +128,7 @@ def validate_tree_decomposition(og: ObjectGraph | None, td: TreeDecomposition) -
 
 def tree_decomposition_ordering(
     td: TreeDecomposition,
-    bids: list[Bid],
+    bids: list[Bid] | BidTable,
     object_graph: ObjectGraph | None = None,
 ) -> Ordering:
     """Order bids through a tree decomposition of the object graph.
@@ -141,15 +141,18 @@ def tree_decomposition_ordering(
     rank, ties by bid id. The anchor bag becomes A's frontier set, so the
     resulting bound is width + 1.
 
-    The tree shape is validated first; when ``object_graph`` is given, so
-    are the decomposition properties and bid germaneness. Bag coverage of
-    bid objects is always checked.
+    ``bids`` is a list of :class:`Bid`, interned here, or a
+    :class:`BidTable` interned against ``object_graph`` (an instance's
+    ``table``), taken as it is. The tree shape is validated first; when
+    ``object_graph`` is given, so are the decomposition properties and bid
+    germaneness. Bag coverage of bid objects is always checked.
     """
     violations = validate_tree_decomposition(object_graph, td)
     if violations:
         raise ValidationError("invalid tree decomposition: " + "; ".join(violations))
+    table = bids if isinstance(bids, BidTable) else BidTable.from_bids(bids, object_graph)
     if object_graph is not None:
-        bad = validate_germane(object_graph, bids)
+        bad = table.disconnected(object_graph)
         if bad:
             raise ValidationError(f"bid {bad[0]!r} is not germane (object set disconnected)")
     if not td.tree_nodes:
@@ -179,18 +182,18 @@ def tree_decomposition_ordering(
                 obj_anchor[o] = pre_index[t]
 
     anchor_node = {pre_index[t]: t for t in td.tree_nodes}
+    names = table.names
     keyed = []
     frontier: dict[str, frozenset[str]] = {}
-    for b in bids:
-        anchors = []
-        for o in sorted(b.objects):
-            if o not in obj_anchor:
-                raise ValidationError(f"bid {b.id!r} object {o!r} appears in no bag")
-            anchors.append(obj_anchor[o])
-        t_a = min(anchors)
-        frontier[b.id] = td.bags[anchor_node[t_a]]
+    for bid_id, row in zip(table.ids, table.rows):
+        objs = list(map(names.__getitem__, row))  # ascending, as the rows are
+        missing = [o for o in objs if o not in obj_anchor]
+        if missing:
+            raise ValidationError(f"bid {bid_id!r} object {missing[0]!r} appears in no bag")
+        t_a = min(map(obj_anchor.__getitem__, objs))
+        frontier[bid_id] = td.bags[anchor_node[t_a]]
         # descendants-first: larger pre-order index sorts earlier
-        keyed.append((-t_a, b.id))
+        keyed.append((-t_a, bid_id))
     keyed.sort()
     return Ordering([bid_id for _, bid_id in keyed], "tree-decomposition", frontier)
 
@@ -207,21 +210,22 @@ def min_degree_heuristic_decomposition(og: ObjectGraph) -> TreeDecomposition:
     """
     if not og.objects:
         raise ValidationError("object graph is empty")
-    work = {o: set(og.adj[o]) for o in og.objects}
-    elim_pos: dict[str, int] = {}
-    bags: dict[str, frozenset[str]] = {}
-    order: list[str] = []
+    # work on object ids, which ascend by name, so (degree, id) ties break by name
+    ptr, nbr = og.ptr, og.nbr
+    work = {v: set(nbr[ptr[v] : ptr[v + 1]]) for v in range(len(og.names))}
+    elim_pos: dict[int, int] = {}
+    later: dict[int, list[int]] = {}  # each bag without its own object
+    order: list[int] = []
     # (degree, id) entries, deleted lazily: an object gets a fresh entry
     # whenever its degree changes, and a popped entry counts only while the
     # object is uneliminated and its degree still matches
-    heap = [(len(nb), o) for o, nb in work.items()]
+    heap = [(len(nb), v) for v, nb in work.items()]
     heapq.heapify(heap)
     while heap:
         d, v = heapq.heappop(heap)
         if v not in work or len(work[v]) != d:
             continue
-        nbrs = sorted(work.pop(v))
-        bags[v] = frozenset([v] + nbrs)
+        later[v] = nbrs = sorted(work.pop(v))
         elim_pos[v] = len(order)
         order.append(v)
         for i in range(len(nbrs)):
@@ -232,19 +236,19 @@ def min_degree_heuristic_decomposition(og: ObjectGraph) -> TreeDecomposition:
         for u in nbrs:
             heapq.heappush(heap, (len(work[u]), u))
 
+    names = og.names
     edges: list[tuple[str, str]] = []
     orphans: list[str] = []
     for v in order:
-        later = [u for u in bags[v] if u != v]
-        if later:
-            parent = min(later, key=lambda u: elim_pos[u])
-            edges.append((v, parent))
+        if later[v]:
+            edges.append((names[v], names[min(later[v], key=elim_pos.__getitem__)]))
         else:
-            orphans.append(v)
+            orphans.append(names[v])
     for i in range(1, len(orphans)):
         edges.append((orphans[i - 1], orphans[i]))
 
-    td = TreeDecomposition(tree_nodes=order, tree_edges=edges, bags=bags, root=order[-1])
+    bags = {names[v]: frozenset(map(names.__getitem__, [v, *later[v]])) for v in order}
+    td = TreeDecomposition(tree_nodes=list(bags), tree_edges=edges, bags=bags, root=names[order[-1]])
     problems = validate_tree_decomposition(og, td)
     if problems:
         raise RuntimeError("internal error: heuristic produced an invalid decomposition: " + problems[0])
