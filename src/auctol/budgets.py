@@ -2,32 +2,37 @@
 
 Three constraint kinds over groups of bids:
 
-* ``unweighted``: groups partition the bids; at most k bids win per group.
-  The forward pass extends the opportunity cost with a group charge: a
-  1/k-scaled sum of the positive values already seen in the bid's group.
-* ``overlapping``: groups may overlap, each bid in at most t of them; the
-  group charge is applied once per containing group.
+* ``overlapping``: groups may overlap, each bid in at most t of them; at
+  most k bids win per group. The forward pass extends the opportunity cost
+  with a group charge for every group containing the bid: a 1/k-scaled sum
+  of the positive values already seen in that group.
+* ``unweighted``: groups partition the bids, the t = 1 case of
+  ``overlapping``; the same forward pass and local-ratio oracle serve both
+  count kinds.
 * ``weighted``: per-group money budgets b. Bids are split into heavy
   (weight > b/2) and light (weight <= b/2); the heavy side reduces to a
   1-of-group unweighted run, the light side uses a multiplicative group
   discount, and the better of the two solutions is returned.
 
 The approximation ratio of each solver is in :data:`auctol.instances.RATIO`;
-solvers return an uncertified :class:`Certificate`.
+solvers return an uncertified :class:`Certificate`. :data:`SOLVERS_BY_KIND`
+maps each kind to its one-pass solver and its cross-check.
 
-The unweighted and overlapping passes use exact rational arithmetic (the
-only divisor is k), with a pure-integer fast path when every k is 1. The
-light pass is the single place fractions are inherent, so it runs in double
-precision with a deterministic positivity threshold; a direct quadratic
-update mode ships alongside the lazy linear-time one as a cross-check.
+The count-constraint pass uses exact rational arithmetic (the only divisor
+is k), with a pure-integer fast path when every k is 1. The light pass is
+the single place fractions are inherent, so it runs in double precision
+with a deterministic positivity threshold; a direct quadratic update mode
+ships alongside the lazy linear-time one as a cross-check.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import compress
 from typing import NamedTuple
 
@@ -120,116 +125,22 @@ def _groups_csr(cs: ConstraintSet, pos: dict[str, int]) -> GroupIndex:
     return GroupIndex(array("q", counts), array("q", gidx), [grp.limit for grp in cs.groups], members_by_rank)
 
 
-def solve_unweighted(g: BidGraph, cs: ConstraintSet) -> tuple[Solution, ValueTable]:
-    """k-of-group winner determination, forward one-pass form.
+def _expect_kind(cs: ConstraintSet, kind: str) -> None:
+    if cs.kind != kind:
+        raise ValidationError(f"expected {kind} constraints, got {cs.kind!r}")
 
-    Value of u = weight(u) minus predecessor charges minus (1/k) times the
-    sum of positive values already seen in u's group; the reverse pass
-    accepts positive-value nodes while independence and the group count
-    allow. Group sums are kept in running accumulators, so the pass stays
-    linear. Arithmetic is exact: integers when every k is 1, otherwise
-    rationals.
+
+def _count_pass(g: BidGraph, cs: ConstraintSet) -> tuple[Solution, ValueTable]:
+    """k-of-group winner determination, forward one-pass form, for both
+    count kinds (a partition is the t = 1 case of overlapping groups).
+
+    Value of u = weight(u) minus predecessor charges minus, for every group
+    containing u, (1/k) times the sum of positive values already seen in
+    that group; the reverse pass accepts positive-value nodes while
+    independence and every group count allow. Group sums are kept in
+    running accumulators, so the pass runs in O(|V| * t + |E|). Arithmetic
+    is exact: integers when every k is 1, otherwise rationals.
     """
-    if cs.kind != "unweighted":
-        raise ValidationError(f"expected unweighted constraints, got {cs.kind!r}")
-    order, w = g.order(), g.w
-    pred_ptr, pred_idx = g.pred_ptr, g.pred_idx
-    succ_ptr, succ_idx = g.succ_ptr, g.succ_idx
-    n = len(order)
-    gx = g.cached(cs, lambda: _groups_csr(cs, g.rank()))
-    gi_of, k = gx.gidx, gx.limits
-
-    exact_ints = all(x == 1 for x in k)
-    zero = 0 if exact_ints else Fraction(0)
-    delta = [zero] * len(cs.groups)
-    val: list = [zero] * n
-    for i in range(n):
-        s = zero
-        for j in pred_idx[pred_ptr[i] : pred_ptr[i + 1]]:
-            vj = val[j]
-            if vj > 0:
-                s += vj
-        gi = gi_of[i]
-        charge = delta[gi] if exact_ints else delta[gi] / k[gi]
-        v = w[i] - s - charge
-        val[i] = v
-        if v > 0:
-            delta[gi] += v
-
-    sel = [False] * n
-    used = [0] * len(cs.groups)
-    for i in range(n - 1, -1, -1):
-        if val[i] > 0 and used[gi_of[i]] < k[gi_of[i]]:
-            free = True
-            for j in succ_idx[succ_ptr[i] : succ_ptr[i + 1]]:
-                if sel[j]:
-                    free = False
-                    break
-            if free:
-                sel[i] = True
-                used[gi_of[i]] += 1
-    check_independent(succ_ptr, succ_idx, sel, order)
-    chosen = list(compress(order, sel))
-    revenue = sum(compress(w, sel))
-    return Solution(frozenset(chosen), revenue, Certificate("unweighted")), ValueTable(order, val, sel)
-
-
-def solve_unweighted_lr(g: BidGraph, cs: ConstraintSet) -> Solution:
-    """Local-ratio form of the k-of-group solver (slow cross-check).
-
-    Processes nodes in order; each positive current weight is charged in
-    full to later neighbors and at 1/k to every later group mate (a later
-    neighbor in the same group is charged under both rules). Quadratic in
-    group size; exists to confirm the one-pass form.
-    """
-    if cs.kind != "unweighted":
-        raise ValidationError(f"expected unweighted constraints, got {cs.kind!r}")
-    order, w = g.order(), g.w
-    succ_ptr, succ_idx = g.succ_ptr, g.succ_idx
-    n = len(order)
-    gx = g.cached(cs, lambda: _groups_csr(cs, g.rank()))
-    gi_of, k, members_by_rank = gx.gidx, gx.limits, gx.members_by_rank
-    grp_pos = [0] * n
-    for ranks in members_by_rank:
-        for idx, i in enumerate(ranks):
-            grp_pos[i] = idx
-
-    cur: list = [Fraction(x) for x in w]
-    processed: list[int] = []
-    for i in range(n):
-        ci = cur[i]
-        if ci <= 0:
-            continue
-        processed.append(i)
-        for jj in range(succ_ptr[i], succ_ptr[i + 1]):
-            cur[succ_idx[jj]] -= ci
-        gi = gi_of[i]
-        share = ci / k[gi]
-        for j in members_by_rank[gi][grp_pos[i] + 1 :]:
-            cur[j] -= share
-
-    sel = [False] * n
-    used = [0] * len(cs.groups)
-    for i in reversed(processed):
-        gi = gi_of[i]
-        if used[gi] < k[gi] and not any(sel[succ_idx[jj]] for jj in range(succ_ptr[i], succ_ptr[i + 1])):
-            sel[i] = True
-            used[gi] += 1
-    check_independent(succ_ptr, succ_idx, sel, order)
-    chosen = [order[i] for i in processed if sel[i]]
-    revenue = sum(w[i] for i in processed if sel[i])
-    return Solution(frozenset(chosen), revenue, Certificate("unweighted-lr"))
-
-
-def solve_overlapping(g: BidGraph, cs: ConstraintSet) -> Solution:
-    """Overlapping k-of-group winner determination, forward one-pass form.
-
-    Like the partitioned case, but a node pays the 1/k-scaled group charge
-    once for every group containing it, and selection must respect all of
-    its groups' counts. Runs in O(|V| * t + |E|).
-    """
-    if cs.kind != "overlapping":
-        raise ValidationError(f"expected overlapping constraints, got {cs.kind!r}")
     order, w = g.order(), g.w
     pred_ptr, pred_idx = g.pred_ptr, g.pred_idx
     succ_ptr, succ_idx = g.succ_ptr, g.succ_idx
@@ -238,7 +149,7 @@ def solve_overlapping(g: BidGraph, cs: ConstraintSet) -> Solution:
 
     exact_ints = all(x == 1 for x in k)
     zero = 0 if exact_ints else Fraction(0)
-    delta = [zero] * len(cs.groups)
+    delta = [zero] * len(k)
     val: list = [zero] * n
     for i in range(n):
         s = zero
@@ -246,44 +157,52 @@ def solve_overlapping(g: BidGraph, cs: ConstraintSet) -> Solution:
             vj = val[j]
             if vj > 0:
                 s += vj
-        charge = zero
-        for gi in gidx[gptr[i] : gptr[i + 1]]:
-            charge += delta[gi] if exact_ints else delta[gi] / k[gi]
-        v = w[i] - s - charge
+        v = w[i] - s
+        groups = gidx[gptr[i] : gptr[i + 1]]
+        if exact_ints:
+            for gi in groups:
+                v -= delta[gi]
+        else:
+            for gi in groups:
+                v -= delta[gi] / k[gi]
         val[i] = v
         if v > 0:
-            for gi in gidx[gptr[i] : gptr[i + 1]]:
+            for gi in groups:
                 delta[gi] += v
 
     sel = [False] * n
-    used = [0] * len(cs.groups)
+    used = [0] * len(k)
     for i in range(n - 1, -1, -1):
         if val[i] <= 0:
             continue
-        free = True
-        for gi in gidx[gptr[i] : gptr[i + 1]]:
+        groups = gidx[gptr[i] : gptr[i + 1]]
+        for gi in groups:
             if used[gi] >= k[gi]:
-                free = False
                 break
-        if free:
+        else:
             for j in succ_idx[succ_ptr[i] : succ_ptr[i + 1]]:
                 if sel[j]:
-                    free = False
                     break
-        if free:
-            sel[i] = True
-            for gi in gidx[gptr[i] : gptr[i + 1]]:
-                used[gi] += 1
+            else:
+                sel[i] = True
+                for gi in groups:
+                    used[gi] += 1
     check_independent(succ_ptr, succ_idx, sel, order)
     chosen = list(compress(order, sel))
     revenue = sum(compress(w, sel))
-    return Solution(frozenset(chosen), revenue, Certificate("overlapping"))
+    return Solution(frozenset(chosen), revenue, Certificate(cs.kind)), ValueTable(order, val, sel)
 
 
-def solve_overlapping_lr(g: BidGraph, cs: ConstraintSet) -> Solution:
-    """Local-ratio form of the overlapping solver (slow cross-check)."""
-    if cs.kind != "overlapping":
-        raise ValidationError(f"expected overlapping constraints, got {cs.kind!r}")
+def _count_local_ratio(g: BidGraph, cs: ConstraintSet) -> Solution:
+    """Oracle: the local-ratio form of :func:`_count_pass` (Bar-Yehuda,
+    Bendel, Freund & Rawitz, ACM Comput. Surv. 36(4), 2004), kept as an
+    independent cross-check of the one-pass form.
+
+    Processes nodes in order; each positive current weight is charged in
+    full to later neighbors and at 1/k to every later member of each of its
+    groups (a later neighbor in the same group is charged under both
+    rules). Quadratic in group size.
+    """
     order, w = g.order(), g.w
     succ_ptr, succ_idx = g.succ_ptr, g.succ_idx
     n = len(order)
@@ -300,23 +219,50 @@ def solve_overlapping_lr(g: BidGraph, cs: ConstraintSet) -> Solution:
             cur[succ_idx[jj]] -= ci
         for gi in gidx[gptr[i] : gptr[i + 1]]:
             share = ci / k[gi]
-            for j in members_by_rank[gi]:
-                if j > i:
-                    cur[j] -= share
+            ranks = members_by_rank[gi]
+            for j in ranks[bisect_right(ranks, i) :]:
+                cur[j] -= share
 
     sel = [False] * n
-    used = [0] * len(cs.groups)
+    used = [0] * len(k)
     for i in reversed(processed):
-        if all(used[gi] < k[gi] for gi in gidx[gptr[i] : gptr[i + 1]]) and not any(
+        groups = gidx[gptr[i] : gptr[i + 1]]
+        if all(used[gi] < k[gi] for gi in groups) and not any(
             sel[succ_idx[jj]] for jj in range(succ_ptr[i], succ_ptr[i + 1])
         ):
             sel[i] = True
-            for gi in gidx[gptr[i] : gptr[i + 1]]:
+            for gi in groups:
                 used[gi] += 1
     check_independent(succ_ptr, succ_idx, sel, order)
     chosen = [order[i] for i in processed if sel[i]]
     revenue = sum(w[i] for i in processed if sel[i])
-    return Solution(frozenset(chosen), revenue, Certificate("overlapping-lr"))
+    return Solution(frozenset(chosen), revenue, Certificate(cs.kind + "-lr"))
+
+
+def solve_unweighted(g: BidGraph, cs: ConstraintSet) -> tuple[Solution, ValueTable]:
+    """k-of-group winner determination over a partition of the bids:
+    :func:`_count_pass`, with its value table."""
+    _expect_kind(cs, "unweighted")
+    return _count_pass(g, cs)
+
+
+def solve_unweighted_lr(g: BidGraph, cs: ConstraintSet) -> Solution:
+    """Oracle: the local-ratio form of :func:`solve_unweighted`."""
+    _expect_kind(cs, "unweighted")
+    return _count_local_ratio(g, cs)
+
+
+def solve_overlapping(g: BidGraph, cs: ConstraintSet) -> Solution:
+    """k-of-group winner determination over groups that may overlap, each
+    bid in at most t of them: :func:`_count_pass`."""
+    _expect_kind(cs, "overlapping")
+    return _count_pass(g, cs)[0]
+
+
+def solve_overlapping_lr(g: BidGraph, cs: ConstraintSet) -> Solution:
+    """Oracle: the local-ratio form of :func:`solve_overlapping`."""
+    _expect_kind(cs, "overlapping")
+    return _count_local_ratio(g, cs)
 
 
 # Light-pass numerics: cur > 1e-9 * b decides "still worth selecting", and a
@@ -342,8 +288,7 @@ def solve_light(g: BidGraph, cs: ConstraintSet, mode: str = "lazy") -> tuple[Sol
     Reverse pass: accept positive nodes while independence holds and the
     group's accepted original weights stay within b.
     """
-    if cs.kind != "weighted":
-        raise ValidationError(f"expected weighted constraints, got {cs.kind!r}")
+    _expect_kind(cs, "weighted")
     if mode not in ("lazy", "direct"):
         raise ValidationError(f"unknown light mode {mode!r}")
     for grp in cs.groups:
@@ -422,8 +367,7 @@ def solve_weighted(g: BidGraph, cs: ConstraintSet, light_mode: str = "lazy") -> 
     higher-revenue side wins; ties go to the heavy side. Bids exceeding
     their whole group budget can never win and are dropped up front.
     """
-    if cs.kind != "weighted":
-        raise ValidationError(f"expected weighted constraints, got {cs.kind!r}")
+    _expect_kind(cs, "weighted")
     gx = g.cached(cs, lambda: _groups_csr(cs, g.rank()))
     budget = [gx.limits[gi] for gi in gx.gidx]  # the groups partition the bids: one per rank
     heavy = [u for u, w, b in zip(g.order(), g.w, budget) if w <= b < 2 * w]
@@ -449,6 +393,15 @@ def solve_weighted(g: BidGraph, cs: ConstraintSet, light_mode: str = "lazy") -> 
         revenue = l_rev
     check_independent(g.ptr, g.nbr, [u in chosen for u in g.ids], g.ids)
     return Solution(chosen, revenue, Certificate("weighted"))
+
+
+# The one-pass solver and its cross-check for each constraint kind, both
+# called as ``fn(g, cs)`` and returning a :class:`Solution`.
+SOLVERS_BY_KIND = {
+    "unweighted": (lambda g, cs: solve_unweighted(g, cs)[0], solve_unweighted_lr),
+    "overlapping": (solve_overlapping, solve_overlapping_lr),
+    "weighted": (solve_weighted, partial(solve_weighted, light_mode="direct")),
+}
 
 
 def check_feasible(sol: Solution, g: BidGraph, cs: ConstraintSet | None = None) -> tuple[bool, list[str]]:

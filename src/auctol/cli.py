@@ -76,11 +76,8 @@ def _solve_dispatch(inst, g, algo: str, use_constraints: bool, oracle_cap: int, 
     if algo == "exact":
         revenue, chosen = budgets.exact_feasible(g, cs, node_cap=oracle_cap if oracle_cap else 20)
         return solvers.Solution(chosen, revenue, solvers.Certificate("exact"))
-    if cs.kind == "unweighted":
-        return budgets.solve_unweighted(g, cs)[0] if algo == "opcost" else budgets.solve_unweighted_lr(g, cs)
-    if cs.kind == "overlapping":
-        return budgets.solve_overlapping(g, cs) if algo == "opcost" else budgets.solve_overlapping_lr(g, cs)
-    return budgets.solve_weighted(g, cs, light_mode="lazy" if algo == "opcost" else "direct")
+    one_pass, cross_check = budgets.SOLVERS_BY_KIND[cs.kind]
+    return one_pass(g, cs) if algo == "opcost" else cross_check(g, cs)
 
 
 @_collector_paused()
@@ -226,15 +223,9 @@ def _run_checks(report: dict, violate, inst, g, oracle_cap: int, timings: bool) 
     cs = inst.constraints
     primary = op
     if cs is not None:
-        if cs.kind == "unweighted":
-            bsol, _ = budgets.solve_unweighted(g, cs)
-            cross = budgets.solve_unweighted_lr(g, cs)
-        elif cs.kind == "overlapping":
-            bsol = budgets.solve_overlapping(g, cs)
-            cross = budgets.solve_overlapping_lr(g, cs)
-        else:
-            bsol = budgets.solve_weighted(g, cs, light_mode="lazy")
-            cross = budgets.solve_weighted(g, cs, light_mode="direct")
+        one_pass, cross_check = budgets.SOLVERS_BY_KIND[cs.kind]
+        bsol = one_pass(g, cs)
+        cross = cross_check(g, cs)
         algos[cs.kind] = {"revenue": bsol.revenue, "selected": len(bsol.selected)}
         if bsol.selected != cross.selected:
             violate(f"{cs.kind}: one-pass and local-ratio modes disagree")
@@ -247,6 +238,11 @@ def _run_checks(report: dict, violate, inst, g, oracle_cap: int, timings: bool) 
     if bound is not None:
         report["beta_bound"] = bound
         report["beta_bound_method"] = method
+    # the file's own beta bound stands only if the ordering certifies it
+    stated = inst.ordering_spec.beta_bound if inst.ordering_spec is not None else None
+    if stated is not None and (bound is None or stated < bound):
+        certified = "no bound" if bound is None else f"bound {bound}"
+        violate(f"stated beta bound {stated} is not certified: the ordering certifies {certified}")
 
     if g.n <= oracle_cap:
         try:
@@ -262,6 +258,8 @@ def _run_checks(report: dict, violate, inst, g, oracle_cap: int, timings: bool) 
             report["beta_exact"] = beta
             if bound is not None and beta > bound:
                 violate(f"certified bound {bound} below exact beta {beta}")
+            if stated is not None and beta > stated:
+                violate(f"stated beta bound {stated} below exact beta {beta}")
             claimed = instances.claimed_ratio(primary.certificate.algorithm, beta, cs)
             report["claimed_ratio"] = _ratio_str(claimed)
             if primary.revenue == 0:
@@ -320,9 +318,9 @@ def _bench_solvers(family: str, inst):
             "opcost": lambda g: solvers.opcost(g)[0],
             "lropcost": lambda g: solvers.lropcost(g),
         }
-    if family == "budget-unweighted":
-        return {"unweighted": lambda g, cs=inst.constraints: budgets.solve_unweighted(g, cs)[0]}
-    return {"overlapping": lambda g, cs=inst.constraints: budgets.solve_overlapping(g, cs)}
+    cs = inst.constraints
+    one_pass, _cross_check = budgets.SOLVERS_BY_KIND[cs.kind]
+    return {cs.kind: lambda g: one_pass(g, cs)}
 
 
 def run_bench(family: str, sizes, seed: int = 0, repeats: int = 3, max_ratio: float = 3.0) -> dict:

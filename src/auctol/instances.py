@@ -559,8 +559,7 @@ def beta_bound_info(inst: Instance, ordering: Ordering, g: BidGraph) -> tuple[in
 # ordering's beta bound and t, the most constraint groups on one bid.
 RATIO = {
     **dict.fromkeys(("opcost", "lropcost"), lambda beta, t: beta),
-    **dict.fromkeys(("unweighted", "unweighted-lr"), lambda beta, t: beta + 1),
-    **dict.fromkeys(("overlapping", "overlapping-lr"), lambda beta, t: beta + t),
+    **dict.fromkeys(("unweighted", "unweighted-lr", "overlapping", "overlapping-lr"), lambda beta, t: beta + t),
     "weighted-light": lambda beta, t: beta + 2,
     "weighted": lambda beta, t: 2 * beta + 3,
     "exact": lambda beta, t: 1,

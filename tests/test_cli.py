@@ -452,3 +452,48 @@ def test_import_does_not_touch_the_collector(enabled):
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+FRONTIER_BOUND_2 = {
+    "format": "auctol/1",
+    "bids": [
+        {"id": "a", "objects": ["x", "y"], "price": 10},
+        {"id": "b", "objects": ["x"], "price": 9},
+        {"id": "c", "objects": ["y"], "price": 9},
+    ],
+    "ordering_spec": {
+        "method": "explicit",
+        "permutation": ["a", "b", "c"],
+        "frontier_sets": {"a": ["x", "y"], "b": ["x"], "c": ["y"]},
+    },
+}
+
+C4_DECREASING_WEIGHT = dict(C4_CHORDAL, ordering_spec={"method": "decreasing-weight"})
+
+
+@pytest.mark.parametrize(
+    "inst,stated,violations",
+    [
+        (C4_DECREASING_WEIGHT, 1, [
+            "stated beta bound 1 is not certified: the ordering certifies no bound",
+            "stated beta bound 1 below exact beta 2",
+        ]),
+        (C4_DECREASING_WEIGHT, 2, ["stated beta bound 2 is not certified: the ordering certifies no bound"]),
+        (FRONTIER_BOUND_2, 1, [
+            "stated beta bound 1 is not certified: the ordering certifies bound 2",
+            "stated beta bound 1 below exact beta 2",
+        ]),
+        (FRONTIER_BOUND_2, 2, []),
+        (FRONTIER_BOUND_2, 3, []),
+    ],
+)
+def test_verify_checks_the_stated_beta_bound(tmp_path, capsys, inst, stated, violations):
+    """A beta bound written into the file passes verify only when the
+    ordering certifies it, that is certifies the same bound or a tighter one."""
+    doc = dict(inst, ordering_spec=dict(inst["ordering_spec"], beta_bound=stated))
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    assert run(["verify", "--input", str(path)]) == (5 if violations else 0)
+    report = json.loads(capsys.readouterr().out)
+    assert report["beta_exact"] == 2
+    assert report["violations"] == violations
