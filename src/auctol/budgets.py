@@ -3,12 +3,13 @@
 Three constraint kinds over groups of bids:
 
 * ``overlapping``: groups may overlap, each bid in at most t of them; at
-  most k bids win per group. The forward pass extends the opportunity cost
-  with a group charge for every group containing the bid: a 1/k-scaled sum
-  of the positive values already seen in that group.
+  most k bids win per group. The opportunity-cost forward pass and its
+  local-ratio oracle (:func:`auctol.solvers.forward_pass` and
+  :func:`auctol.solvers.local_ratio`) take the group index as an optional
+  argument and then add a group charge for every group containing the bid:
+  a 1/k-scaled sum of the positive values already seen in that group.
 * ``unweighted``: groups partition the bids, the t = 1 case of
-  ``overlapping``; the same forward pass and local-ratio oracle serve both
-  count kinds.
+  ``overlapping``; the same pass and oracle serve both count kinds.
 * ``weighted``: per-group money budgets b. Bids are split into heavy
   (weight > b/2) and light (weight <= b/2); the heavy side reduces to a
   1-of-group unweighted run, the light side uses a multiplicative group
@@ -19,7 +20,7 @@ solvers return an uncertified :class:`Certificate`. :data:`SOLVERS_BY_KIND`
 maps each kind to its one-pass solver and its cross-check.
 
 The count-constraint pass uses exact rational arithmetic (the only divisor
-is k), with a pure-integer fast path when every k is 1. The light pass is
+is k), with a pure-integer path when every k is 1. The light pass is
 the single place fractions are inherent, so it runs in double precision
 with a deterministic positivity threshold; a direct quadratic update mode
 ships alongside the lazy linear-time one as a cross-check.
@@ -29,16 +30,13 @@ from __future__ import annotations
 
 import sys
 from array import array
-from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
-from itertools import compress
 from typing import NamedTuple
 
 from .errors import CapacityError, ValidationError
 from .graphs import BidGraph, check_independent, csr, neighbor_masks
-from .solvers import Certificate, Solution, ValueTable
+from .solvers import Certificate, Solution, ValueTable, forward_pass, local_ratio, selection_solution
 
 KINDS = ("unweighted", "overlapping", "weighted")
 
@@ -125,144 +123,42 @@ def _groups_csr(cs: ConstraintSet, pos: dict[str, int]) -> GroupIndex:
     return GroupIndex(array("q", counts), array("q", gidx), [grp.limit for grp in cs.groups], members_by_rank)
 
 
+def _group_index(g: BidGraph, cs: ConstraintSet) -> GroupIndex:
+    """The group index of ``cs`` over ``g``'s ranks, built once per graph."""
+    return g.cached(cs, lambda: _groups_csr(cs, g.rank()))
+
+
 def _expect_kind(cs: ConstraintSet, kind: str) -> None:
     if cs.kind != kind:
         raise ValidationError(f"expected {kind} constraints, got {cs.kind!r}")
 
 
-def _count_pass(g: BidGraph, cs: ConstraintSet) -> tuple[Solution, ValueTable]:
-    """k-of-group winner determination, forward one-pass form, for both
-    count kinds (a partition is the t = 1 case of overlapping groups).
-
-    Value of u = weight(u) minus predecessor charges minus, for every group
-    containing u, (1/k) times the sum of positive values already seen in
-    that group; the reverse pass accepts positive-value nodes while
-    independence and every group count allow. Group sums are kept in
-    running accumulators, so the pass runs in O(|V| * t + |E|). Arithmetic
-    is exact: integers when every k is 1, otherwise rationals.
-    """
-    order, w = g.order(), g.w
-    pred_ptr, pred_idx = g.pred_ptr, g.pred_idx
-    succ_ptr, succ_idx = g.succ_ptr, g.succ_idx
-    n = len(order)
-    gptr, gidx, k, _members = g.cached(cs, lambda: _groups_csr(cs, g.rank()))
-
-    exact_ints = all(x == 1 for x in k)
-    zero = 0 if exact_ints else Fraction(0)
-    delta = [zero] * len(k)
-    val: list = [zero] * n
-    for i in range(n):
-        s = zero
-        for j in pred_idx[pred_ptr[i] : pred_ptr[i + 1]]:
-            vj = val[j]
-            if vj > 0:
-                s += vj
-        v = w[i] - s
-        groups = gidx[gptr[i] : gptr[i + 1]]
-        if exact_ints:
-            for gi in groups:
-                v -= delta[gi]
-        else:
-            for gi in groups:
-                v -= delta[gi] / k[gi]
-        val[i] = v
-        if v > 0:
-            for gi in groups:
-                delta[gi] += v
-
-    sel = [False] * n
-    used = [0] * len(k)
-    for i in range(n - 1, -1, -1):
-        if val[i] <= 0:
-            continue
-        groups = gidx[gptr[i] : gptr[i + 1]]
-        for gi in groups:
-            if used[gi] >= k[gi]:
-                break
-        else:
-            for j in succ_idx[succ_ptr[i] : succ_ptr[i + 1]]:
-                if sel[j]:
-                    break
-            else:
-                sel[i] = True
-                for gi in groups:
-                    used[gi] += 1
-    check_independent(succ_ptr, succ_idx, sel, order)
-    chosen = list(compress(order, sel))
-    revenue = sum(compress(w, sel))
-    return Solution(frozenset(chosen), revenue, Certificate(cs.kind)), ValueTable(order, val, sel)
-
-
-def _count_local_ratio(g: BidGraph, cs: ConstraintSet) -> Solution:
-    """Oracle: the local-ratio form of :func:`_count_pass` (Bar-Yehuda,
-    Bendel, Freund & Rawitz, ACM Comput. Surv. 36(4), 2004), kept as an
-    independent cross-check of the one-pass form.
-
-    Processes nodes in order; each positive current weight is charged in
-    full to later neighbors and at 1/k to every later member of each of its
-    groups (a later neighbor in the same group is charged under both
-    rules). Quadratic in group size.
-    """
-    order, w = g.order(), g.w
-    succ_ptr, succ_idx = g.succ_ptr, g.succ_idx
-    n = len(order)
-    gptr, gidx, k, members_by_rank = g.cached(cs, lambda: _groups_csr(cs, g.rank()))
-
-    cur: list = [Fraction(x) for x in w]
-    processed: list[int] = []
-    for i in range(n):
-        ci = cur[i]
-        if ci <= 0:
-            continue
-        processed.append(i)
-        for jj in range(succ_ptr[i], succ_ptr[i + 1]):
-            cur[succ_idx[jj]] -= ci
-        for gi in gidx[gptr[i] : gptr[i + 1]]:
-            share = ci / k[gi]
-            ranks = members_by_rank[gi]
-            for j in ranks[bisect_right(ranks, i) :]:
-                cur[j] -= share
-
-    sel = [False] * n
-    used = [0] * len(k)
-    for i in reversed(processed):
-        groups = gidx[gptr[i] : gptr[i + 1]]
-        if all(used[gi] < k[gi] for gi in groups) and not any(
-            sel[succ_idx[jj]] for jj in range(succ_ptr[i], succ_ptr[i + 1])
-        ):
-            sel[i] = True
-            for gi in groups:
-                used[gi] += 1
-    check_independent(succ_ptr, succ_idx, sel, order)
-    chosen = [order[i] for i in processed if sel[i]]
-    revenue = sum(w[i] for i in processed if sel[i])
-    return Solution(frozenset(chosen), revenue, Certificate(cs.kind + "-lr"))
-
-
 def solve_unweighted(g: BidGraph, cs: ConstraintSet) -> tuple[Solution, ValueTable]:
-    """k-of-group winner determination over a partition of the bids:
-    :func:`_count_pass`, with its value table."""
+    """k-of-group winner determination over a partition of the bids: the
+    opportunity-cost :func:`~auctol.solvers.forward_pass` over the group
+    index, with its value table."""
     _expect_kind(cs, "unweighted")
-    return _count_pass(g, cs)
+    return forward_pass(g, _group_index(g, cs), cs.kind)
 
 
 def solve_unweighted_lr(g: BidGraph, cs: ConstraintSet) -> Solution:
     """Oracle: the local-ratio form of :func:`solve_unweighted`."""
     _expect_kind(cs, "unweighted")
-    return _count_local_ratio(g, cs)
+    return local_ratio(g, _group_index(g, cs), cs.kind + "-lr")
 
 
 def solve_overlapping(g: BidGraph, cs: ConstraintSet) -> Solution:
     """k-of-group winner determination over groups that may overlap, each
-    bid in at most t of them: :func:`_count_pass`."""
+    bid in at most t of them: :func:`~auctol.solvers.forward_pass` over the
+    group index."""
     _expect_kind(cs, "overlapping")
-    return _count_pass(g, cs)[0]
+    return forward_pass(g, _group_index(g, cs), cs.kind)[0]
 
 
 def solve_overlapping_lr(g: BidGraph, cs: ConstraintSet) -> Solution:
     """Oracle: the local-ratio form of :func:`solve_overlapping`."""
     _expect_kind(cs, "overlapping")
-    return _count_local_ratio(g, cs)
+    return local_ratio(g, _group_index(g, cs), cs.kind + "-lr")
 
 
 # Light-pass numerics: cur > 1e-9 * b decides "still worth selecting", and a
@@ -297,7 +193,7 @@ def solve_light(g: BidGraph, cs: ConstraintSet, mode: str = "lazy") -> tuple[Sol
     order, w = g.order(), g.w
     succ_ptr, succ_idx = g.succ_ptr, g.succ_idx
     n = len(order)
-    gx = g.cached(cs, lambda: _groups_csr(cs, g.rank()))
+    gx = _group_index(g, cs)
     gi_of, b, members_by_rank = gx.gidx, gx.limits, gx.members_by_rank
     for i in range(n):
         if 2 * w[i] > b[gi_of[i]]:
@@ -352,10 +248,7 @@ def solve_light(g: BidGraph, cs: ConstraintSet, mode: str = "lazy") -> tuple[Sol
         ):
             sel[i] = True
             spent[gi] += w[i]
-    check_independent(succ_ptr, succ_idx, sel, order)
-    chosen = [order[i] for i in processed if sel[i]]
-    revenue = sum(w[i] for i in processed if sel[i])
-    return Solution(frozenset(chosen), revenue, Certificate("weighted-light")), ValueTable(order, vals, sel)
+    return selection_solution(g, sel, "weighted-light"), ValueTable(order, vals, sel)
 
 
 def solve_weighted(g: BidGraph, cs: ConstraintSet, light_mode: str = "lazy") -> Solution:
@@ -368,7 +261,7 @@ def solve_weighted(g: BidGraph, cs: ConstraintSet, light_mode: str = "lazy") -> 
     their whole group budget can never win and are dropped up front.
     """
     _expect_kind(cs, "weighted")
-    gx = g.cached(cs, lambda: _groups_csr(cs, g.rank()))
+    gx = _group_index(g, cs)
     budget = [gx.limits[gi] for gi in gx.gidx]  # the groups partition the bids: one per rank
     heavy = [u for u, w, b in zip(g.order(), g.w, budget) if w <= b < 2 * w]
     light = [u for u, w, b in zip(g.order(), g.w, budget) if 2 * w <= b]

@@ -1,23 +1,29 @@
 """Winner-determination solvers on oriented bid graphs.
 
 Two approximation algorithms are provided and they provably return the same
-set of bids:
+set of bids. Each is written once and takes an optional group index, which
+adds k-of-group limits (the count constraints of :mod:`auctol.budgets`):
 
-* ``opcost``: two passes. A forward pass assigns each node a *value*: its
-  weight minus the values of earlier positive-value conflicting nodes (the
-  opportunity cost of accepting it). A reverse pass then accepts every
-  positive-value node none of whose later neighbors was accepted.
+* :func:`forward_pass` (``opcost`` without groups): two passes. A forward
+  pass assigns each node a *value*: its weight minus the values of earlier
+  positive-value conflicting nodes (the opportunity cost of accepting it),
+  minus a 1/k share of the positive values already seen in each of its
+  groups. A reverse pass then accepts every positive-value node none of
+  whose later neighbors was accepted and whose groups have room.
 
-* ``lropcost``: a weight-decomposition recursion, implemented iteratively.
-  Nodes whose current weight has been driven to zero or below are dropped;
-  otherwise the earliest remaining node is processed, its current weight is
-  charged to all of its later neighbors, and on the way back out of the
-  recursion it is accepted whenever that keeps the accepted set independent.
+* :func:`local_ratio` (``lropcost`` without groups): the oracle, a
+  weight-decomposition recursion implemented iteratively. Nodes whose
+  current weight has been driven to zero or below are dropped; otherwise
+  the earliest remaining node is processed, its current weight is charged
+  to all of its later neighbors (and at 1/k to later group mates), and on
+  the way back out of the recursion it is accepted whenever that keeps the
+  accepted set independent and within every group limit.
 
-Both run in O(|V| + |E|) and approximate the maximum-weight independent set
-within the directed local independence number of the oriented graph. They
-read the rank-space weights and predecessor/successor slices that
-:func:`auctol.graphs.orient` builds once per ordering.
+Without groups both run in O(|V| + |E|) and approximate the maximum-weight
+independent set within the directed local independence number of the
+oriented graph. They read the rank-space weights and predecessor/successor
+slices that :func:`auctol.graphs.orient` builds once per ordering, and
+finish through :func:`selection_solution`.
 
 ``greedy`` is the classical first-fit baseline and ``exact_mwis`` a
 branch-and-bound oracle for small graphs, used to measure observed ratios.
@@ -27,6 +33,7 @@ exact.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
@@ -98,44 +105,141 @@ class ValueTable:
         return self._sel_map
 
 
-def opcost(g: BidGraph, include_zero_value: bool = False) -> tuple[Solution, ValueTable]:
-    """Opportunity-cost algorithm.
+def selection_solution(g: BidGraph, sel: list[bool], algorithm: str) -> Solution:
+    """The :class:`Solution` of a rank-space selection (``sel[i]`` true when
+    the i-th node of the order won), after checking that it is independent."""
+    order = g.order()
+    check_independent(g.succ_ptr, g.succ_idx, sel, order)
+    return Solution(frozenset(compress(order, sel)), sum(compress(g.w, sel)), Certificate(algorithm))
 
-    Forward pass, in permutation order::
+
+def forward_pass(
+    g: BidGraph, groups=None, algorithm: str = "opcost", include_zero_value: bool = False
+) -> tuple[Solution, ValueTable]:
+    """The opportunity-cost algorithm, optionally with k-of-group limits.
+
+    ``groups`` is a group index (``gptr``, ``gidx``, ``limits``,
+    ``members_by_rank``, as :class:`auctol.budgets.GroupIndex` builds it
+    over ``g``'s ranks) or None. Forward pass, in permutation order::
 
         value(u) = weight(u) - sum(max(0, value(v)) for predecessors v)
+                   - sum(delta(G) / k(G) for groups G containing u)
 
-    Reverse pass: accept u when value(u) > 0 and no later neighbor was
-    accepted. ``include_zero_value=True`` also accepts value-0 nodes (the
-    selection rule's literal non-negative form); revenue is unchanged either
-    way, but the returned set can then differ from ``lropcost``'s.
+    where delta(G) is the running sum of the positive values already seen
+    in G. Reverse pass: accept u when value(u) > 0, no later neighbor was
+    accepted and every group of u has room. ``include_zero_value=True``
+    also accepts value-0 nodes (the selection rule's literal non-negative
+    form); revenue is unchanged either way, but the returned set can then
+    differ from :func:`local_ratio`'s. Runs in O(|V| * t + |E|), t the
+    most groups of one node. Arithmetic is exact: integers when no group
+    has k > 1, otherwise rationals.
     """
     order, w = g.order(), g.w
     pred_ptr, pred_idx = g.pred_ptr, g.pred_idx
     succ_ptr, succ_idx = g.succ_ptr, g.succ_idx
     n = len(order)
-    val = [0] * n
+    gptr, gidx, k, _members = groups if groups is not None else (None, None, (), None)
+
+    exact_ints = all(x == 1 for x in k)
+    zero = 0 if exact_ints else Fraction(0)
+    delta = [zero] * len(k)
+    val: list = [zero] * n
     for i in range(n):
-        s = 0
+        s = zero
         for j in pred_idx[pred_ptr[i] : pred_ptr[i + 1]]:
             vj = val[j]
             if vj > 0:
                 s += vj
-        val[i] = w[i] - s
+        v = w[i] - s
+        if gptr is not None:
+            mine = gidx[gptr[i] : gptr[i + 1]]
+            if exact_ints:
+                for gi in mine:
+                    v -= delta[gi]
+            else:
+                for gi in mine:
+                    v -= delta[gi] / k[gi]
+            if v > 0:
+                for gi in mine:
+                    delta[gi] += v
+        val[i] = v
+
     sel = [False] * n
+    used = [0] * len(k)
     for i in range(n - 1, -1, -1):
         vi = val[i]
-        if vi > 0 or (include_zero_value and vi == 0):
-            free = True
+        if vi < 0 or (vi == 0 and not include_zero_value):
+            continue
+        mine = gidx[gptr[i] : gptr[i + 1]] if gptr is not None else ()
+        for gi in mine:
+            if used[gi] >= k[gi]:
+                break
+        else:
             for j in succ_idx[succ_ptr[i] : succ_ptr[i + 1]]:
                 if sel[j]:
-                    free = False
                     break
-            sel[i] = free
-    check_independent(succ_ptr, succ_idx, sel, order)
-    chosen = list(compress(order, sel))
-    revenue = sum(compress(w, sel))
-    return Solution(frozenset(chosen), revenue, Certificate("opcost")), ValueTable(order, val, sel)
+            else:
+                sel[i] = True
+                for gi in mine:
+                    used[gi] += 1
+    return selection_solution(g, sel, algorithm), ValueTable(order, val, sel)
+
+
+def local_ratio(g: BidGraph, groups=None, algorithm: str = "lropcost") -> Solution:
+    """Oracle: the local-ratio form of :func:`forward_pass` (Bar-Yehuda,
+    Bendel, Freund & Rawitz, ACM Comput. Surv. 36(4), 2004), kept as an
+    independent cross-check of the one-pass form.
+
+    Iterative emulation of the recursion: maintain current weights; skip any
+    node whose current weight is non-positive when reached (it would have
+    been deleted); otherwise charge its current weight in full to all later
+    neighbors and at 1/k to every later member of each of its groups (a
+    later neighbor in the same group is charged under both rules), and push
+    it on the processing stack. Unwinding the stack, accept each node whose
+    later neighbors are all unaccepted and whose groups all have room.
+    Quadratic in group size.
+    """
+    order, w = g.order(), g.w
+    succ_ptr, succ_idx = g.succ_ptr, g.succ_idx
+    n = len(order)
+    gptr, gidx, k, members_by_rank = groups if groups is not None else (None, None, (), None)
+
+    exact_ints = all(x == 1 for x in k)
+    cur: list = list(w) if exact_ints else [Fraction(x) for x in w]
+    processed: list[int] = []
+    for i in range(n):
+        ci = cur[i]
+        if ci <= 0:
+            continue
+        processed.append(i)
+        for j in succ_idx[succ_ptr[i] : succ_ptr[i + 1]]:
+            cur[j] -= ci
+        if gptr is not None:
+            for gi in gidx[gptr[i] : gptr[i + 1]]:
+                share = ci if exact_ints else ci / k[gi]
+                ranks = members_by_rank[gi]
+                for j in ranks[bisect_right(ranks, i) :]:
+                    cur[j] -= share
+
+    sel = [False] * n
+    used = [0] * len(k)
+    for i in reversed(processed):
+        mine = gidx[gptr[i] : gptr[i + 1]] if gptr is not None else ()
+        if mine and any(used[gi] >= k[gi] for gi in mine):
+            continue
+        for j in succ_idx[succ_ptr[i] : succ_ptr[i + 1]]:
+            if sel[j]:
+                break
+        else:
+            sel[i] = True
+            for gi in mine:
+                used[gi] += 1
+    return selection_solution(g, sel, algorithm)
+
+
+def opcost(g: BidGraph, include_zero_value: bool = False) -> tuple[Solution, ValueTable]:
+    """Opportunity-cost algorithm: :func:`forward_pass` with no groups."""
+    return forward_pass(g, include_zero_value=include_zero_value)
 
 
 def verify_value_table(g: BidGraph, table: ValueTable) -> bool:
@@ -153,38 +257,9 @@ def verify_value_table(g: BidGraph, table: ValueTable) -> bool:
 
 
 def lropcost(g: BidGraph) -> Solution:
-    """Local-ratio form of the opportunity-cost algorithm.
-
-    Iterative emulation of the recursion: maintain current weights; skip any
-    node whose current weight is non-positive when reached (it would have
-    been deleted); otherwise charge its current weight to all later
-    neighbors and push it on the processing stack. Unwinding the stack,
-    accept each node whose later neighbors are all unaccepted.
-    """
-    order, w = g.order(), g.w
-    succ_ptr, succ_idx = g.succ_ptr, g.succ_idx
-    n = len(order)
-    cur = list(w)
-    processed: list[int] = []
-    for i in range(n):
-        ci = cur[i]
-        if ci <= 0:
-            continue
-        processed.append(i)
-        for j in succ_idx[succ_ptr[i] : succ_ptr[i + 1]]:
-            cur[j] -= ci
-    sel = [False] * n
-    for i in reversed(processed):
-        free = True
-        for j in succ_idx[succ_ptr[i] : succ_ptr[i + 1]]:
-            if sel[j]:
-                free = False
-                break
-        sel[i] = free
-    check_independent(succ_ptr, succ_idx, sel, order)
-    chosen = [order[i] for i in processed if sel[i]]
-    revenue = sum(w[i] for i in processed if sel[i])
-    return Solution(frozenset(chosen), revenue, Certificate("lropcost"))
+    """Oracle: the local-ratio form of :func:`opcost`, :func:`local_ratio`
+    with no groups."""
+    return local_ratio(g)
 
 
 def greedy(g: BidGraph, ordering=None) -> Solution:
