@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import math
 import sys
 import time
 from contextlib import contextmanager
@@ -104,6 +105,8 @@ def cmd_order(args) -> int:
         if inst.ordering_spec is None or inst.ordering_spec.coords is None:
             raise ValidationError("grid ordering needs coordinates in the instance")
         spec.coords = inst.ordering_spec.coords
+        # coords under another method were never checked against the bids
+        instances._check_grid_coords(spec.coords, set(inst.table.ids))
     out = instances.Instance(inst.table, inst.object_graph, inst.constraints, spec, inst.metadata)
     if args.method != "decreasing-weight":  # which certifies no bound
         # only lex-BFS and the grid bound read the bid graph
@@ -121,7 +124,10 @@ def cmd_gen(args) -> int:
     elif args.family == "subtrees":
         inst = instances.gen_subtrees(args.tree_size, args.n, args.seed, (args.wmin, args.wmax))
     elif args.family == "grid":
-        dims = tuple(int(d) for d in args.dims.split("x"))
+        try:
+            dims = tuple(int(d) for d in args.dims.split("x"))
+        except ValueError:
+            raise ValidationError(f"--dims must be sizes joined by 'x', like 4x4; got {args.dims!r}") from None
         inst = instances.gen_grid(dims, args.density_milli, (args.wmin, args.wmax), args.seed)
     elif args.family == "tight":
         inst = instances.gen_tight(args.beta, args.epsilon_milli, args.seed)
@@ -323,12 +329,20 @@ def _bench_solvers(family: str, inst):
     return {cs.kind: lambda g: one_pass(g, cs)}
 
 
+# A bench sample times enough back-to-back solver calls to last at least
+# this long, so that a pass of a millisecond is not at the mercy of timer
+# and scheduler noise.
+MIN_SAMPLE_S = 0.02
+
+
 def run_bench(family: str, sizes, seed: int = 0, repeats: int = 3, max_ratio: float = 3.0) -> dict:
     """Time the linear-time solvers at each target |V|+|E| and assert the
     per-element cost at the largest size is within ``max_ratio`` of the
     smallest. Each solver gets one untimed warmup (which also pays the
-    one-off group-index build); the reported time is the minimum over
-    ``repeats`` runs. Returns the full measurement report."""
+    one-off group-index build) and one timed call that sets how many calls
+    a sample makes (``calls``: enough to last :data:`MIN_SAMPLE_S`); the
+    reported time per call is the minimum over ``repeats`` samples. Returns
+    the full measurement report."""
     if family not in BENCH_FAMILIES:
         raise ValidationError(f"unknown bench family {family!r}")
     rows = []
@@ -341,13 +355,18 @@ def run_bench(family: str, sizes, seed: int = 0, repeats: int = 3, max_ratio: fl
         solvers_row = {}
         for name, fn in fns.items():
             fn(g)
+            t0 = time.perf_counter()
+            fn(g)
+            calls = max(1, math.ceil(MIN_SAMPLE_S / max(time.perf_counter() - t0, 1e-9)))
             best = None
             for _ in range(max(1, repeats)):
                 t0 = time.perf_counter()
-                fn(g)
-                dt = time.perf_counter() - t0
+                for _ in range(calls):
+                    fn(g)
+                dt = (time.perf_counter() - t0) / calls
                 best = dt if best is None else min(best, dt)
             solvers_row[name] = {
+                "calls": calls,
                 "seconds": round(best, 6),
                 "per_element_ns": round(best / elements * 1e9, 3),
             }

@@ -107,6 +107,11 @@ class Instance:
 # validation
 
 
+def _check_grid_coords(coords: dict, ids: set[str]) -> None:
+    if set(coords) != ids:
+        raise ValidationError("grid coordinates must cover exactly the bid ids")
+
+
 def validate_instance(inst: Instance) -> None:
     """Full semantic validation; raises ValidationError on the first problem."""
     table, og = inst.table, inst.object_graph
@@ -150,8 +155,7 @@ def validate_instance(inst: Instance) -> None:
     if spec.method == "grid":
         if spec.coords is None:
             raise ValidationError("grid ordering requires coordinates")
-        if set(spec.coords) != ids:
-            raise ValidationError("grid coordinates must cover exactly the bid ids")
+        _check_grid_coords(spec.coords, ids)
     if spec.method == "planted-optimal":
         if spec.independent_set is None:
             raise ValidationError("planted-optimal ordering requires an independent set")
@@ -593,10 +597,17 @@ def _pad(n: int) -> int:
     return len(str(max(n - 1, 1)))
 
 
+def _weight_bounds(weight_range: tuple[int, int]) -> tuple[int, int]:
+    wmin, wmax = weight_range
+    if wmin > wmax:
+        raise ValidationError(f"weight range is empty: wmin {wmin} > wmax {wmax}")
+    return wmin, wmax
+
+
 def _interval_bids(n: int, weight_range: tuple[int, int], rng: SplitMix64):
+    wmin, wmax = _weight_bounds(weight_range)
     r_pos, r_len, r_w = rng.split(), rng.split(), rng.split()
     span = max(4, 2 * n)
-    wmin, wmax = weight_range
     pw = len(str(span + 4))
     pad = _pad(n)
     bids = []
@@ -684,6 +695,7 @@ def gen_subtrees(
     """Bids are random connected subtrees of a random tree; chordal."""
     if tree_size < 1 or n_bids < 1:
         raise ValidationError("tree_size and n_bids must be >= 1")
+    wmin, wmax = _weight_bounds(weight_range)
     rng = SplitMix64(seed)
     r_tree, r_start, r_size, r_grow, r_w = (rng.split() for _ in range(5))
     pad = _pad(tree_size)
@@ -697,7 +709,6 @@ def gen_subtrees(
         adj[nodes[i]].append(nodes[p])
     og = ObjectGraph(nodes, edges)
 
-    wmin, wmax = weight_range
     bpad = _pad(n_bids)
     bids = []
     for i in range(n_bids):
@@ -743,9 +754,9 @@ def gen_grid(
         raise ValidationError("dims must be a non-empty tuple of positive sizes")
     if not 0 <= density_milli <= 1000:
         raise ValidationError("density_milli must be within [0, 1000]")
+    wmin, wmax = _weight_bounds(weight_range)
     rng = SplitMix64(seed)
     r_keep, r_w = rng.split(), rng.split()
-    wmin, wmax = weight_range
 
     points = [()]
     for d in dims:

@@ -13,6 +13,7 @@ import pytest
 from auctol import cli, instances
 from auctol import dumps_instance, gen_budget, gen_grid, gen_interval, gen_interval_selection, gen_subtrees, gen_tight, save_instance
 from auctol.cli import run
+from auctol.errors import ValidationError
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -169,6 +170,59 @@ def test_order_tree_decomposition_bound(tmp_path):
     assert spec["method"] == "tree-decomposition"
     bags = spec["tree_decomposition"]["bags"]
     assert spec["beta_bound"] <= max(len(b) for b in bags.values())
+
+
+def test_order_grid_with_partial_coords_exit2(tmp_path, capsys):
+    # coords kept under another method are never checked at load; they
+    # miss c, so grid ordering must refuse them rather than crash
+    inst = {
+        "format": "auctol/1",
+        "bids": [
+            {"id": "a", "objects": ["x"], "price": 3},
+            {"id": "b", "objects": ["x", "y"], "price": 5},
+            {"id": "c", "objects": ["y"], "price": 2},
+        ],
+        "ordering_spec": {"method": "chordal", "coords": {"a": [0, 0], "b": [0, 1]}},
+    }
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(inst))
+    assert run(["order", "--input", str(path), "--method", "grid"]) == 2
+    assert capsys.readouterr().err == "validation error: grid coordinates must cover exactly the bid ids\n"
+    inst["ordering_spec"]["coords"]["c"] = [1, 1]
+    path.write_text(json.dumps(inst))
+    out = tmp_path / "ordered.json"
+    assert run(["order", "--input", str(path), "--method", "grid", "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["ordering_spec"]["beta_bound"] == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--family", "grid", "--dims", "4xfoo"], "--dims must be sizes joined by 'x', like 4x4; got '4xfoo'"),
+        (["--family", "interval", "--wmin", "10", "--wmax", "1"], "weight range is empty: wmin 10 > wmax 1"),
+        (["--family", "subtrees", "--wmin", "10", "--wmax", "1"], "weight range is empty: wmin 10 > wmax 1"),
+        (["--family", "grid", "--wmin", "10", "--wmax", "1"], "weight range is empty: wmin 10 > wmax 1"),
+        (["--family", "budget", "--wmin", "10", "--wmax", "1"], "weight range is empty: wmin 10 > wmax 1"),
+    ],
+    ids=["dims-not-int", "interval-wmin-above-wmax", "subtrees-wmin-above-wmax", "grid-wmin-above-wmax", "budget-wmin-above-wmax"],
+)
+def test_gen_bad_arguments_exit2(capsys, argv, message):
+    assert run(["gen", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"validation error: {message}\n"
+
+
+def test_generators_reject_an_empty_weight_range():
+    for make in (
+        lambda: gen_interval(4, (5, 4)),
+        lambda: gen_interval_selection(2, 2, weight_range=(5, 4)),
+        lambda: gen_subtrees(4, 4, weight_range=(5, 4)),
+        lambda: gen_grid((2, 2), weight_range=(5, 4)),
+    ):
+        with pytest.raises(ValidationError, match=r"^weight range is empty: wmin 5 > wmax 4$"):
+            make()
+    assert {b.price for b in gen_interval(6, (7, 7)).bids} == {7}
 
 
 def test_gen_golden_regeneration(tmp_path):
