@@ -16,8 +16,9 @@ Three constraint kinds over groups of bids:
   discount, and the better of the two solutions is returned.
 
 The approximation ratio of each solver is in :data:`auctol.instances.RATIO`;
-solvers return an uncertified :class:`Certificate`. :data:`SOLVERS_BY_KIND`
-maps each kind to its one-pass solver and its cross-check.
+solvers return an uncertified :class:`auctol.solvers.Certificate`.
+:data:`SOLVERS_BY_KIND` maps each kind to its one-pass solver and its
+cross-check.
 
 The count-constraint pass uses exact rational arithmetic (the only divisor
 is k), with a pure-integer path when every k is 1. The light pass is
@@ -35,8 +36,8 @@ from functools import partial
 from typing import NamedTuple
 
 from .errors import CapacityError, ValidationError
-from .graphs import BidGraph, check_independent, csr, neighbor_masks
-from .solvers import Certificate, Solution, ValueTable, forward_pass, local_ratio, selection_solution
+from .graphs import BidGraph, csr, neighbor_masks
+from .solvers import Solution, ValueTable, forward_pass, local_ratio, selection_solution
 
 KINDS = ("unweighted", "overlapping", "weighted")
 
@@ -280,12 +281,9 @@ def solve_weighted(g: BidGraph, cs: ConstraintSet, light_mode: str = "lazy") -> 
     l_rev = light_sol.revenue if light_sol else 0
     if h_rev >= l_rev:
         chosen = heavy_sol.selected if heavy_sol else frozenset()
-        revenue = h_rev
     else:
         chosen = light_sol.selected
-        revenue = l_rev
-    check_independent(g.ptr, g.nbr, [u in chosen for u in g.ids], g.ids)
-    return Solution(chosen, revenue, Certificate("weighted"))
+    return selection_solution(g, [u in chosen for u in g.order()], "weighted")
 
 
 # The one-pass solver and its cross-check for each constraint kind, both

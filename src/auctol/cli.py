@@ -21,6 +21,7 @@ import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 from . import budgets, instances, solvers
@@ -338,39 +339,46 @@ MIN_SAMPLE_S = 0.02
 def run_bench(family: str, sizes, seed: int = 0, repeats: int = 3, max_ratio: float = 3.0) -> dict:
     """Time the linear-time solvers at each target |V|+|E| and assert the
     per-element cost at the largest size is within ``max_ratio`` of the
-    smallest. Each solver gets one untimed warmup (which also pays the
-    one-off group-index build) and one timed call that sets how many calls
-    a sample makes (``calls``: enough to last :data:`MIN_SAMPLE_S`); the
-    reported time per call is the minimum over ``repeats`` samples. Returns
-    the full measurement report."""
+    smallest. Each solver's first call (which also pays the one-off
+    group-index build) is a warmup; it, or a second call when it is shorter
+    than :data:`MIN_SAMPLE_S`, sets how many back-to-back calls a sample
+    makes (``calls``: enough to last that long). The sizes then take turns,
+    one sample each, ``repeats`` times, so that a change in the machine's
+    speed reaches every size alike; the reported time per call is the
+    minimum over a size's samples. Returns the full measurement report."""
     if family not in BENCH_FAMILIES:
         raise ValidationError(f"unknown bench family {family!r}")
-    rows = []
+    rows, timed = [], []
     for target in sizes:
         inst, g = _bench_instance(family, target, seed)
         fns = _bench_solvers(family, inst)
         del inst
         gc.collect()
-        elements = g.n + g.m
-        solvers_row = {}
+        row = {"target": target, "n": g.n, "m": g.m, "elements": g.n + g.m, "solvers": {}}
+        rows.append(row)
         for name, fn in fns.items():
-            fn(g)
             t0 = time.perf_counter()
             fn(g)
-            calls = max(1, math.ceil(MIN_SAMPLE_S / max(time.perf_counter() - t0, 1e-9)))
-            best = None
-            for _ in range(max(1, repeats)):
+            dt = time.perf_counter() - t0
+            if dt < MIN_SAMPLE_S:  # time a call without the one-off costs
                 t0 = time.perf_counter()
-                for _ in range(calls):
-                    fn(g)
-                dt = (time.perf_counter() - t0) / calls
-                best = dt if best is None else min(best, dt)
-            solvers_row[name] = {
-                "calls": calls,
-                "seconds": round(best, 6),
-                "per_element_ns": round(best / elements * 1e9, 3),
-            }
-        rows.append({"target": target, "n": g.n, "m": g.m, "elements": elements, "solvers": solvers_row})
+                fn(g)
+                dt = time.perf_counter() - t0
+            calls = max(1, math.ceil(MIN_SAMPLE_S / max(dt, 1e-9)))
+            timed.append((row, name, partial(fn, g), calls))
+    best = [float("inf")] * len(timed)
+    for _ in range(max(1, repeats)):
+        for k, (_row, _name, call, calls) in enumerate(timed):
+            t0 = time.perf_counter()
+            for _ in range(calls):
+                call()
+            best[k] = min(best[k], (time.perf_counter() - t0) / calls)
+    for (row, name, _call, calls), dt in zip(timed, best):
+        row["solvers"][name] = {
+            "calls": calls,
+            "seconds": round(dt, 6),
+            "per_element_ns": round(dt / row["elements"] * 1e9, 3),
+        }
     smallest = min(rows, key=lambda r: r["elements"])
     largest = max(rows, key=lambda r: r["elements"])
     checks = {}
