@@ -2,22 +2,21 @@
 
 Two approximation algorithms are provided and they provably return the same
 set of bids. Each is written once and takes an optional group index, which
-adds k-of-group limits (the count constraints of :mod:`auctol.budgets`):
+adds the k-of-group limits of :mod:`auctol.budgets`; ``opcost`` and
+``lropcost`` are the calls without one.
 
-* :func:`forward_pass` (``opcost`` without groups): two passes. A forward
-  pass assigns each node a *value*: its weight minus the values of earlier
-  positive-value conflicting nodes (the opportunity cost of accepting it),
-  minus a 1/k share of the positive values already seen in each of its
-  groups. A reverse pass then accepts every positive-value node none of
-  whose later neighbors was accepted and whose groups have room.
+* :func:`forward_pass`: two passes. A forward pass assigns each node a
+  *value*: its weight minus the values of earlier positive-value
+  conflicting nodes (the opportunity cost of accepting it). A reverse pass
+  then accepts every positive-value node none of whose later neighbors was
+  accepted.
 
-* :func:`local_ratio` (``lropcost`` without groups): the oracle, a
-  weight-decomposition recursion implemented iteratively. Nodes whose
-  current weight has been driven to zero or below are dropped; otherwise
-  the earliest remaining node is processed, its current weight is charged
-  to all of its later neighbors (and at 1/k to later group mates), and on
-  the way back out of the recursion it is accepted whenever that keeps the
-  accepted set independent and within every group limit.
+* :func:`local_ratio`, the oracle: a weight-decomposition recursion,
+  implemented iteratively. Nodes whose current weight has been driven to
+  zero or below are dropped; otherwise the earliest remaining node is
+  processed, its current weight is charged to all of its later neighbors,
+  and on the way back out of the recursion it is accepted whenever that
+  keeps the accepted set independent.
 
 Without groups both run in O(|V| + |E|) and approximate the maximum-weight
 independent set within the directed local independence number of the
@@ -153,12 +152,8 @@ def forward_pass(
         v = w[i] - s
         if gptr is not None:
             mine = gidx[gptr[i] : gptr[i + 1]]
-            if exact_ints:
-                for gi in mine:
-                    v -= delta[gi]
-            else:
-                for gi in mine:
-                    v -= delta[gi] / k[gi]
+            for gi in mine:
+                v -= delta[gi] if exact_ints else delta[gi] / k[gi]
             if v > 0:
                 for gi in mine:
                     delta[gi] += v
