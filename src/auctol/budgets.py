@@ -10,10 +10,10 @@ Three constraint kinds over groups of bids:
   a 1/k-scaled sum of the positive values already seen in that group.
 * ``unweighted``: groups partition the bids, the t = 1 case of
   ``overlapping``; the same pass and oracle serve both count kinds.
-* ``weighted``: per-group money budgets b. Bids are split into heavy
-  (weight > b/2) and light (weight <= b/2); the heavy side reduces to a
-  1-of-group unweighted run, the light side uses a multiplicative group
-  discount, and the better of the two solutions is returned.
+* ``weighted``: per-group money budgets b. Heavy bids (weight > b/2) run the
+  forward pass with 1 winner per group and light ones (weight <= b/2) a
+  multiplicative group discount, each on the whole graph with the other
+  bids' weights masked to 0; the better of the two solutions is returned.
 
 The approximation ratio of each solver is in :data:`auctol.instances.RATIO`;
 solvers return an uncertified :class:`auctol.solvers.Certificate`.
@@ -29,6 +29,7 @@ ships alongside the lazy linear-time one as a cross-check.
 
 from __future__ import annotations
 
+import copy
 import sys
 from array import array
 from dataclasses import dataclass
@@ -37,7 +38,7 @@ from typing import NamedTuple
 
 from .errors import CapacityError, ValidationError
 from .graphs import BidGraph, csr, neighbor_masks
-from .solvers import Solution, ValueTable, forward_pass, local_ratio, selection_solution
+from .solvers import Certificate, Solution, ValueTable, forward_pass, local_ratio, selection_solution
 
 KINDS = ("unweighted", "overlapping", "weighted")
 
@@ -252,38 +253,34 @@ def solve_light(g: BidGraph, cs: ConstraintSet, mode: str = "lazy") -> tuple[Sol
     return selection_solution(g, sel, "weighted-light"), ValueTable(order, vals, sel)
 
 
+def _reweighted(g: BidGraph, w: list[int]) -> BidGraph:
+    """``g`` with rank-space weights ``w``, sharing its rows, orientation and group indexes."""
+    h = copy.copy(g)
+    h.w = w
+    return h
+
+
 def solve_weighted(g: BidGraph, cs: ConstraintSet, light_mode: str = "lazy") -> Solution:
     """Money-budget winner determination via the heavy/light split.
 
-    Heavy bids (weight > b/2) are mutually exclusive within a group, so the
-    heavy side is the unweighted solver with k=1 per group on the
-    heavy-induced subgraph. The light side runs :func:`solve_light`. The
-    higher-revenue side wins; ties go to the heavy side. Bids exceeding
-    their whole group budget can never win and are dropped up front.
+    Both sides run on ``g`` with the other bids' weights masked to 0 (a bid
+    of weight 0 never takes a positive value, so it never charges or wins).
+    Heavy bids (b/2 < weight <= b) are mutually exclusive within a group, so
+    that side is :func:`~auctol.solvers.forward_pass` with k=1 per group; the
+    light side (weight <= b/2) runs :func:`solve_light`. Bids above their
+    whole group budget are 0 on both. The higher-revenue side wins; ties go
+    to the heavy side.
     """
     _expect_kind(cs, "weighted")
     gx = _group_index(g, cs)
     budget = [gx.limits[gi] for gi in gx.gidx]  # the groups partition the bids: one per rank
-    heavy = [u for u, w, b in zip(g.order(), g.w, budget) if w <= b < 2 * w]
-    light = [u for u, w, b in zip(g.order(), g.w, budget) if 2 * w <= b]
-
-    heavy_sol = light_sol = None
-    if heavy:
-        keep = set(heavy)
-        hgroups = [Group(grp.label, inside, 1) for grp in cs.groups if (inside := grp.members & keep)]
-        heavy_sol, _ = solve_unweighted(g.induced(keep), ConstraintSet("unweighted", hgroups))
-    if light:
-        keep = set(light)
-        lgroups = [Group(grp.label, inside, grp.limit) for grp in cs.groups if (inside := grp.members & keep)]
-        light_sol, _ = solve_light(g.induced(keep), ConstraintSet("weighted", lgroups), mode=light_mode)
-
-    h_rev = heavy_sol.revenue if heavy_sol else 0
-    l_rev = light_sol.revenue if light_sol else 0
-    if h_rev >= l_rev:
-        chosen = heavy_sol.selected if heavy_sol else frozenset()
-    else:
-        chosen = light_sol.selected
-    return selection_solution(g, [u in chosen for u in g.order()], "weighted")
+    heavy_w = [w if w <= b < 2 * w else 0 for w, b in zip(g.w, budget)]
+    light_w = [w if 2 * w <= b else 0 for w, b in zip(g.w, budget)]
+    heavy = forward_pass(_reweighted(g, heavy_w), gx._replace(limits=[1] * len(gx.limits)), "weighted")[0]
+    light = solve_light(_reweighted(g, light_w), cs, mode=light_mode)[0]
+    if heavy.revenue >= light.revenue:
+        return heavy
+    return Solution(light.selected, light.revenue, Certificate("weighted"))
 
 
 # The one-pass solver and its cross-check for each constraint kind, both

@@ -118,28 +118,24 @@ def cmd_order(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    if args.family == "interval":
-        inst = instances.gen_interval(args.n, (args.wmin, args.wmax), args.seed)
-    elif args.family == "interval-selection":
-        inst = instances.gen_interval_selection(args.groups, args.per_group, args.seed, (args.wmin, args.wmax))
-    elif args.family == "subtrees":
-        inst = instances.gen_subtrees(args.tree_size, args.n, args.seed, (args.wmin, args.wmax))
-    elif args.family == "grid":
+    # one params dict for the base generators, whether run directly or under budget
+    params = dict(
+        n=args.n, n_bids=args.n, tree_size=args.tree_size, density_milli=args.density_milli,
+        weight_range=(args.wmin, args.wmax), group_size=args.group_size, k_max=args.k_max, t=args.t,
+    )
+    base = args.base_family if args.family == "budget" else args.family
+    if base == "grid":
         try:
-            dims = tuple(int(d) for d in args.dims.split("x"))
+            params["dims"] = tuple(int(d) for d in args.dims.split("x"))
         except ValueError:
             raise ValidationError(f"--dims must be sizes joined by 'x', like 4x4; got {args.dims!r}") from None
-        inst = instances.gen_grid(dims, args.density_milli, (args.wmin, args.wmax), args.seed)
+    if args.family in instances.BASE_GENERATORS:
+        inst = instances.BASE_GENERATORS[args.family](params, args.seed)
+    elif args.family == "interval-selection":
+        inst = instances.gen_interval_selection(args.groups, args.per_group, args.seed, (args.wmin, args.wmax))
     elif args.family == "tight":
         inst = instances.gen_tight(args.beta, args.epsilon_milli, args.seed)
     else:
-        params = {
-            "n": args.n,
-            "group_size": args.group_size,
-            "k_max": args.k_max,
-            "t": args.t,
-            "weight_range": (args.wmin, args.wmax),
-        }
         inst = instances.gen_budget(args.base_family, args.kind, params, args.seed)
     _write_output(instances.dumps_instance(inst), args.output)
     return EXIT_OK
@@ -394,7 +390,10 @@ def run_bench(family: str, sizes, seed: int = 0, repeats: int = 3, max_ratio: fl
 
 
 def cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",")]
+    try:
+        sizes = [int(s) for s in args.sizes.split(",")]
+    except ValueError:
+        raise ValidationError(f"--sizes must be integers joined by ',', like 10000,100000; got {args.sizes!r}") from None
     report = run_bench(args.family, sizes, args.seed, args.repeats)
     sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return EXIT_OK if report["ok"] else EXIT_VIOLATION
@@ -434,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=int, default=3)
     p.add_argument("--epsilon-milli", dest="epsilon_milli", type=int, default=100)
     p.add_argument("--base-family", dest="base_family", default="interval")
-    p.add_argument("--kind", choices=("unweighted", "overlapping", "weighted"), default="unweighted")
+    p.add_argument("--kind", choices=budgets.KINDS, default="unweighted")
     p.add_argument("--group-size", dest="group_size", type=int, default=3)
     p.add_argument("--k-max", dest="k_max", type=int, default=2)
     p.add_argument("--t", type=int, default=2)

@@ -138,12 +138,6 @@ class ObjectGraph:
     def __contains__(self, o: str) -> bool:
         return o in self.index
 
-    def neighbors(self, o: str):
-        return self.adj[o].keys()
-
-    def has_edge(self, a: str, b: str) -> bool:
-        return b in self.adj.get(a, ())
-
 
 def _reject_edges(objects: list[str], edges) -> None:
     """Raise the error for the first object or edge :class:`ObjectGraph`

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain, repeat
 
-from .budgets import ConstraintSet, Group
+from .budgets import KINDS, ConstraintSet, Group
 from .errors import NotChordalError, SchemaError, ValidationError
 from .graphs import (
     Bid,
@@ -427,7 +427,7 @@ def obj_to_instance(obj: dict) -> Instance:
     if "constraints" in obj:
         cobj = _expect_obj(obj["constraints"], "/constraints")
         kind = _expect_str(cobj.get("kind"), "/constraints/kind")
-        _expect(kind in ("unweighted", "overlapping", "weighted"), "/constraints/kind", f"unknown kind {kind!r}")
+        _expect(kind in KINDS, "/constraints/kind", f"unknown kind {kind!r}")
         groups = _load_groups(cobj.get("groups"), "b" if kind == "weighted" else "k", ids)
         try:
             constraints = ConstraintSet(kind, groups)
@@ -839,7 +839,9 @@ def gen_tight(beta: int, epsilon_milli: int, seed: int = 0) -> Instance:
     return inst
 
 
-_BASE_GENERATORS = {
+# The base families by name, each called as ``fn(params, seed)``: ``auctol
+# gen`` runs them directly and :func:`gen_budget` wraps them.
+BASE_GENERATORS = {
     "interval": lambda params, seed: gen_interval(
         params.get("n", 12),
         params.get("weight_range", (1, 1000)),
@@ -874,13 +876,13 @@ def gen_budget(
     ``t`` (overlapping: groups per bid is 1..t).
     """
     params = dict(params or {})
-    if base_family not in _BASE_GENERATORS:
+    if base_family not in BASE_GENERATORS:
         raise ValidationError(f"unknown base family {base_family!r}")
-    if constraint_kind not in ("unweighted", "overlapping", "weighted"):
+    if constraint_kind not in KINDS:
         raise ValidationError(f"unknown constraint kind {constraint_kind!r}")
     master = SplitMix64(seed)
     base_seed = master.next_u64()
-    base = _BASE_GENERATORS[base_family](params, base_seed)
+    base = BASE_GENERATORS[base_family](params, base_seed)
 
     group_size = max(1, params.get("group_size", 3))
     k_max = max(1, params.get("k_max", 2))
@@ -904,7 +906,7 @@ def gen_budget(
             if constraint_kind == "unweighted":
                 limit = 1 + r_limit.randrange(min(k_max, len(chunk)))
             else:
-                w_max = max(weights[u] for u in chunk)
+                w_max = max(1, max(weights[u] for u in chunk))  # a budget is >= 1
                 w_sum = sum(weights[u] for u in chunk)
                 limit = r_limit.randint(w_max, w_max + w_sum // 2)
             groups.append(Group(label, frozenset(chunk), limit))

@@ -269,6 +269,22 @@ def test_weighted_drops_unselectable_bids():
     assert ok, violations
 
 
+def test_weighted_checks_light_pass_inputs_without_light_bids():
+    # the light side runs over every group, light bids or not: a budget
+    # beyond the double range, or an unknown light mode, is refused even
+    # when every bid is heavy
+    huge = 2**1100
+    g = oriented([Bid("a", {"o1"}, huge, "g"), Bid("b", {"o2"}, 800, "h")])
+    cs = ConstraintSet("weighted", [Group("g", {"a"}, huge), Group("h", {"b"}, 1000)])
+    with pytest.raises(ValidationError, match=r"^group 'g': budget exceeds the double precision"):
+        solve_weighted(g, cs)
+    g = oriented([Bid("b", {"o2"}, 800, "h")])
+    cs = ConstraintSet("weighted", [Group("h", {"b"}, 1000)])
+    assert solve_weighted(g, cs).selected == {"b"}
+    with pytest.raises(ValidationError, match=r"^unknown light mode 'bogus'$"):
+        solve_weighted(g, cs, light_mode="bogus")
+
+
 def test_check_feasible_cases():
     bids = [Bid("a", {"s"}, 5, "g"), Bid("b", {"s"}, 3, "g")]
     g = oriented(bids)

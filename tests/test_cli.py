@@ -203,8 +203,19 @@ def test_order_grid_with_partial_coords_exit2(tmp_path, capsys):
         (["--family", "subtrees", "--wmin", "10", "--wmax", "1"], "weight range is empty: wmin 10 > wmax 1"),
         (["--family", "grid", "--wmin", "10", "--wmax", "1"], "weight range is empty: wmin 10 > wmax 1"),
         (["--family", "budget", "--wmin", "10", "--wmax", "1"], "weight range is empty: wmin 10 > wmax 1"),
+        (
+            ["--family", "budget", "--base-family", "grid", "--dims", "4xfoo"],
+            "--dims must be sizes joined by 'x', like 4x4; got '4xfoo'",
+        ),
     ],
-    ids=["dims-not-int", "interval-wmin-above-wmax", "subtrees-wmin-above-wmax", "grid-wmin-above-wmax", "budget-wmin-above-wmax"],
+    ids=[
+        "dims-not-int",
+        "interval-wmin-above-wmax",
+        "subtrees-wmin-above-wmax",
+        "grid-wmin-above-wmax",
+        "budget-wmin-above-wmax",
+        "budget-grid-dims-not-int",
+    ],
 )
 def test_gen_bad_arguments_exit2(capsys, argv, message):
     assert run(["gen", *argv]) == 2
@@ -223,6 +234,23 @@ def test_generators_reject_an_empty_weight_range():
         with pytest.raises(ValidationError, match=r"^weight range is empty: wmin 5 > wmax 4$"):
             make()
     assert {b.price for b in gen_interval(6, (7, 7)).bids} == {7}
+
+
+@pytest.mark.parametrize(
+    "flags, base, params",
+    [
+        (["--base-family", "interval", "--n", "50"], "interval", {"n": 50}),
+        (["--base-family", "subtrees", "--n", "50"], "subtrees", {"n_bids": 50}),
+        (["--base-family", "subtrees", "--tree-size", "30"], "subtrees", {"tree_size": 30}),
+        (["--base-family", "grid", "--dims", "8x8"], "grid", {"dims": (8, 8)}),
+        (["--base-family", "grid", "--dims", "5x6", "--density-milli", "600"], "grid", {"dims": (5, 6), "density_milli": 600}),
+    ],
+    ids=["interval-n", "subtrees-n", "subtrees-tree-size", "grid-dims", "grid-density"],
+)
+def test_gen_budget_base_reads_the_size_flags(tmp_path, flags, base, params):
+    out = tmp_path / "gen.json"
+    assert run(["gen", "--family", "budget", "--kind", "weighted", *flags, "--seed", "3", "--output", str(out)]) == 0
+    assert out.read_text() == dumps_instance(gen_budget(base, "weighted", params, seed=3))
 
 
 def test_gen_golden_regeneration(tmp_path):
@@ -287,6 +315,13 @@ def test_bench_smoke(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["ok"]
     assert set(report["checks"]) == {"opcost", "lropcost"}
+
+
+def test_bench_sizes_not_integers_exit2(capsys):
+    assert run(["bench", "--sizes", "100,foo"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "validation error: --sizes must be integers joined by ',', like 10000,100000; got '100,foo'\n"
 
 
 def test_console_script_end_to_end(tmp_path):

@@ -176,6 +176,23 @@ def test_generated_instances_validate_and_order():
         assert g.n == len(inst.bids)
 
 
+def test_gen_budget_weighted_with_zero_prices():
+    # a group whose prices are all 0 gets budget 1, the smallest valid one;
+    # any other group's budget is drawn from [max price, max + sum // 2]
+    zero_groups = 0
+    for seed in range(50):
+        inst = gen_budget("interval", "weighted", {"n": 30, "weight_range": (0, 2)}, seed=seed)
+        price = {b.id: b.price for b in inst.bids}
+        for grp in inst.constraints.groups:
+            top = max(price[u] for u in grp.members)
+            if top == 0:
+                zero_groups += 1
+                assert grp.limit == 1
+            else:
+                assert top <= grp.limit <= top + sum(price[u] for u in grp.members) // 2
+    assert zero_groups > 0
+
+
 def test_gen_interval_single():
     inst = gen_interval(1, seed=0)
     assert len(inst.bids) == 1

@@ -29,7 +29,6 @@ from auctol import (
     solve_weighted,
 )
 from auctol.budgets import _groups_csr
-from auctol.errors import ValidationError
 from auctol.solvers import selection_solution
 
 
@@ -114,10 +113,7 @@ def test_random_bid_sets_match_reference(light_mode):
 )
 def test_generated_instances_match_reference(base, params, light_mode):
     for seed in range(12):
-        try:
-            inst = gen_budget(base, "weighted", params, seed)
-        except ValidationError:
-            continue  # a group of zero-price bids can get no valid budget
+        inst = gen_budget(base, "weighted", params, seed)
         g = oriented_graph(inst)
         same_solution(
             solve_weighted(g, inst.constraints, light_mode=light_mode),
