@@ -19,9 +19,10 @@ import json
 import math
 import sys
 import time
+from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 from . import budgets, instances, solvers
@@ -151,15 +152,19 @@ def _check_solution_file(args) -> int:
             raise SchemaError("", f"not valid JSON: {exc}") from exc
     if not isinstance(obj, dict) or not isinstance(obj.get("selected"), list):
         raise SchemaError("/selected", "solution file needs a selected array")
+    selected = [instances._expect_str(u, f"/selected/{i}") for i, u in enumerate(obj["selected"])]
     sol = solvers.Solution(
-        frozenset(instances._expect_str(u, f"/selected/{i}") for i, u in enumerate(obj["selected"])),
+        frozenset(selected),
         instances._expect_int(obj.get("revenue", 0), "/revenue"),
         solvers.Certificate(obj.get("algorithm", "unknown")),
     )
-    ok, violations = budgets.check_feasible(sol, g, inst.constraints)
+    # the set above would hide a winner listed twice
+    repeated = sorted(u for u, count in Counter(selected).items() if count > 1)
+    _ok, violations = budgets.check_feasible(sol, g, inst.constraints)
+    violations = [f"selected bid {u!r} is listed more than once" for u in repeated] + violations
     for v in violations:
         print(f"violation: {v}", file=sys.stderr)
-    return EXIT_OK if ok else EXIT_VIOLATION
+    return EXIT_VIOLATION if violations else EXIT_OK
 
 
 @_collector_paused()
@@ -399,7 +404,11 @@ def cmd_bench(args) -> int:
     return EXIT_OK if report["ok"] else EXIT_VIOLATION
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``auctol`` parser, built on the first call and returned as it is
+    after that. Each ``parse_args`` call makes a fresh namespace, so calls
+    share no state."""
     parser = argparse.ArgumentParser(prog="auctol", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -478,6 +487,9 @@ def run(argv=None) -> int:
         return EXIT_VALIDATION
     except FileNotFoundError as exc:
         print(f"missing file: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except OSError as exc:  # a directory, a path without permission
+        print(f"file error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

@@ -357,6 +357,7 @@ class BidTable:
 
     def __init__(self, ids: list[str], prices: list[int], groups: list, rows: list[list[int]], names: list[str]):
         self.ids, self.prices, self.groups, self.rows, self.names = ids, prices, groups, rows, names
+        self._germane_in: ObjectGraph | None = None
 
     @classmethod
     def from_columns(cls, ids, prices, groups, object_sets, og: ObjectGraph | None = None) -> "BidTable":
@@ -396,8 +397,16 @@ class BidTable:
 
     def disconnected(self, og: ObjectGraph) -> list[str]:
         """Ids of the bids whose objects are not connected in ``og``, which
-        must be the graph the rows were interned against."""
-        return [self.ids[i] for i in _disconnected(og, self.rows)]
+        must be the graph the rows were interned against. An empty answer is
+        recorded on the table, and a later call with the same ``og`` object
+        returns [] without searching again; the record assumes the rows are
+        not changed after the search."""
+        if og is not None and self._germane_in is og:
+            return []
+        bad = [self.ids[i] for i in _disconnected(og, self.rows)]
+        if not bad:
+            self._germane_in = og
+        return bad
 
     def graph(self) -> BidGraph:
         """The conflict graph. Each object's holders form a clique, in the

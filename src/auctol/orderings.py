@@ -13,7 +13,7 @@ an ordering seeded with a known independent set (makes the solver optimal).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ValidationError
 from .graphs import Bid, BidGraph, BidTable, ObjectGraph, Ordering
@@ -36,12 +36,15 @@ class TreeDecomposition:
     Validity (checked by :func:`validate_tree_decomposition`): bags cover all
     objects, every object-graph edge lies inside some bag, and each object's
     occurrence set forms a connected subtree. Width is max bag size - 1.
+    ``_valid_for`` is the object graph the decomposition last passed that
+    check against, if any.
     """
 
     tree_nodes: list[str]
     tree_edges: list[tuple[str, str]]
     bags: dict[str, frozenset[str]]
     root: str | None = None
+    _valid_for: ObjectGraph | None = field(default=None, init=False, repr=False, compare=False)
 
     def width(self) -> int:
         return max((len(b) for b in self.bags.values()), default=0) - 1
@@ -58,8 +61,20 @@ def validate_tree_decomposition(og: ObjectGraph | None, td: TreeDecomposition) -
     """Check tree shape plus, given an object graph, the three
     decomposition properties.
 
-    Returns human-readable violations, each naming a concrete witness.
+    Returns human-readable violations, each naming a concrete witness. A
+    check against ``og`` that finds none is recorded on ``td``, and a later
+    call with the same ``og`` object returns [] without checking again; the
+    record assumes ``td`` is not changed after the check.
     """
+    if og is not None and td._valid_for is og:
+        return []
+    violations = _decomposition_violations(og, td)
+    if not violations:
+        td._valid_for = og
+    return violations
+
+
+def _decomposition_violations(og: ObjectGraph | None, td: TreeDecomposition) -> list[str]:
     violations: list[str] = []
     nodes = set(td.tree_nodes)
     if len(nodes) != len(td.tree_nodes):

@@ -586,3 +586,57 @@ def test_verify_checks_the_stated_beta_bound(tmp_path, capsys, inst, stated, vio
     report = json.loads(capsys.readouterr().out)
     assert report["beta_exact"] == 2
     assert report["violations"] == violations
+
+
+def test_unreadable_paths_exit2(tmp_path, capsys):
+    """A path that exists but cannot be read or written as a file exits 2
+    with a message, not a traceback; a missing file keeps its message."""
+    golden = str(GOLDEN / "interval-1.json")
+    corpus = tmp_path / "corpus"
+    (corpus / "x.json").mkdir(parents=True)
+    cases = [
+        (["solve", "--input", str(GOLDEN)], "file error: "),
+        (["verify", "--input", str(corpus)], "file error: "),
+        (["solve", "--input", golden, "--output", str(tmp_path)], "file error: "),
+        (["verify", "--input", golden, "--solution", str(tmp_path)], "file error: "),
+        (["solve", "--input", str(tmp_path / "absent.json")], "missing file: "),
+    ]
+    for argv, prefix in cases:
+        assert run(argv) == 2, argv
+        assert capsys.readouterr().err.startswith(prefix), argv
+
+
+def test_verify_solution_with_a_repeated_winner_exit5(tmp_path, capsys):
+    sol = tmp_path / "sol.json"
+    sol.write_text('{"selected": ["b00", "b00"], "revenue": 455}')
+    assert run(["verify", "--input", str(GOLDEN / "interval-1.json"), "--solution", str(sol)]) == 5
+    assert capsys.readouterr().err == "violation: selected bid 'b00' is listed more than once\n"
+    sol.write_text('{"selected": ["b00"], "revenue": 455}')
+    assert run(["verify", "--input", str(GOLDEN / "interval-1.json"), "--solution", str(sol)]) == 0
+
+
+def test_cached_parser_shares_no_state_between_calls(capsys):
+    """The parser is built once per process; the flags of one call do not
+    reach the next, whether that call succeeded or failed in argparse."""
+    golden = str(GOLDEN / "interval-1.json")
+    assert cli.build_parser() is cli.build_parser()
+
+    assert run(["verify", "--input", golden, "--timings"]) == 0
+    timed = json.loads(capsys.readouterr().out)["algorithms"]
+    assert all("wall_ms" in entry for entry in timed.values())
+    assert run(["verify", "--input", golden]) == 0
+    plain = json.loads(capsys.readouterr().out)["algorithms"]
+    assert plain and not any("wall_ms" in entry for entry in plain.values())
+
+    assert run(["solve", "--input", golden, "--algo", "lropcost"]) == 0
+    assert json.loads(capsys.readouterr().out)["algorithm"] == "lropcost"
+    assert run(["solve", "--input", golden]) == 0
+    assert json.loads(capsys.readouterr().out)["algorithm"] == "opcost"
+
+    for bad in (["solve", "--input", golden, "--algo", "bogus"], ["solve", "--algo", "greedy"]):
+        with pytest.raises(SystemExit) as exc:
+            run(bad)
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run(["solve", "--input", golden]) == 0
+        assert json.loads(capsys.readouterr().out)["algorithm"] == "opcost"
