@@ -20,11 +20,14 @@ solvers return an uncertified :class:`auctol.solvers.Certificate`.
 :data:`SOLVERS_BY_KIND` maps each kind to its one-pass solver and its
 cross-check.
 
-The count-constraint pass uses exact rational arithmetic (the only divisor
-is k), with a pure-integer path when every k is 1. The light pass is
-the single place fractions are inherent, so it runs in double precision
-with a deterministic positivity threshold; a direct quadratic update mode
-ships alongside the lazy linear-time one as a cross-check.
+The count-constraint pass is exact in integers: every value is a numerator
+over one common denominator, which grows by a factor of k only when a
+charge delta/k (the only division) needs it, and its value table reports
+``Fraction``s when some k > 1. The local-ratio oracles compute in
+``Fraction``. The light pass is the single place fractions are inherent,
+so it runs in double precision with a deterministic positivity threshold;
+a direct quadratic update mode ships alongside the lazy linear-time one as
+a cross-check.
 """
 
 from __future__ import annotations

@@ -66,6 +66,9 @@ def _collector_paused():
 
 def _solve_dispatch(inst, g, algo: str, use_constraints: bool, oracle_cap: int, include_zero_value: bool = False):
     cs = inst.constraints if use_constraints else None
+    if include_zero_value and (algo != "opcost" or cs is not None):
+        hint = "" if algo != "opcost" else "; pass --constraints ignore"
+        raise ValidationError(f"--include-zero-value applies only to opcost without budget constraints{hint}")
     if cs is None:
         if algo == "opcost":
             return solvers.opcost(g, include_zero_value=include_zero_value)[0]

@@ -36,6 +36,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
+from math import gcd
 
 from .errors import CapacityError, ValidationError
 from .graphs import BidGraph, check_independent, neighbor_masks
@@ -79,22 +80,27 @@ class ValueTable:
     """Per-node values and selection flags from a solver's two passes.
 
     Backed by the solver's index-space arrays; the id-keyed dicts are
-    materialized on first access.
+    materialized on first access. With ``den`` given, ``val`` holds integer
+    numerators and the values are ``Fraction(num, den)``, made on that first
+    access; otherwise ``val`` holds the values themselves.
     """
 
-    __slots__ = ("_order", "_val", "_sel", "_val_map", "_sel_map")
+    __slots__ = ("_order", "_val", "_sel", "_den", "_val_map", "_sel_map")
 
-    def __init__(self, order: list[str], val: list, select: list[bool]):
+    def __init__(self, order: list[str], val: list, select: list[bool], den: int | None = None):
         self._order = order
         self._val = val
         self._sel = select
+        self._den = den
         self._val_map = None
         self._sel_map = None
 
     @property
     def val(self) -> dict:
         if self._val_map is None:
-            self._val_map = dict(zip(self._order, self._val))
+            den = self._den
+            vals = self._val if den is None else (Fraction(x, den) for x in self._val)
+            self._val_map = dict(zip(self._order, vals))
         return self._val_map
 
     @property
@@ -130,8 +136,15 @@ def forward_pass(
     also accepts value-0 nodes (the selection rule's literal non-negative
     form); revenue is unchanged either way, but the returned set can then
     differ from :func:`local_ratio`'s. Runs in O(|V| * t + |E|), t the
-    most groups of one node. Arithmetic is exact: integers when no group
-    has k > 1, otherwise rationals.
+    most groups of one node, plus O(|V|) for each of the at most log2(d)
+    refinements of d below.
+
+    Arithmetic is exact in integers: every value and running sum is a
+    numerator over one common denominator d, which starts at 1. When a
+    charge delta(G)/k(G) is not a whole number of 1/d, d is multiplied by
+    k(G)/gcd(delta(G), k(G)) and so are the stored numerators. With every
+    k = 1, d stays 1 and the values are plain integers; otherwise the value
+    table reports them as ``Fraction(num, d)``.
     """
     order, w = g.order(), g.w
     pred_ptr, pred_idx = g.pred_ptr, g.pred_idx
@@ -139,21 +152,30 @@ def forward_pass(
     n = len(order)
     gptr, gidx, k, _members = groups if groups is not None else (None, None, (), None)
 
-    exact_ints = all(x == 1 for x in k)
-    zero = 0 if exact_ints else Fraction(0)
-    delta = [zero] * len(k)
-    val: list = [zero] * n
+    d = 1  # every value and running group sum is an integer numerator over d
+    delta = [0] * len(k)
+    val = [0] * n
     for i in range(n):
-        s = zero
+        s = 0
         for j in pred_idx[pred_ptr[i] : pred_ptr[i + 1]]:
             vj = val[j]
             if vj > 0:
                 s += vj
-        v = w[i] - s
+        v = w[i] * d - s
         if gptr is not None:
             mine = gidx[gptr[i] : gptr[i + 1]]
             for gi in mine:
-                v -= delta[gi] if exact_ints else delta[gi] / k[gi]
+                c, kg = delta[gi], k[gi]
+                if kg != 1:
+                    c, r = divmod(c, kg)
+                    if r:  # delta/k is not a whole number of 1/d: refine d
+                        m = kg // gcd(delta[gi], kg)
+                        d *= m
+                        val[:i] = [x * m for x in val[:i]]
+                        delta = [x * m for x in delta]
+                        v *= m
+                        c = delta[gi] // kg
+                v -= c
             if v > 0:
                 for gi in mine:
                     delta[gi] += v
@@ -177,7 +199,8 @@ def forward_pass(
                 sel[i] = True
                 for gi in mine:
                     used[gi] += 1
-    return selection_solution(g, sel, algorithm), ValueTable(order, val, sel)
+    den = None if all(x == 1 for x in k) else d
+    return selection_solution(g, sel, algorithm), ValueTable(order, val, sel, den)
 
 
 def local_ratio(g: BidGraph, groups=None, algorithm: str = "lropcost") -> Solution:

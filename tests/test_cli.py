@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from auctol import cli, instances
+from auctol import Bid, Instance, OrderingSpec, cli, instances
 from auctol import dumps_instance, gen_budget, gen_grid, gen_interval, gen_interval_selection, gen_subtrees, gen_tight, save_instance
 from auctol.cli import run
 from auctol.errors import ValidationError
@@ -640,3 +640,39 @@ def test_cached_parser_shares_no_state_between_calls(capsys):
         capsys.readouterr()
         assert run(["solve", "--input", golden]) == 0
         assert json.loads(capsys.readouterr().out)["algorithm"] == "opcost"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["--input", str(GOLDEN / "budget-unweighted-1.json")],
+            "validation error: --include-zero-value applies only to opcost without budget constraints;"
+            " pass --constraints ignore\n",
+        ),
+        (
+            ["--input", str(GOLDEN / "interval-1.json"), "--algo", "lropcost"],
+            "validation error: --include-zero-value applies only to opcost without budget constraints\n",
+        ),
+    ],
+    ids=["budget", "lropcost"],
+)
+def test_include_zero_value_where_it_would_be_ignored_exit2(capsys, argv, message):
+    assert run(["solve", *argv, "--include-zero-value"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == message
+
+
+def test_include_zero_value_with_plain_opcost(tmp_path, capsys):
+    """Plain opcost reads the flag; on a budget instance it applies once the
+    constraints are ignored."""
+    bids = [Bid("a", {"s"}, 5), Bid("b", {"s"}, 5)]
+    path = tmp_path / "tie.json"
+    save_instance(Instance(bids, ordering_spec=OrderingSpec("explicit", permutation=["a", "b"])), path)
+    assert run(["solve", "--input", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["selected"] == ["a"]
+    assert run(["solve", "--input", str(path), "--include-zero-value"]) == 0
+    assert json.loads(capsys.readouterr().out)["selected"] == ["b"]
+    budget = str(GOLDEN / "budget-unweighted-1.json")
+    assert run(["solve", "--input", budget, "--constraints", "ignore", "--include-zero-value"]) == 0
+    assert json.loads(capsys.readouterr().out)["algorithm"] == "opcost"
