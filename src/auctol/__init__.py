@@ -37,9 +37,7 @@ from .graphs import (
     beta_exact,
     build_bid_graph,
     check_frontier_property,
-    connected_in,
     orient,
-    validate_germane,
 )
 from .instances import (
     Instance,

@@ -18,7 +18,10 @@ Three constraint kinds over groups of bids:
 The approximation ratio of each solver is in :data:`auctol.instances.RATIO`;
 solvers return an uncertified :class:`auctol.solvers.Certificate`.
 :data:`SOLVERS_BY_KIND` maps each kind to its one-pass solver and its
-cross-check.
+cross-check. The exact optimum of a small instance, the oracle the ratios
+are checked against, is :func:`exact_feasible`: a thin caller of
+:func:`auctol.graphs.exact_search`, the one exhaustive search behind every
+exact oracle.
 
 The count-constraint pass is exact in integers: every value is a numerator
 over one common denominator, which grows by a factor of k only when a
@@ -40,7 +43,7 @@ from functools import partial
 from typing import NamedTuple
 
 from .errors import CapacityError, ValidationError
-from .graphs import BidGraph, csr, neighbor_masks
+from .graphs import BidGraph, csr, exact_search, neighbor_masks
 from .solvers import Certificate, Solution, ValueTable, forward_pass, local_ratio, selection_solution
 
 KINDS = ("unweighted", "overlapping", "weighted")
@@ -348,62 +351,24 @@ def group_clique_graph(g: BidGraph, cs: ConstraintSet) -> BidGraph:
 
 
 def exact_feasible(g: BidGraph, cs: ConstraintSet | None, node_cap: int = 20) -> tuple[int, frozenset[str]]:
-    """Exhaustive optimum over independent, budget-feasible bid sets.
-
-    Depth-first over ids in ascending order with include/exclude branches,
-    pruned by the sum of remaining weights. An oracle for ratio tests on
-    small graphs.
+    """Oracle: the exact optimum over independent, budget-feasible bid sets
+    of a small graph, from :func:`~auctol.graphs.exact_search` over the ids
+    in ascending order. Each bid uses 1 of its groups' count limits, or its
+    price of their budgets for ``weighted``. Returns the revenue and the
+    first optimal set the search reaches.
     """
     if g.n > node_cap:
         raise CapacityError(f"graph has {g.n} nodes, feasibility oracle capped at {node_cap}")
     ids = sorted(g.ids)
-    n = len(ids)
-    pos = {u: i for i, u in enumerate(ids)}
     w = [g.weights[u] for u in ids]
-    nbr = neighbor_masks(g, [g.index[u] for u in ids])
-    groups = cs.groups if cs is not None else []
-    limits = [grp.limit for grp in groups]
-    usage = [0] * len(limits)
-    groups_of: list[list[int]] = [[] for _ in range(n)]
-    for gi, grp in enumerate(groups):
-        for u in grp.members:
-            if u in pos:
-                groups_of[pos[u]].append(gi)
-    weighted = cs is not None and cs.kind == "weighted"
-
-    best_w = 0
-    best_set: list[str] = []
-    chosen_mask = 0
-    chosen: list[str] = []
-    suffix = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + max(0, w[i])
-
-    def dfs(i: int, cur: int) -> None:
-        nonlocal best_w, best_set, chosen_mask
-        if cur > best_w:
-            best_w = cur
-            best_set = list(chosen)
-        if i == n or cur + suffix[i] <= best_w:
-            return
-        ok = not (nbr[i] & chosen_mask)
-        if ok:
-            for gi in groups_of[i]:
-                room = limits[gi] - usage[gi]
-                if (weighted and room < w[i]) or (not weighted and room < 1):
-                    ok = False
-                    break
-        if ok:
-            for gi in groups_of[i]:
-                usage[gi] += w[i] if weighted else 1
-            chosen.append(ids[i])
-            chosen_mask |= 1 << i
-            dfs(i + 1, cur + w[i])
-            chosen_mask &= ~(1 << i)
-            chosen.pop()
-            for gi in groups_of[i]:
-                usage[gi] -= w[i] if weighted else 1
-        dfs(i + 1, cur)
-
-    dfs(0, 0)
-    return best_w, frozenset(best_set)
+    groups = None
+    if cs is not None:
+        pos = {u: i for i, u in enumerate(ids)}
+        groups_of: list[list[int]] = [[] for _ in ids]
+        for gi, grp in enumerate(cs.groups):
+            for u in grp.members:
+                if u in pos:
+                    groups_of[pos[u]].append(gi)
+        groups = (groups_of, [grp.limit for grp in cs.groups], w if cs.kind == "weighted" else [1] * len(ids))
+    best, taken = exact_search(neighbor_masks(g, [g.index[u] for u in ids]), w, groups)
+    return best, frozenset(u for i, u in enumerate(ids) if taken >> i & 1)

@@ -260,10 +260,7 @@ def _run_checks(report: dict, violate, inst, g, oracle_cap: int, timings: bool) 
             beta = beta_exact(g).beta_graph
         except CapacityError:
             beta = None
-        if cs is None:
-            opt = solvers.exact_mwis(g, node_cap=max(30, oracle_cap)).revenue
-        else:
-            opt, _ = budgets.exact_feasible(g, cs, node_cap=oracle_cap)
+        opt, _ = budgets.exact_feasible(g, cs, node_cap=oracle_cap)
         report["oracle_revenue"] = opt
         if beta is not None:
             report["beta_exact"] = beta
@@ -296,13 +293,20 @@ def cmd_verify(args) -> int:
     if not paths:
         raise ValidationError(f"no instance files under {root}")
     any_bad = False
+    unread = None  # the first entry that could not be read, raised once the rest are verified
     for p in paths:
-        report = verify_instance(p, args.oracle_cap, timings=args.timings)
+        try:
+            report = verify_instance(p, args.oracle_cap, timings=args.timings)
+        except OSError as exc:
+            unread = unread or exc
+            continue
         sys.stdout.write(json.dumps(report, sort_keys=True) + "\n")
         if not report["ok"]:
             any_bad = True
             for v in report["violations"]:
                 print(f"{p.name}: {v}", file=sys.stderr)
+    if unread is not None:
+        raise unread
     return EXIT_VIOLATION if any_bad else EXIT_OK
 
 

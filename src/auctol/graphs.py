@@ -24,8 +24,8 @@ order, and an instance keeps its bids as rows of those ids
 (:class:`BidTable`).
 
 All structures are treated as immutable once built; nothing here mutates a
-graph after construction, apart from views an object graph fills in on
-first use (each the same whichever thread fills it), so instances can be
+graph after construction, apart from the edge list an object graph fills in
+on first use (the same whichever thread fills it), so instances can be
 shared freely across threads.
 """
 
@@ -84,8 +84,7 @@ class ObjectGraph:
     The graph is stored in index space. Object id o is ``names[o]``, ids
     ascending by name, so sorting ids sorts names; ``index`` maps a name to
     its id. The neighbours of o are ``nbr[ptr[o]:ptr[o + 1]]`` in edge order.
-    ``adj`` (each object's neighbours as a dict used as an ordered set) and
-    ``edges`` are built on first use.
+    ``edges`` is built on first use.
     """
 
     def __init__(self, objects, edges=()):
@@ -111,7 +110,7 @@ class ObjectGraph:
         self.ptr = [0, *accumulate(map(len, rows))]
         self.nbr = list(chain.from_iterable(rows))
         self._src, self._dst = src, dst
-        self._edges = self._adj = None
+        self._edges = None
 
     @property
     def edges(self) -> list[tuple[str, str]]:
@@ -119,16 +118,6 @@ class ObjectGraph:
             names = self.names
             self._edges = [(names[a], names[b]) if a < b else (names[b], names[a]) for a, b in zip(self._src, self._dst)]
         return self._edges
-
-    @property
-    def adj(self) -> dict[str, dict[str, None]]:
-        if self._adj is None:
-            names, ptr, nbr, index = self.names, self.ptr, self.nbr, self.index
-            self._adj = {
-                o: dict.fromkeys(map(names.__getitem__, nbr[ptr[i] : ptr[i + 1]]))
-                for o, i in zip(self.objects, map(index.__getitem__, self.objects))
-            }
-        return self._adj
 
     def edge_keys(self) -> set[tuple[int, int]]:
         """Every edge as both id pairs (a, b) and (b, a), built on each call."""
@@ -206,24 +195,6 @@ def _disconnected(og: ObjectGraph, rows):
                 yield i
 
 
-def connected_in(og: ObjectGraph, objs: frozenset[str] | set[str]) -> bool:
-    """True iff ``objs`` induces a connected subgraph of ``og`` (so False when
-    some object is not in ``og``). Besides the search, the call allocates
-    one stamp array over ``og``'s objects: to test many sets, use
-    :func:`validate_germane`, which shares it."""
-    if not all(map(og.index.__contains__, objs)):
-        return False
-    return next(_disconnected(og, _intern(og.index, [objs])), None) is None
-
-
-def validate_germane(og: ObjectGraph, bids: list[Bid]) -> list[str]:
-    """Return ids of bids whose object set is not connected in ``og``.
-
-    Raises ValidationError if a bid references an undeclared object.
-    """
-    return BidTable.from_bids(bids, og).disconnected(og)
-
-
 @dataclass
 class Ordering:
     """A permutation of bid-graph nodes, treated as the processing order.
@@ -290,14 +261,6 @@ class BidGraph:
         self.order()  # raises on an unoriented graph
         return self._rank
 
-    def successors(self, u: str) -> list[str]:
-        r, order = self.rank()[u], self.order()
-        return [order[s] for s in self.succ_idx[self.succ_ptr[r] : self.succ_ptr[r + 1]]]
-
-    def predecessors(self, u: str) -> list[str]:
-        r, order = self.rank()[u], self.order()
-        return [order[s] for s in self.pred_idx[self.pred_ptr[r] : self.pred_ptr[r + 1]]]
-
     def cached(self, key, build):
         """``build()``, computed once per ``key`` object on this graph."""
         for k, value in self.derived:
@@ -306,19 +269,6 @@ class BidGraph:
         value = build()
         self.derived.append((key, value))
         return value
-
-    def induced(self, keep) -> "BidGraph":
-        """Node-induced subgraph; restricts the orientation if present."""
-        keep = set(keep)
-        kept = [i for i, u in enumerate(self.ids) if u in keep]
-        new = {i: k for k, i in enumerate(kept)}
-        ptr, nbr = self.ptr, self.nbr
-        pairs = [(new[i], new[j]) for i in kept for j in nbr[ptr[i] : ptr[i + 1]] if j > i and j in new]
-        sub = BidGraph({self.ids[i]: self.weights[self.ids[i]] for i in kept}, *csr(len(kept), pairs))
-        if self.ordering is None:
-            return sub
-        return orient(sub, Ordering([u for u in self.ordering.order if u in keep], self.ordering.provenance, None))
-
 
 def csr(n: int, cliques) -> tuple[array, array]:
     """Adjacency rows of the graph on nodes 0..n-1 in which the members of
@@ -486,7 +436,7 @@ def check_independent(ptr, idx, sel, names: list[str]) -> None:
 
 
 def neighbor_masks(g: BidGraph, nodes: list[int]) -> list[int]:
-    """Bitmask input of the exact oracles: for the k-th node of ``nodes``
+    """Bitmask input of :func:`exact_search`: for the k-th node of ``nodes``
     (node indices), the bit set of positions of its neighbours in ``nodes``."""
     pos = {v: k for k, v in enumerate(nodes)}
     ptr, nbr = g.ptr, g.nbr
@@ -500,12 +450,83 @@ def neighbor_masks(g: BidGraph, nodes: list[int]) -> list[int]:
     return masks
 
 
+def exact_search(masks: list[int], w: list[int], groups=None) -> tuple[int, int]:
+    """The exhaustive search behind every exact oracle (``exact_mwis``,
+    ``exact_feasible``, :func:`beta_exact`): a maximum-weight independent
+    set of the graph whose position i has neighbours ``masks[i]`` (a bit
+    set) and weight ``w[i] >= 0``.
+
+    ``groups``, when given, is ``(groups_of, room, cost)``: position i
+    belongs to the groups ``groups_of[i]`` and uses ``cost[i]`` of each
+    one's ``room[gi]``; it fits only while all of them have that much left.
+    The search updates ``room`` in place and restores it before returning.
+
+    Branches over positions in ascending order, include before exclude.
+    Taking a position drops from the free positions its neighbours and the
+    members of its groups that no longer fit, and a branch is cut once the
+    weight still free cannot beat the best found. A free position in no
+    group that weighs at least as much as its free neighbours together is
+    taken without trying to leave it out: a set without it does no worse
+    with it in place of them.
+
+    Returns the best weight and, as a bit set, the first set of that weight
+    the search reaches. A set is reached when its largest member is taken,
+    so that set's sorted positions are the lexicographically smallest among
+    the optima, and none of its members follows its last one of positive
+    weight.
+    """
+    n = len(masks)
+    groups_of, room, cost = groups if groups is not None else ([()] * n, (), ())
+    members = [0] * len(room)
+    free, bound = (1 << n) - 1, sum(w)
+    for i, mine in enumerate(groups_of):
+        for gi in mine:
+            members[gi] |= 1 << i
+            if cost[i] > room[gi] and free >> i & 1:  # i never fits
+                free ^= 1 << i
+                bound -= w[i]
+    best_w = best = 0
+
+    def grow(free: int, taken: int, cur: int, bound: int) -> None:
+        nonlocal best_w, best
+        while free and cur + bound > best_w:
+            bit = free & -free
+            i = bit.bit_length() - 1
+            free ^= bit
+            bound -= w[i]
+            if cur + w[i] > best_w:
+                best_w, best = cur + w[i], taken | bit
+            out = masks[i] & free
+            for gi in groups_of[i]:
+                room[gi] -= cost[i]
+                m = members[gi] & free
+                while m:
+                    low = m & -m
+                    if cost[low.bit_length() - 1] > room[gi]:
+                        out |= low
+                    m ^= low
+            dropped, m = 0, out
+            while m:
+                low = m & -m
+                dropped += w[low.bit_length() - 1]
+                m ^= low
+            if not groups_of[i] and w[i] >= dropped:  # leaving i out cannot do better
+                free, taken, cur, bound = free ^ out, taken | bit, cur + w[i], bound - dropped
+                continue
+            grow(free ^ out, taken | bit, cur + w[i], bound - dropped)
+            for gi in groups_of[i]:
+                room[gi] += cost[i]
+
+    grow(free, 0, 0, bound)
+    return best_w, best
+
+
 def beta_exact(g: BidGraph, cap: int = 25) -> BetaReport:
     """Exact directed local independence number of an oriented graph (an
     oracle for small graphs).
 
     For every node, computes the maximum independent set size among its
-    successors by exhaustive branch-and-bound; refuses nodes with more than
+    successors with :func:`exact_search`; refuses nodes with more than
     ``cap`` successors since the search is exponential in out-degree.
     """
     rank, succ_ptr, succ_idx = g.rank(), g.succ_ptr, g.succ_idx
@@ -519,40 +540,9 @@ def beta_exact(g: BidGraph, cap: int = 25) -> BetaReport:
                 f"node {u!r} has out-degree {len(succ)} > cap {cap}; "
                 "use a frontier or composition bound instead"
             )
-        per_node[u] = max(1, _alpha(neighbor_masks(g, succ)))
+        per_node[u] = max(1, exact_search(neighbor_masks(g, succ), [1] * len(succ))[0])
     beta = max(per_node.values(), default=1)
     return BetaReport(beta_graph=beta, per_node=per_node, method="exact-bruteforce")
-
-
-def _alpha(masks: list[int]) -> int:
-    """Maximum independent set size of the graph given by neighbour bitmasks."""
-    k = len(masks)
-    if k == 0:
-        return 0
-    best = 0
-
-    def grow(free: int, size: int) -> None:
-        nonlocal best
-        if size + free.bit_count() <= best:
-            return
-        if free == 0:
-            best = max(best, size)
-            return
-        # branch on the free node with most free neighbors
-        pick, deg = -1, -1
-        m = free
-        while m:
-            low = m & -m
-            i = low.bit_length() - 1
-            d = (masks[i] & free).bit_count()
-            if d > deg:
-                pick, deg = i, d
-            m ^= low
-        grow(free & ~(masks[pick] | (1 << pick)), size + 1)
-        grow(free ^ (1 << pick), size)
-
-    grow((1 << k) - 1, 0)
-    return best
 
 
 def beta_bound_frontier(ordering: Ordering) -> int:

@@ -48,9 +48,6 @@ class SplitMix64:
             raise ValueError("empty range")
         return a + self.randrange(b - a + 1)
 
-    def choice(self, seq):
-        return seq[self.randrange(len(seq))]
-
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle."""
         for i in range(len(items) - 1, 0, -1):

@@ -24,8 +24,10 @@ oriented graph. They read the rank-space weights and predecessor/successor
 slices that :func:`auctol.graphs.orient` builds once per ordering, and
 finish through :func:`selection_solution`.
 
-``greedy`` is the classical first-fit baseline and ``exact_mwis`` a
-branch-and-bound oracle for small graphs, used to measure observed ratios.
+``greedy`` is the classical first-fit baseline. ``exact_mwis`` is the
+oracle for small graphs that observed ratios are measured against: a thin
+caller of :func:`auctol.graphs.exact_search`, the one exhaustive search
+behind every exact oracle.
 All weights are integers (minor currency units), so every comparison here is
 exact.
 """
@@ -39,7 +41,7 @@ from itertools import compress
 from math import gcd
 
 from .errors import CapacityError, ValidationError
-from .graphs import BidGraph, check_independent, neighbor_masks
+from .graphs import BidGraph, check_independent, exact_search, neighbor_masks
 
 
 @dataclass(frozen=True)
@@ -301,75 +303,23 @@ def greedy(g: BidGraph, ordering=None) -> Solution:
 
 
 def exact_mwis(g: BidGraph, node_cap: int = 30) -> Solution:
-    """Exact maximum-weight independent set by branch and bound (an oracle
-    for small graphs).
+    """Oracle: the exact maximum-weight independent set of a small graph,
+    from :func:`~auctol.graphs.exact_search` over the ids in ascending
+    order.
 
-    Branches on the highest-degree remaining node and prunes with the sum of
-    remaining weights. Among equal-weight optima, returns the one whose
-    sorted id list is lexicographically smallest, found by fixing ids in
-    ascending order against the known optimum.
+    Of two equal-weight optima, returns the one holding the smallest id in
+    which they differ: the search's first optimum, extended past its
+    largest member by every later id that conflicts with nothing taken
+    (each such id has weight 0).
     """
     if g.n > node_cap:
         raise CapacityError(f"graph has {g.n} nodes, exact solver capped at {node_cap}")
     ids = sorted(g.ids)
-    n = len(ids)
-    w = [g.weights[u] for u in ids]
-    closed = [mask | 1 << i for i, mask in enumerate(neighbor_masks(g, [g.index[u] for u in ids]))]
-
-    def max_weight(free: int, rem: int, floor: int) -> int:
-        """Best achievable weight within ``free``; prunes below ``floor``."""
-        best = 0
-
-        def dfs(mask: int, cur: int, rem_sum: int) -> None:
-            nonlocal best
-            if cur > best:
-                best = cur
-            if mask == 0 or cur + rem_sum <= max(best, floor):
-                return
-            pick, deg = -1, -1
-            m = mask
-            while m:
-                low = m & -m
-                i = low.bit_length() - 1
-                d = (closed[i] & mask).bit_count()
-                if d > deg:
-                    pick, deg = i, d
-                m ^= low
-            removed = closed[pick] & mask
-            drop = 0
-            m = removed
-            while m:
-                low = m & -m
-                drop += w[low.bit_length() - 1]
-                m ^= low
-            dfs(mask & ~removed, cur + w[pick], rem_sum - drop)
-            dfs(mask & ~(1 << pick), cur, rem_sum - w[pick])
-
-        dfs(free, 0, rem)
-        return best
-
-    full = (1 << n) - 1
-    total = sum(w)
-    opt = max_weight(full, total, -1)
-
-    chosen: list[str] = []
-    free = full
-    got = 0
-    for i in range(n):
-        bit = 1 << i
-        if not free & bit:
-            continue
-        with_i = free & ~closed[i]
-        rem = sum(w[j] for j in range(n) if with_i & (1 << j))
-        need = opt - got - w[i]
-        if w[i] + max_weight(with_i, rem, need - 1) + got >= opt:
-            chosen.append(ids[i])
-            got += w[i]
-            free = with_i
-        else:
-            free &= ~bit
-
-    selected = frozenset(chosen)
+    masks = neighbor_masks(g, [g.index[u] for u in ids])
+    opt, taken = exact_search(masks, [g.weights[u] for u in ids])
+    for i in range(taken.bit_length(), len(ids)):
+        if not masks[i] & taken:
+            taken |= 1 << i
+    selected = frozenset(u for i, u in enumerate(ids) if taken >> i & 1)
     check_independent(g.ptr, g.nbr, [u in selected for u in g.ids], g.ids)
-    assert got == opt
     return Solution(selected, opt, Certificate("exact"))

@@ -295,6 +295,11 @@ def _random_sparse_og(seed: int, n: int) -> ObjectGraph:
     return ObjectGraph(names, edges)
 
 
+def _neighbours(og: ObjectGraph, o: str) -> list[str]:
+    i = og.index[o]
+    return [og.names[j] for j in og.nbr[og.ptr[i] : og.ptr[i + 1]]]
+
+
 def _random_connected_bids(og: ObjectGraph, rng: SplitMix64, count: int):
     names = og.objects
     bids = []
@@ -303,14 +308,14 @@ def _random_connected_bids(og: ObjectGraph, rng: SplitMix64, count: int):
         target = 1 + rng.randrange(3)
         inside = {start}
         chosen = [start]
-        frontier = sorted(og.adj[start])
+        frontier = sorted(_neighbours(og, start))
         while len(chosen) < target and frontier:
             nxt = frontier.pop(rng.randrange(len(frontier)))
             if nxt in inside:
                 continue
             inside.add(nxt)
             chosen.append(nxt)
-            for nb in sorted(og.adj[nxt]):
+            for nb in sorted(_neighbours(og, nxt)):
                 if nb not in inside and nb not in frontier:
                     frontier.append(nb)
         bids.append(Bid(f"b{i:02d}", frozenset(chosen), 1 + rng.randrange(1000)))

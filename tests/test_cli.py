@@ -606,6 +606,23 @@ def test_unreadable_paths_exit2(tmp_path, capsys):
         assert capsys.readouterr().err.startswith(prefix), argv
 
 
+def test_verify_dir_reports_every_readable_file_before_an_unreadable_entry(tmp_path, capsys):
+    """An entry of ``verify --input DIR`` that cannot be read (here a
+    directory named ``x.json``) exits 2 with ``file error:`` only after the
+    files sorted before and after it got their RunReports."""
+    corpus = tmp_path / "corpus"
+    (corpus / "x.json").mkdir(parents=True)
+    text = (GOLDEN / "interval-1.json").read_text()
+    (corpus / "a.json").write_text(text)
+    (corpus / "y.json").write_text(text)
+    assert run(["verify", "--input", str(corpus)]) == 2
+    out, err = capsys.readouterr()
+    reports = [json.loads(line) for line in out.splitlines()]
+    assert [r["instance"] for r in reports] == ["a.json", "y.json"]
+    assert all(r["ok"] for r in reports)
+    assert err.startswith("file error: ") and "x.json" in err
+
+
 def test_verify_solution_with_a_repeated_winner_exit5(tmp_path, capsys):
     sol = tmp_path / "sol.json"
     sol.write_text('{"selected": ["b00", "b00"], "revenue": 455}')

@@ -14,9 +14,9 @@ import json
 import random
 from pathlib import Path
 
-from auctol import Bid, ObjectGraph, build_bid_graph, loads_instance, validate_germane
+from auctol import Bid, ObjectGraph, build_bid_graph, loads_instance
 from auctol.errors import SchemaError
-from auctol.graphs import csr
+from auctol.graphs import BidTable, csr
 from auctol.instances import bid_graph
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -66,7 +66,7 @@ def _check(doc):
         edges = [tuple(e) for e in doc["object_edges"]]
         failing = [bids[i][0] for i in reference_disconnected(doc["objects"], edges, [objs for _, objs, _ in bids])]
         og = ObjectGraph(doc["objects"], edges)
-        assert validate_germane(og, [Bid(u, objs, p) for u, objs, p in bids]) == failing
+        assert BidTable.from_bids([Bid(u, objs, p) for u, objs, p in bids], og).disconnected(og) == failing
     try:
         inst = loads_instance(json.dumps(doc))
     except SchemaError as exc:

@@ -463,7 +463,8 @@ def quadratic_min_degree(og):
     """Reference copy of the min-degree heuristic that scans every remaining
     object per step; the library's heap-driven version must build the
     identical decomposition."""
-    work = {o: set(og.adj[o]) for o in og.objects}
+    names, ptr, nbr, index = og.names, og.ptr, og.nbr, og.index
+    work = {o: {names[j] for j in nbr[ptr[index[o]] : ptr[index[o] + 1]]} for o in og.objects}
     elim_pos: dict[str, int] = {}
     bags: dict[str, frozenset[str]] = {}
     order: list[str] = []

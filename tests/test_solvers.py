@@ -21,7 +21,7 @@ from auctol import (
 from auctol.errors import CapacityError, ValidationError
 from auctol.rng import SplitMix64
 
-from test_graphs import random_bids
+from test_graphs import random_bids, successors
 
 
 def chain_graph():
@@ -122,7 +122,7 @@ def test_opcost_maximality():
         for u in g.ids:
             if u in sol.selected:
                 continue
-            has_selected_succ = any(v in sol.selected for v in g.successors(u))
+            has_selected_succ = any(v in sol.selected for v in successors(g, u))
             assert table.val[u] <= 0 or has_selected_succ
 
 

@@ -17,6 +17,7 @@ import pytest
 
 from auctol import (
     Bid,
+    BidGraph,
     ConstraintSet,
     Group,
     Ordering,
@@ -29,7 +30,18 @@ from auctol import (
     solve_weighted,
 )
 from auctol.budgets import _groups_csr
+from auctol.graphs import csr
 from auctol.solvers import selection_solution
+
+
+def induced(g, keep):
+    """The subgraph of the oriented graph ``g`` on the ids in ``keep``,
+    oriented by ``g``'s order restricted to them."""
+    kept = [i for i, u in enumerate(g.ids) if u in keep]
+    new = {i: k for k, i in enumerate(kept)}
+    pairs = [(new[i], new[j]) for i in kept for j in g.nbr[g.ptr[i] : g.ptr[i + 1]] if j > i and j in new]
+    sub = BidGraph({g.ids[i]: g.weights[g.ids[i]] for i in kept}, *csr(len(kept), pairs))
+    return orient(sub, Ordering([u for u in g.order() if u in keep], g.ordering.provenance))
 
 
 def ref_weighted(g, cs, light_mode="lazy"):
@@ -42,11 +54,11 @@ def ref_weighted(g, cs, light_mode="lazy"):
     if heavy:
         keep = set(heavy)
         hgroups = [Group(grp.label, inside, 1) for grp in cs.groups if (inside := grp.members & keep)]
-        heavy_sol, _ = solve_unweighted(g.induced(keep), ConstraintSet("unweighted", hgroups))
+        heavy_sol, _ = solve_unweighted(induced(g, keep), ConstraintSet("unweighted", hgroups))
     if light:
         keep = set(light)
         lgroups = [Group(grp.label, inside, grp.limit) for grp in cs.groups if (inside := grp.members & keep)]
-        light_sol, _ = solve_light(g.induced(keep), ConstraintSet("weighted", lgroups), mode=light_mode)
+        light_sol, _ = solve_light(induced(g, keep), ConstraintSet("weighted", lgroups), mode=light_mode)
 
     h_rev = heavy_sol.revenue if heavy_sol else 0
     l_rev = light_sol.revenue if light_sol else 0
