@@ -540,7 +540,8 @@ def beta_exact(g: BidGraph, cap: int = 25) -> BetaReport:
                 f"node {u!r} has out-degree {len(succ)} > cap {cap}; "
                 "use a frontier or composition bound instead"
             )
-        per_node[u] = max(1, exact_search(neighbor_masks(g, succ), [1] * len(succ))[0])
+        # fewer than two successors: the value is 1, no search needed
+        per_node[u] = max(1, exact_search(neighbor_masks(g, succ), [1] * len(succ))[0]) if len(succ) > 1 else 1
     beta = max(per_node.values(), default=1)
     return BetaReport(beta_graph=beta, per_node=per_node, method="exact-bruteforce")
 
