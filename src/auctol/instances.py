@@ -617,12 +617,18 @@ def beta_bound_info(inst: Instance, ordering: Ordering, g: BidGraph) -> tuple[in
     if ordering.frontier_sets is not None:
         return beta_bound_frontier(ordering), "frontier-bound"
     if ordering.provenance == "grid" and inst.ordering_spec and inst.ordering_spec.coords:
-        at = [inst.ordering_spec.coords[u] for u in g.ids]
+        # beta <= k holds when every edge steps from the earlier node to the
+        # later by +1 in one coordinate: each successor slice then sits among
+        # the k increasing grid neighbours
+        coords, rank = inst.ordering_spec.coords, ordering.rank()
+        at, pos = [coords[u] for u in g.ids], [rank[u] for u in g.ids]
         ptr, nbr = g.ptr, g.nbr
         for i in range(g.n):
             for j in nbr[ptr[i] : ptr[i + 1]]:
-                if sum(abs(a - b) for a, b in zip(at[i], at[j])) != 1:
-                    return None, None
+                if pos[j] > pos[i]:
+                    step = [b - a for a, b in zip(at[i], at[j])]
+                    if min(step) < 0 or sum(step) != 1:
+                        return None, None
         return len(at[0]), "grid-dimension"
     return None, None
 

@@ -40,6 +40,7 @@ from auctol.instances import (
     ORDERING_METHODS,
     Instance,
     OrderingSpec,
+    beta_bound_info,
     instance_to_obj,
     obj_to_instance,
 )
@@ -246,6 +247,21 @@ def test_gen_grid_shapes():
     cube = gen_grid((2, 2, 2), seed=0)
     g = oriented_graph(cube)
     assert beta_exact(g).beta_graph <= 3
+
+
+def test_grid_bound_needs_rising_coordinate_sums():
+    """The grid bound holds only for orderings along which every edge rises
+    by one in the coordinate sum: a 4x4 grid whose first degree-4 point (in
+    id order) is moved to the front has beta 4, and gets no grid bound."""
+    inst = gen_grid((4, 4), 1000, (1, 1000), 3)
+    g = bid_graph(inst)
+    ordering = ordering_from_spec(inst, g)
+    assert beta_bound_info(inst, ordering, orient(g, ordering)) == (2, "grid-dimension")
+    hub = next(u for u in sorted(g.ids) if len(g.neighbors(u)) == 4)
+    moved = Ordering([hub] + [u for u in ordering.order if u != hub], "grid")
+    og = orient(g, moved)
+    assert beta_exact(og).beta_graph == 4
+    assert beta_bound_info(inst, moved, og) == (None, None)
 
 
 def test_gen_tight_ratios():
@@ -765,6 +781,18 @@ def test_load_stage_linear_time():
 
     ratio = cost_ratio(stage, (2000, 16000))
     assert ratio <= 3.0, f"per-byte load cost at 16k bids is {ratio:.1f}x the cost at 2k"
+
+
+def test_dump_stage_linear_time():
+    """Writing an interval instance with its object graph costs about the
+    same per output byte at 16k bids as at 2k (within 3x)."""
+
+    def stage(n):
+        inst = gen_interval(n, seed=4)
+        return lambda: dumps_instance(inst), len(dumps_instance(inst).encode("utf-8"))
+
+    ratio = cost_ratio(stage, (2000, 16000))
+    assert ratio <= 3.0, f"per-byte dump cost at 16k bids is {ratio:.1f}x the cost at 2k"
 
 
 def test_load_and_bid_graph_stage_linear_time():
