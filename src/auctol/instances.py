@@ -182,14 +182,15 @@ def validate_instance(inst: Instance) -> None:
 #
 # Every file is the text of ``json.dumps(obj, sort_keys=True, indent=2,
 # ensure_ascii=False) + "\n"``. With ``indent`` set, ``json`` falls back to its
-# pure-Python encoder, one interpreter step per leaf; ``_canonical`` writes the
-# same bytes with one call of the C encoder per homogeneous column. The C
-# encoder's item separator is ``",\n"`` plus the padding of the level, so its
-# output only needs its outer brackets moved onto their own lines. This rests
-# on one fact: an encoded leaf holds no raw newline, never starts with ``[`` or
-# ``{`` and never ends with ``]`` or ``}``. So a raw newline is always a
-# separator, and a separator between two containers is the only one preceded by
-# a closing and followed by an opening bracket.
+# pure-Python encoder, one interpreter step per leaf. ``_canonical`` writes the
+# same bytes with one call of the C encoder per homogeneous column: a list of
+# leaves, a list of leaf-only containers, or one key's values across records
+# that share their keys. Each call separates items with ``",\n"`` and padding,
+# and its text is cut apart there. This rests on one fact: an encoded leaf
+# holds no raw newline, never starts with ``[`` or ``{`` and never ends with
+# ``]`` or ``}``. So a raw newline is always a separator, and the separators
+# between two containers are the only ones preceded by a closing and followed
+# by an opening bracket.
 
 _CONTAINERS = (list, tuple, dict)
 
@@ -200,49 +201,48 @@ def _encoder(depth: int):
     return json.JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",\n" + "  " * depth, ": ")).encode
 
 
-def _all_leaves(values) -> bool:
-    return not any(issubclass(t, _CONTAINERS) for t in set(map(type, values)))
+def _leaf_types(types) -> bool:
+    return not any(issubclass(t, _CONTAINERS) for t in types)
+
+
+def _wrap(opening: str, items, closing: str, depth: int) -> str:
+    """``items`` between brackets at nesting level ``depth``, one a line."""
+    nl = "\n" + "  " * depth
+    return opening + nl + "  " + ("," + nl + "  ").join(items) + nl + closing
 
 
 def _encode(obj, depth: int) -> str:
     """The indented text of ``obj`` written at nesting level ``depth``."""
     if not isinstance(obj, _CONTAINERS) or not obj:
         return _encoder(0)(obj)
-    nl, nl_in = "\n" + "  " * depth, "\n" + "  " * (depth + 1)
-    if _all_leaves(obj.values() if isinstance(obj, dict) else obj):
-        text = _encoder(depth + 1)(obj)
-        return text[0] + nl_in + text[1:-1] + nl + text[-1]
     if isinstance(obj, dict):
         keys = sorted(obj)
         items = [f"{encode_basestring(k)}: {t}" for k, t in zip(keys, _items([obj[k] for k in keys], depth + 1))]
-        return "{" + nl_in + ("," + nl_in).join(items) + nl + "}"
-    return "[" + nl_in + ("," + nl_in).join(_items(obj, depth + 1)) + nl + "]"
+        return _wrap("{", items, "}", depth)
+    return _wrap("[", _items(obj, depth + 1), "]", depth)
 
 
 def _items(values: list, depth: int) -> list[str]:
-    """The texts of the non-empty list ``values``, each written at ``depth``."""
+    """The texts of the items of the non-empty list ``values``, each written
+    at nesting level ``depth``."""
     types = set(map(type, values))
-    if not any(issubclass(t, _CONTAINERS) for t in types):
+    if _leaf_types(types):
         return _encoder(0)(values)[1:-1].split(",\n")
     if len(types) == 1 and all(values):
         (t,) = types
         inner = chain.from_iterable(map(dict.values, values) if t is dict else values)
-        if t in _CONTAINERS and _all_leaves(inner):
-            # a column of leaf-only containers: one call, cut between containers
-            nl, nl_in = "\n" + "  " * depth, "\n" + "  " * (depth + 1)
+        if t in _CONTAINERS and _leaf_types(set(map(type, inner))):
+            # leaf-only containers: one call, cut where one closes and the next opens
             text = _encoder(depth + 1)(values)
             opening, closing = text[1], text[-2]
-            return [opening + nl_in + part + nl + closing for part in text[2:-2].split(closing + "," + nl_in + opening)]
-        if t is dict:
-            first = values[0].keys()
-            if all(map(first.__eq__, map(dict.keys, values))):
-                # records sharing one key set: one column per key
-                nl, nl_in = "\n" + "  " * depth, "\n" + "  " * (depth + 1)
-                keys = sorted(first)
-                fields = ("," + nl_in).join(encode_basestring(k).replace("%", "%%") + ": %s" for k in keys)
-                template = "{" + nl_in + fields + nl + "}"
-                columns = [_items(list(map(itemgetter(k), values)), depth + 1) for k in keys]
-                return [template % row for row in zip(*columns)]
+            template = _wrap(opening, ["%s"], closing, depth)
+            return [template % part for part in text[2:-2].split(closing + ",\n" + "  " * (depth + 1) + opening)]
+        if t is dict and all(map(values[0].keys().__eq__, map(dict.keys, values))):
+            # records sharing one key set: one column per key
+            keys = sorted(values[0])
+            template = _wrap("{", [encode_basestring(k).replace("%", "%%") + ": %s" for k in keys], "}", depth)
+            columns = [_items(list(map(itemgetter(k), values)), depth + 1) for k in keys]
+            return [template % row for row in zip(*columns)]
     return [_encode(v, depth) for v in values]
 
 
