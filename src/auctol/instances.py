@@ -5,7 +5,11 @@ an optional object graph, optional budget constraints, and an ordering
 recipe. The on-disk form is canonical JSON (format tag ``auctol/1``): keys
 sorted, semantically-free arrays sorted, two-space indent, newline
 terminated, so generated files are stable golden-test artifacts and
-``save(load(save(x)))`` is a fixpoint.
+``save(load(save(x)))`` is a fixpoint. Every file this module writes is byte
+for byte ``json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) +
+"\n"`` of the object :func:`instance_to_obj` or ``Solution.to_json_obj``
+builds, written from C-encoded columns rather than by ``json``'s pure-Python
+indenting encoder.
 
 Generators cover the graph families the solvers are designed around:
 intervals (chordal), interval selection with 1-per-bidder groups, subtrees
