@@ -32,7 +32,7 @@ shared freely across threads.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress
 
 from .errors import CapacityError, UnsupportedOrderingError, ValidationError
@@ -202,11 +202,19 @@ class Ordering:
     ``frontier_sets``, when present, certify a beta bound: for every pair of
     bids A before B with intersecting object sets, B must intersect
     frontier(A). The largest frontier size then bounds beta from above.
+
+    ``_checked_on`` records a passed check that a bound rests on, if any: the
+    neighbour array ``nbr`` of the bid graph on which a ``chordal`` ordering
+    passed the zero fill-in test (:func:`orient` shares it, so the record
+    holds for the oriented graph too), or the :class:`BidTable` whose object
+    sets the frontier sets were checked or built against. The record assumes
+    neither the ordering nor what it names is changed after the check.
     """
 
     order: list[str]
     provenance: str = "explicit"
     frontier_sets: dict[str, frozenset[str]] | None = None
+    _checked_on: object = field(default=None, init=False, repr=False, compare=False)
 
     def rank(self) -> dict[str, int]:
         return {u: i for i, u in enumerate(self.order)}

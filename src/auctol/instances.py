@@ -17,7 +17,10 @@ of a random tree (chordal), subgraphs of k-dimensional grids, the
 worst-case star that makes the approximation ratio tight, and a wrapper
 that decorates any base family with budget constraints. All randomness
 flows from :class:`auctol.rng.SplitMix64` streams, one per generator
-stage, so every instance is a pure function of (parameters, seed).
+stage, so every instance is a pure function of (parameters, seed). Each
+generator writes the columns of its :class:`BidTable` directly and takes a
+stage's draws in one batch wherever their bounds are known in advance, which
+gives the values that one draw at a time gives.
 """
 
 from __future__ import annotations
@@ -26,9 +29,9 @@ import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
-from itertools import chain, repeat
+from itertools import accumulate, chain, compress, repeat
 from json.encoder import encode_basestring
-from operator import itemgetter
+from operator import add, itemgetter
 
 from .budgets import KINDS, ConstraintSet, Group
 from .errors import NotChordalError, SchemaError, ValidationError
@@ -48,6 +51,7 @@ from .orderings import (
     TreeDecomposition,
     decreasing_weight_ordering,
     grid_ordering,
+    is_perfect_elimination,
     lexbfs_peo,
     planted_optimal_ordering,
     tree_decomposition_ordering,
@@ -583,7 +587,8 @@ def ordering_from_spec(inst: Instance, g: BidGraph) -> Ordering:
     weight when no spec is present. ``g`` is the instance's bid graph.
     Raises NotChordalError when a chordal ordering was demanded but
     recognition fails, and ValidationError when an explicit ordering carries
-    frontier sets that fail the frontier property on ``g``."""
+    frontier sets that fail the frontier property on ``g``; sets that pass
+    are recorded as checked against the instance's table."""
     spec = inst.ordering_spec
     if spec is None:
         return decreasing_weight_ordering(g)
@@ -606,6 +611,7 @@ def ordering_from_spec(inst: Instance, g: BidGraph) -> Ordering:
         if bad:
             a, b = bad[0]
             raise ValidationError(f"frontier sets fail: {a!r} precedes and meets {b!r}, which misses frontier({a!r})")
+        ordering._checked_on = inst.table
     return ordering
 
 
@@ -614,12 +620,24 @@ def oriented_graph(inst: Instance) -> BidGraph:
     return orient(g, ordering_from_spec(inst, g))
 
 
-def beta_bound_info(inst: Instance, ordering: Ordering, g: BidGraph) -> tuple[int | None, str | None]:
-    """Best beta bound certifiable for this instance and ordering."""
+def beta_bound_info(inst: Instance, ordering: Ordering, g: BidGraph | None) -> tuple[int | None, str | None]:
+    """Best beta bound certifiable for this instance and ordering, each bound
+    resting on a check of the ordering against ``g``, the instance's bid
+    graph (built here if it is None and a check needs it): beta <= 1 for a
+    ``chordal`` ordering that passes the zero fill-in test, the largest
+    frontier for frontier sets with the frontier property, and the grid
+    dimension for a grid ordering whose edges all rise in the coordinate sum.
+    A check recorded on the ordering (``Ordering._checked_on``) for this
+    graph or table is not run again."""
     if ordering.provenance == "chordal":
-        return 1, "perfect-elimination"
+        g = bid_graph(inst) if g is None else g
+        if ordering._checked_on is g.nbr or is_perfect_elimination(g, ordering):
+            return 1, "perfect-elimination"
     if ordering.frontier_sets is not None:
-        return beta_bound_frontier(ordering), "frontier-bound"
+        if ordering._checked_on is inst.table or not frontier_violations(
+            bid_graph(inst) if g is None else g, ordering, inst.table.object_sets()
+        ):
+            return beta_bound_frontier(ordering), "frontier-bound"
     if ordering.provenance == "grid" and inst.ordering_spec and inst.ordering_spec.coords:
         # beta <= k holds when every edge steps from the earlier node to the
         # later by +1 in one coordinate: each successor slice then sits among
@@ -669,6 +687,13 @@ def certify(sol: Solution, inst: Instance, g: BidGraph) -> Solution:
 
 # ---------------------------------------------------------------------------
 # generators
+#
+# Each generator writes its :class:`BidTable` columns (ids, prices, groups,
+# rows of object ids) directly. A stream whose draws have bounds known in
+# advance is drawn in one batch; the subtree growth and the overlapping group
+# assignment, whose bounds follow earlier draws, draw one at a time. Where
+# object names share one zero-padded width, ascending names are ascending
+# numbers, so object j is object id j with no interning.
 
 
 def _pad(n: int) -> int:
@@ -682,27 +707,54 @@ def _weight_bounds(weight_range: tuple[int, int]) -> tuple[int, int]:
     return wmin, wmax
 
 
-def _interval_bids(n: int, weight_range: tuple[int, int], rng: SplitMix64):
+def _prices(r_w: SplitMix64, wmin: int, wmax: int, ids: list[str]) -> list[int]:
+    """A price in [wmin, wmax] for each of ``ids``; the first bid whose price
+    :class:`Bid` would refuse (negative, or not an integer) is refused."""
+    prices = [wmin + x for x in r_w.randranges([wmax - wmin + 1] * len(ids))]  # randint draws
+    if wmin < 0 or type(wmin) is not int or type(wmax) is not int:
+        for u, w in zip(ids, prices):
+            Bid(u, frozenset([u]), w)
+    return prices
+
+
+def _ids(prefix: str, n: int) -> list[str]:
+    pad = _pad(n)
+    return [f"{prefix}{i:0{pad}d}" for i in range(n)]
+
+
+_ONES = [b"\x01" * (length + 1) for length in range(5)]  # the used marks of a run of length + 1 points
+
+
+def _interval_table(
+    n: int, weight_range: tuple[int, int], rng: SplitMix64, include_object_graph: bool
+) -> tuple[BidTable, ObjectGraph | None]:
+    """``n`` bids on runs of 2 to 5 consecutive points of a line, and the
+    line as an object graph; without the graph, the table holds only the
+    points some bid uses."""
     wmin, wmax = _weight_bounds(weight_range)
     r_pos, r_len, r_w = rng.split(), rng.split(), rng.split()
     span = max(4, 2 * n)
+    starts = r_pos.randranges([span] * n)
+    lengths = [1 + x for x in r_len.randranges([4] * n)]
+    ids = _ids("b", n)
+    prices = _prices(r_w, wmin, wmax, ids)
     pw = len(str(span + 4))
-    pad = _pad(n)
-    bids = []
-    hi = 0
-    for i in range(n):
-        a = r_pos.randrange(span)
-        length = 1 + r_len.randrange(4)
-        pts = [f"p{j:0{pw}d}" for j in range(a, a + length + 1)]
-        hi = max(hi, a + length)
-        bids.append(Bid(f"b{i:0{pad}d}", frozenset(pts), r_w.randint(wmin, wmax)))
-    return bids, hi, pw
-
-
-def _interval_object_graph(hi: int, pw: int) -> ObjectGraph:
-    objects = [f"p{j:0{pw}d}" for j in range(hi + 1)]
-    edges = [(objects[j], objects[j + 1]) for j in range(hi)]
-    return ObjectGraph(objects, edges)
+    points = [f"p{j:0{pw}d}" for j in range(max(map(add, starts, lengths)) + 1)]
+    if include_object_graph:
+        og = ObjectGraph(points, zip(points, points[1:]))
+        names = og.names
+    else:
+        og = None
+        # every point of a run is used, so a run's points stay consecutive
+        # once the unused points are dropped
+        used = bytearray(len(points))
+        for a, length in zip(starts, lengths):
+            used[a : a + length + 1] = _ONES[length]
+        names = list(compress(points, used))
+        first = [0, *accumulate(used)]
+        starts = [first[a] for a in starts]
+    rows = [list(range(a, a + length + 1)) for a, length in zip(starts, lengths)]
+    return BidTable(ids, prices, [None] * n, rows, names), og
 
 
 def gen_interval(
@@ -714,11 +766,9 @@ def gen_interval(
     """Random integer intervals over a line of points; chordal ordering."""
     if n < 1:
         raise ValidationError("n must be >= 1")
-    rng = SplitMix64(seed)
-    bids, hi, pw = _interval_bids(n, weight_range, rng)
-    og = _interval_object_graph(hi, pw) if include_object_graph else None
+    table, og = _interval_table(n, weight_range, SplitMix64(seed), include_object_graph)
     inst = Instance(
-        bids,
+        table,
         og,
         None,
         OrderingSpec("chordal"),
@@ -742,20 +792,14 @@ def gen_interval_selection(
     """
     if n_groups < 1 or per_group < 1:
         raise ValidationError("n_groups and per_group must be >= 1")
-    rng = SplitMix64(seed)
-    n = n_groups * per_group
-    bids, hi, pw = _interval_bids(n, weight_range, rng)
-    gpad = _pad(n_groups)
-    groups = []
-    labeled = []
-    for j in range(n_groups):
-        label = f"g{j:0{gpad}d}"
-        members = [b.id for b in bids[j * per_group : (j + 1) * per_group]]
-        groups.append(Group(label, frozenset(members), 1))
-        labeled.extend(Bid(b.id, b.objects, b.price, label) for b in bids[j * per_group : (j + 1) * per_group])
+    table, og = _interval_table(n_groups * per_group, weight_range, SplitMix64(seed), True)
+    labels = _ids("g", n_groups)
+    ids = table.ids
+    groups = [Group(label, frozenset(ids[j * per_group : (j + 1) * per_group]), 1) for j, label in enumerate(labels)]
+    group_of = [label for label in labels for _ in range(per_group)]
     inst = Instance(
-        labeled,
-        _interval_object_graph(hi, pw),
+        BidTable(ids, table.prices, group_of, table.rows, table.names),
+        og,
         ConstraintSet("unweighted", groups),
         OrderingSpec("chordal"),
         {"family": "interval-selection", "seed": seed, "n_groups": n_groups, "per_group": per_group},
@@ -776,26 +820,20 @@ def gen_subtrees(
     wmin, wmax = _weight_bounds(weight_range)
     rng = SplitMix64(seed)
     r_tree, r_start, r_size, r_grow, r_w = (rng.split() for _ in range(5))
-    pad = _pad(tree_size)
-    nodes = [f"t{i:0{pad}d}" for i in range(tree_size)]
-    edges = []
-    adj: dict[str, list[str]] = {t: [] for t in nodes}
-    for i in range(1, tree_size):
-        p = r_tree.randrange(i)
-        edges.append((nodes[p], nodes[i]))
-        adj[nodes[p]].append(nodes[i])
-        adj[nodes[i]].append(nodes[p])
-    og = ObjectGraph(nodes, edges)
+    nodes = _ids("t", tree_size)
+    parents = r_tree.randranges(range(1, tree_size))
+    adj: list[list[int]] = [[] for _ in nodes]
+    for i, p in enumerate(parents, 1):
+        adj[p].append(i)
+        adj[i].append(p)
+    og = ObjectGraph(nodes, [(nodes[p], nodes[i]) for i, p in enumerate(parents, 1)])
 
-    bpad = _pad(n_bids)
-    bids = []
-    for i in range(n_bids):
-        start = nodes[r_start.randrange(tree_size)]
-        target = 1 + r_size.randrange(4)
+    rows = []
+    for start, size in zip(r_start.randranges([tree_size] * n_bids), r_size.randranges([4] * n_bids)):
         chosen = [start]
         inside = {start}
         candidates = sorted(adj[start])
-        while len(chosen) < target and candidates:
+        while len(chosen) <= size and candidates:
             pick = candidates.pop(r_grow.randrange(len(candidates)))
             if pick in inside:
                 continue
@@ -804,9 +842,11 @@ def gen_subtrees(
             for nb in sorted(adj[pick]):
                 if nb not in inside and nb not in candidates:
                     candidates.append(nb)
-        bids.append(Bid(f"b{i:0{bpad}d}", frozenset(chosen), r_w.randint(wmin, wmax)))
+        rows.append(sorted(chosen))
+    ids = _ids("b", n_bids)
+    table = BidTable(ids, _prices(r_w, wmin, wmax, ids), [None] * n_bids, rows, og.names)
     inst = Instance(
-        bids,
+        table,
         og,
         None,
         OrderingSpec("chordal"),
@@ -839,7 +879,9 @@ def gen_grid(
     points = [()]
     for d in dims:
         points = [p + (x,) for p in points for x in range(d)]
-    keep = [p for p in points if r_keep.randrange(1000) < density_milli]
+    keep = [p for p, x in zip(points, r_keep.randranges([1000] * len(points))) if x < density_milli]
+    if not keep:
+        raise ValidationError("density left no grid points; lower dims or raise density")
     kept = set(keep)
 
     def pname(p):
@@ -852,7 +894,7 @@ def gen_grid(
     objects = [pname(p) for p in keep]
     og_edges = []
     edge_objs = []
-    incident: dict[tuple, list[str]] = {p: [] for p in keep}
+    incident: dict[tuple, list[str]] = {p: [pname(p)] for p in keep}
     for p in keep:
         for axis in range(len(dims)):
             q = p[:axis] + (p[axis] + 1,) + p[axis + 1 :]
@@ -865,19 +907,13 @@ def gen_grid(
                 og_edges.append((pname(q), e))
     og = ObjectGraph(objects + edge_objs, og_edges)
 
-    bids = []
-    coords = {}
-    for p in keep:
-        bid_id = "b" + "_".join(str(x) for x in p)
-        bids.append(Bid(bid_id, frozenset([pname(p)] + incident[p]), r_w.randint(wmin, wmax)))
-        coords[bid_id] = p
-    if not bids:
-        raise ValidationError("density left no grid points; lower dims or raise density")
+    ids = ["b" + "_".join(str(x) for x in p) for p in keep]
+    table = BidTable.from_columns(ids, _prices(r_w, wmin, wmax, ids), [None] * len(keep), list(incident.values()), og)
     inst = Instance(
-        bids,
+        table,
         og,
         None,
-        OrderingSpec("grid", coords=coords),
+        OrderingSpec("grid", coords=dict(zip(ids, keep))),
         {
             "family": "grid",
             "seed": seed,
@@ -900,17 +936,16 @@ def gen_tight(beta: int, epsilon_milli: int, seed: int = 0) -> Instance:
         raise ValidationError("beta must be >= 1")
     if not 1 <= epsilon_milli <= 999:
         raise ValidationError("epsilon_milli must be within [1, 999]")
-    pad = _pad(beta)
-    centers = [f"c{i:0{pad}d}" for i in range(beta)]
-    og = ObjectGraph(centers, [(centers[i], centers[i + 1]) for i in range(beta - 1)])
-    bids = [Bid("a_hub", frozenset(centers), 1000)]
-    for i in range(beta):
-        bids.append(Bid(f"s{i:0{pad}d}", frozenset([centers[i]]), 1000 - epsilon_milli))
+    centers = _ids("c", beta)
+    og = ObjectGraph(centers, zip(centers, centers[1:]))
+    ids = ["a_hub", *_ids("s", beta)]
+    rows = [list(range(beta)), *([i] for i in range(beta))]
+    table = BidTable(ids, [1000] + [1000 - epsilon_milli] * beta, [None] * (beta + 1), rows, og.names)
     inst = Instance(
-        bids,
+        table,
         og,
         None,
-        OrderingSpec("explicit", permutation=[b.id for b in bids]),
+        OrderingSpec("explicit", permutation=list(ids)),
         {"family": "tight", "seed": seed, "beta": beta, "epsilon_milli": epsilon_milli},
     )
     validate_instance(inst)
@@ -968,45 +1003,40 @@ def gen_budget(
     r_assign, r_limit = master.split(), master.split()
 
     table = base.table
-    ids = sorted(table.ids)
-    n = len(ids)
-    weights = dict(zip(table.ids, table.prices))
+    ids, n = table.ids, len(table.ids)
 
     if constraint_kind in ("unweighted", "weighted"):
-        shuffled = list(ids)
-        r_assign.shuffle(shuffled)
-        chunks = [shuffled[i : i + group_size] for i in range(0, n, group_size)]
-        gpad = _pad(len(chunks))
-        groups = []
-        label_of: dict[str, str] = {}
-        for j, chunk in enumerate(chunks):
-            label = f"g{j:0{gpad}d}"
-            if constraint_kind == "unweighted":
-                limit = 1 + r_limit.randrange(min(k_max, len(chunk)))
-            else:
-                w_max = max(1, max(weights[u] for u in chunk))  # a budget is >= 1
-                w_sum = sum(weights[u] for u in chunk)
-                limit = r_limit.randint(w_max, w_max + w_sum // 2)
-            groups.append(Group(label, frozenset(chunk), limit))
-            for u in chunk:
-                label_of[u] = label
-        table = BidTable(table.ids, table.prices, list(map(label_of.__getitem__, table.ids)), table.rows, table.names)
+        by_id = sorted(range(n), key=ids.__getitem__)
+        r_assign.shuffle(by_id)
+        chunks = [by_id[i : i + group_size] for i in range(0, n, group_size)]
+        if constraint_kind == "unweighted":
+            limits = [1 + x for x in r_limit.randranges([min(k_max, len(chunk)) for chunk in chunks])]
+        else:
+            prices = table.prices
+            weights = [[prices[i] for i in chunk] for chunk in chunks]
+            w_max = [max(1, max(w)) for w in weights]  # a budget is >= 1
+            limits = list(map(add, w_max, r_limit.randranges([sum(w) // 2 + 1 for w in weights])))
+        labels = _ids("g", len(chunks))
+        group_of = [None] * n
+        for label, chunk in zip(labels, chunks):
+            for i in chunk:
+                group_of[i] = label
+        groups = [
+            Group(label, frozenset(map(ids.__getitem__, chunk)), limit) for label, chunk, limit in zip(labels, chunks, limits)
+        ]
+        table = BidTable(ids, table.prices, group_of, table.rows, table.names)
         cs = ConstraintSet(constraint_kind, groups)
     else:
         n_groups = max(1, (n + group_size - 1) // group_size)
-        gpad = _pad(n_groups)
         member_lists: list[list[str]] = [[] for _ in range(n_groups)]
-        for u in ids:
+        for u in sorted(ids):
             cnt = 1 + r_assign.randrange(t)
             for gi in r_assign.sample_indices(n_groups, min(cnt, n_groups)):
                 member_lists[gi].append(u)
-        groups = []
-        for j, members in enumerate(member_lists):
-            if not members:
-                continue
-            limit = 1 + r_limit.randrange(k_max)
-            groups.append(Group(f"g{j:0{gpad}d}", frozenset(members), limit))
-        cs = ConstraintSet("overlapping", groups)
+        labels = _ids("g", n_groups)
+        used = [j for j in range(n_groups) if member_lists[j]]
+        limits = r_limit.randranges([k_max] * len(used))
+        cs = ConstraintSet("overlapping", [Group(labels[j], frozenset(member_lists[j]), 1 + x) for j, x in zip(used, limits)])
 
     metadata = dict(base.metadata)
     metadata.update(

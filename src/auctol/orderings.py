@@ -160,7 +160,9 @@ def tree_decomposition_ordering(
     :class:`BidTable` interned against ``object_graph`` (an instance's
     ``table``), taken as it is. The tree shape is validated first; when
     ``object_graph`` is given, so are the decomposition properties and bid
-    germaneness. Bag coverage of bid objects is always checked.
+    germaneness, and the ordering then records that its frontier sets hold
+    for ``table`` (``Ordering._checked_on``). Bag coverage of bid objects is
+    always checked.
     """
     violations = validate_tree_decomposition(object_graph, td)
     if violations:
@@ -210,7 +212,10 @@ def tree_decomposition_ordering(
         # descendants-first: larger pre-order index sorts earlier
         keyed.append((-t_a, bid_id))
     keyed.sort()
-    return Ordering([bid_id for _, bid_id in keyed], "tree-decomposition", frontier)
+    ordering = Ordering([bid_id for _, bid_id in keyed], "tree-decomposition", frontier)
+    if object_graph is not None:  # the anchor bags of germane bids in a valid decomposition are frontier sets
+        ordering._checked_on = table
+    return ordering
 
 
 def min_degree_heuristic_decomposition(og: ObjectGraph) -> TreeDecomposition:
@@ -332,14 +337,52 @@ class _Block:
         self.next: _Block | None = None
 
 
+def _zero_fill_in(ptr, nbr, order: list[int]) -> tuple[int, list[int], list[int]]:
+    """The zero fill-in test (Tarjan and Yannakakis) of ``order``, node
+    indices of the graph with rows ``nbr[ptr[i]:ptr[i + 1]]`` as an
+    elimination ordering: walking the ranks upwards, the first later neighbor
+    to reach a node is its parent, and every later neighbor of a node must be
+    its parent or adjacent to it. Returns the lowest rank whose later
+    neighbors fail the test (``len(order)`` when none does), the parent of
+    each rank and ``nbr`` in ranks. O(|V| + |E|)."""
+    n = len(order)
+    rank = [0] * n
+    for r, i in enumerate(order):
+        rank[i] = r
+    ranked = [rank[j] for j in nbr]
+    parent = list(range(n))
+    seen = [-1] * n
+    bad = n
+    for r, i in enumerate(order):
+        row = ranked[ptr[i] : ptr[i + 1]]
+        seen[r] = r
+        for s in row:
+            if s < r:
+                seen[s] = r
+                if parent[s] == s:
+                    parent[s] = r
+        for s in row:
+            if s < r and seen[parent[s]] != r and s < bad:
+                bad = s
+    return bad, parent, ranked
+
+
+def is_perfect_elimination(g: BidGraph, ordering: Ordering) -> bool:
+    """Whether ``ordering``, a permutation of ``g``'s nodes, is a perfect
+    elimination ordering of ``g``: the zero fill-in test."""
+    order = list(map(g.index.__getitem__, ordering.order))
+    return _zero_fill_in(g.ptr, g.nbr, order)[0] == g.n
+
+
 def lexbfs_peo(g: BidGraph) -> Ordering | NotChordal:
     """Chordality recognition with a certified perfect elimination ordering.
 
     Runs lexicographic breadth-first search by partition refinement, reverses
     the visit order into a candidate elimination ordering, then verifies it:
     for every node, the later neighbors must form a clique, which the
-    standard parent check certifies in linear time. On failure returns a
-    :class:`NotChordal` witness instead of an ordering.
+    standard parent check certifies in linear time. A returned ordering
+    records the passed check against ``g.nbr`` (``Ordering._checked_on``).
+    On failure returns a :class:`NotChordal` witness instead of an ordering.
 
     Ties are broken by bid id: nodes are renamed to their position in
     ascending id order, so every block lists its members in id order.
@@ -404,31 +447,12 @@ def lexbfs_peo(g: BidGraph) -> Ordering | NotChordal:
                 if blk.next is not None:
                     blk.next.prev = blk.prev
 
-    # Check the candidate elimination ordering in ranks with the zero fill-in
-    # test (Tarjan and Yannakakis): walking the ranks upwards, the first later
-    # neighbor to reach a node is its parent, and every later neighbor of a
-    # node must be its parent or adjacent to it.
     candidate = [by_id[p] for p in reversed(visit_order)]
-    rank = [0] * n
-    for r, i in enumerate(candidate):
-        rank[i] = r
-    ranked = [rank[j] for j in nbr]
-    parent = list(range(n))
-    seen = [-1] * n
-    bad = n  # lowest rank whose later neighbors fail the test
-    for r, i in enumerate(candidate):
-        row = ranked[ptr[i] : ptr[i + 1]]
-        seen[r] = r
-        for s in row:
-            if s < r:
-                seen[s] = r
-                if parent[s] == s:
-                    parent[s] = r
-        for s in row:
-            if s < r and seen[parent[s]] != r and s < bad:
-                bad = s
+    bad, parent, ranked = _zero_fill_in(ptr, nbr, candidate)
     if bad == n:
-        return Ordering([g.ids[i] for i in candidate], "chordal")
+        ordering = Ordering([g.ids[i] for i in candidate], "chordal")
+        ordering._checked_on = nbr
+        return ordering
     # witness: the failing node's first later neighbor, in row order, that
     # misses its parent
     u, p = candidate[bad], parent[bad]

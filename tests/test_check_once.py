@@ -1,5 +1,6 @@
-"""A request checks each tree decomposition and each bid table's
-germaneness once; anything else is still checked wherever it is used.
+"""A request checks each tree decomposition, each bid table's germaneness
+and each ordering's certificate once; anything else is still checked
+wherever it is used.
 
 A passed check is recorded on the decomposition or the table and keyed by
 the object graph it ran against, so only the same objects with the same
@@ -8,7 +9,7 @@ entry point, however often they are tried."""
 
 import pytest
 
-from auctol import Bid, ObjectGraph, dumps_instance, gen_subtrees, graphs, orderings, save_instance
+from auctol import Bid, ObjectGraph, dumps_instance, gen_interval, gen_subtrees, graphs, instances, orderings, save_instance
 from auctol.cli import run
 from auctol.errors import ValidationError
 from auctol.instances import Instance, OrderingSpec, bid_graph, ordering_from_spec
@@ -35,6 +36,42 @@ def test_order_then_solve_checks_each_part_once_per_process(tmp_path, monkeypatc
     assert counts == {"_decomposition_violations": 1, "_disconnected": 1}
     assert run(["solve", "--input", str(ordered), "--output", str(tmp_path / "sol.json")]) == 0
     assert counts == {"_decomposition_violations": 2, "_disconnected": 2}
+
+
+def _certificate_checks(monkeypatch) -> dict:
+    counts = {"_zero_fill_in": 0, "frontier_violations": 0}
+    _count(monkeypatch, orderings, "_zero_fill_in", counts)
+    _count(monkeypatch, instances, "frontier_violations", counts)
+    return counts
+
+
+def test_each_certificate_check_runs_once_per_request(tmp_path, monkeypatch):
+    """lex-BFS's zero fill-in test and the frontier check of an explicit
+    ordering are recorded on the ordering, so certifying the solution runs
+    neither again; a tree-decomposition ordering's frontier sets need no
+    check."""
+    chordal, frontier, subtrees = tmp_path / "chordal.json", tmp_path / "frontier.json", tmp_path / "subtrees.json"
+    save_instance(gen_interval(30, seed=2), chordal)
+    bids = [Bid(u, frozenset(objs), 2) for u, objs in [("a", {"w", "x"}), ("b", {"x", "y"}), ("c", {"y", "z"}), ("d", {"z", "w"})]]
+    sets = {"a": frozenset({"w", "x"}), "b": frozenset({"y"}), "c": frozenset({"z"}), "d": frozenset({"z"})}
+    save_instance(Instance(bids, None, None, OrderingSpec("explicit", list("abcd"), frontier_sets=sets)), frontier)
+    save_instance(gen_subtrees(40, 80, seed=3), subtrees)
+    expected = {
+        ("solve", chordal): {"_zero_fill_in": 1, "frontier_violations": 0},
+        ("order", chordal): {"_zero_fill_in": 1, "frontier_violations": 0},
+        ("solve", frontier): {"_zero_fill_in": 0, "frontier_violations": 1},
+        ("verify", frontier): {"_zero_fill_in": 0, "frontier_violations": 1},
+        ("order", subtrees): {"_zero_fill_in": 0, "frontier_violations": 0},
+    }
+    for (command, path), counts in expected.items():
+        seen = _certificate_checks(monkeypatch)
+        args = {"order": ["--method", "tree-decomposition" if path is subtrees else "chordal"]}.get(command, [])
+        out = ["--output", str(tmp_path / "out.json")] if command != "verify" else []
+        assert run([command, "--input", str(path), *args, *out]) == 0
+        assert seen == counts, (command, path.name)
+    seen = _certificate_checks(monkeypatch)
+    assert run(["solve", "--input", str(tmp_path / "out.json"), "--output", str(tmp_path / "sol.json")]) == 0
+    assert seen == {"_zero_fill_in": 0, "frontier_violations": 0}
 
 
 PATH_XYZ = (["x", "y", "z"], [("x", "y"), ("y", "z")])

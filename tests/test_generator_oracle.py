@@ -362,7 +362,7 @@ def _same(new, ref, *args):
     assert dumps_instance(new(*args)) == expected
 
 
-WEIGHTS = [(1, 1000), (5, 5), (0, 2), (0, 0), (-3, 3), (0, 2**63), (7, 6)]
+WEIGHTS = [(1, 1000), (5, 5), (0, 2), (0, 0), (-3, 3), (0, 2**63), (7, 6), (1.0, 4.0)]
 SEEDS = [0, 1, 2, 3, 17, 2**64 - 1, 2**64 + 5, -1]
 NEAR_TOP = (0, 2**63)  # half of the 64-bit draws fall at or above 2**63 + 1 and are redrawn
 # a money budget is drawn from a range as wide as half its group's weight sum,

@@ -41,6 +41,7 @@ from auctol.instances import (
     Instance,
     OrderingSpec,
     beta_bound_info,
+    certify,
     instance_to_obj,
     obj_to_instance,
 )
@@ -262,6 +263,47 @@ def test_grid_bound_needs_rising_coordinate_sums():
     og = orient(g, moved)
     assert beta_exact(og).beta_graph == 4
     assert beta_bound_info(inst, moved, og) == (None, None)
+
+
+def _four_cycle() -> Instance:
+    """The bids a{w,x} b{x,y} c{y,z} d{z,w}: a 4-cycle, beta 2 in any order."""
+    objects = {"a": {"w", "x"}, "b": {"x", "y"}, "c": {"y", "z"}, "d": {"z", "w"}}
+    return Instance([Bid(u, frozenset(objs), 1) for u, objs in objects.items()])
+
+
+def test_chordal_bound_needs_a_perfect_elimination_ordering():
+    """An ordering built by hand with provenance ``chordal`` gets beta <= 1
+    only if it passes the zero fill-in test: not on the 4-cycle, where beta
+    is 2, but on a path."""
+    inst = _four_cycle()
+    g = bid_graph(inst)
+    cycle = orient(g, Ordering(["a", "b", "c", "d"], "chordal"))
+    assert beta_exact(cycle).beta_graph == 2
+    assert beta_bound_info(inst, cycle.ordering, cycle) == (None, None)
+    sol = certify(opcost(cycle)[0], inst, cycle)
+    assert (sol.certificate.beta_bound, sol.certificate.claimed_ratio) == (None, None)
+
+    path = Instance([Bid(u, frozenset(objs), 1) for u, objs in [("a", {"x"}), ("b", {"x", "y"}), ("c", {"y"})]])
+    ordering = Ordering(["a", "c", "b"], "chordal")
+    assert beta_bound_info(path, ordering, None) == (1, "perfect-elimination")
+
+
+def test_frontier_bound_needs_the_frontier_property():
+    """Frontier sets built by hand are checked: every frontier {x} on the
+    4-cycle fails (c follows and meets b but misses {x}), so no bound, while
+    sets that hold certify their largest size."""
+    inst = _four_cycle()
+    g = bid_graph(inst)
+    ordering = Ordering(["a", "b", "c", "d"], "explicit", dict.fromkeys("abcd", frozenset({"x"})))
+    og = orient(g, ordering)
+    assert beta_exact(og).beta_graph == 2
+    assert beta_bound_info(inst, ordering, og) == (None, None)
+    sol = certify(opcost(og)[0], inst, og)
+    assert (sol.certificate.beta_bound, sol.certificate.claimed_ratio) == (None, None)
+
+    sound = {"a": frozenset({"w", "x"}), "b": frozenset({"y"}), "c": frozenset({"z"}), "d": frozenset({"z"})}
+    ordering = Ordering(["a", "b", "c", "d"], "explicit", sound)
+    assert beta_bound_info(inst, ordering, orient(g, ordering)) == (2, "frontier-bound")
 
 
 def test_gen_tight_ratios():
@@ -807,3 +849,23 @@ def test_load_and_bid_graph_stage_linear_time():
 
     ratio = cost_ratio(stage, (2000, 16000))
     assert ratio <= 3.0, f"per-element load and build cost at 16k bids is {ratio:.1f}x the cost at 2k"
+
+
+GENERATORS = {
+    "interval": lambda n: gen_interval(n, seed=4),
+    "budget-unweighted": lambda n: gen_budget("interval", "unweighted", {"n": n, "k_max": 3, "group_size": 4}, 4),
+    "budget-overlapping": lambda n: gen_budget("interval", "overlapping", {"n": n, "k_max": 3, "t": 2}, 4),
+}
+
+
+@pytest.mark.parametrize("family", sorted(GENERATORS))
+def test_generator_linear_time(family):
+    """Generating an instance, object graph included, costs about the same
+    per bid at 16k bids as at 2k (within 3x)."""
+    gen = GENERATORS[family]
+
+    def stage(n):
+        return lambda: gen(n), n
+
+    ratio = cost_ratio(stage, (2000, 16000))
+    assert ratio <= 3.0, f"per-bid {family} generator cost at 16k bids is {ratio:.1f}x the cost at 2k"
