@@ -256,7 +256,7 @@ def solve_light(g: BidGraph, cs: ConstraintSet, mode: str = "lazy") -> tuple[Sol
         ):
             sel[i] = True
             spent[gi] += w[i]
-    return selection_solution(g, sel, "weighted-light"), ValueTable(order, vals, sel)
+    return selection_solution(g, sel, "weighted-light"), ValueTable(order, vals)
 
 
 def _reweighted(g: BidGraph, w: list[int]) -> BidGraph:

@@ -147,12 +147,8 @@ def cmd_gen(args) -> int:
 
 def _check_solution_file(args) -> int:
     inst = instances.load_instance(args.input)
-    g = instances.oriented_graph(inst)
-    with open(args.solution, encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError("", f"not valid JSON: {exc}") from exc
+    g = instances.bid_graph(inst)  # feasibility needs no ordering
+    obj = instances._parse_json(Path(args.solution).read_text(encoding="utf-8"))
     if not isinstance(obj, dict) or not isinstance(obj.get("selected"), list):
         raise SchemaError("/selected", "solution file needs a selected array")
     selected = [instances._expect_str(u, f"/selected/{i}") for i, u in enumerate(obj["selected"])]
@@ -338,22 +334,43 @@ def _bench_solvers(family: str, inst):
     return {cs.kind: lambda g: one_pass(g, cs)}
 
 
-# A bench sample times enough back-to-back solver calls to last at least
-# this long, so that a pass of a millisecond is not at the mercy of timer
-# and scheduler noise.
+# A sample times back-to-back calls for at least this long, so that a pass
+# of a millisecond is not at the mercy of timer and scheduler noise.
 MIN_SAMPLE_S = 0.02
+MAX_RATIO = 3.0  # the most the per-element cost may grow from the smallest size to the largest
 
 
-def run_bench(family: str, sizes, seed: int = 0, repeats: int = 3, max_ratio: float = 3.0) -> dict:
-    """Time the linear-time solvers at each target |V|+|E| and assert the
-    per-element cost at the largest size is within ``max_ratio`` of the
-    smallest. Each solver's first call (which also pays the one-off
-    group-index build) is a warmup; it, or a second call when it is shorter
-    than :data:`MIN_SAMPLE_S`, sets how many back-to-back calls a sample
-    makes (``calls``: enough to last that long). The sizes then take turns,
-    one sample each, ``repeats`` times, so that a change in the machine's
-    speed reaches every size alike; the reported time per call is the
-    minimum over a size's samples. Returns the full measurement report."""
+def interleaved_samples(calls, repeats: int = 3) -> list[tuple[int, float]]:
+    """The flatness sampler: time zero-argument ``calls``, each costing the
+    same on every call. A warmup call, or a second one when the first is
+    shorter than :data:`MIN_SAMPLE_S`, sets the calls per sample. The callables
+    then take turns, one sample each, ``repeats`` times, so that a change in
+    the machine's speed reaches all alike. Returns each one's calls per
+    sample and its fastest sample's time per call."""
+    counts = []
+    for call in calls:
+        for _ in range(2):  # a short first call is timed again without the one-off costs
+            t0 = time.perf_counter()
+            call()
+            dt = time.perf_counter() - t0
+            if dt >= MIN_SAMPLE_S:
+                break
+        counts.append(max(1, math.ceil(MIN_SAMPLE_S / max(dt, 1e-9))))
+    best = [float("inf")] * len(counts)
+    for _ in range(max(1, repeats)):
+        for k, (call, count) in enumerate(zip(calls, counts)):
+            t0 = time.perf_counter()
+            for _ in range(count):
+                call()
+            best[k] = min(best[k], (time.perf_counter() - t0) / count)
+    return list(zip(counts, best))
+
+
+def run_bench(family: str, sizes, seed: int = 0, repeats: int = 3) -> dict:
+    """Time the linear-time solvers at each target |V|+|E| with
+    :func:`interleaved_samples` and assert the per-element cost at the
+    largest size is within :data:`MAX_RATIO` of the smallest. Returns the
+    full measurement report."""
     if family not in BENCH_FAMILIES:
         raise ValidationError(f"unknown bench family {family!r}")
     rows, timed = [], []
@@ -364,24 +381,9 @@ def run_bench(family: str, sizes, seed: int = 0, repeats: int = 3, max_ratio: fl
         gc.collect()
         row = {"target": target, "n": g.n, "m": g.m, "elements": g.n + g.m, "solvers": {}}
         rows.append(row)
-        for name, fn in fns.items():
-            t0 = time.perf_counter()
-            fn(g)
-            dt = time.perf_counter() - t0
-            if dt < MIN_SAMPLE_S:  # time a call without the one-off costs
-                t0 = time.perf_counter()
-                fn(g)
-                dt = time.perf_counter() - t0
-            calls = max(1, math.ceil(MIN_SAMPLE_S / max(dt, 1e-9)))
-            timed.append((row, name, partial(fn, g), calls))
-    best = [float("inf")] * len(timed)
-    for _ in range(max(1, repeats)):
-        for k, (_row, _name, call, calls) in enumerate(timed):
-            t0 = time.perf_counter()
-            for _ in range(calls):
-                call()
-            best[k] = min(best[k], (time.perf_counter() - t0) / calls)
-    for (row, name, _call, calls), dt in zip(timed, best):
+        timed += [(row, name, partial(fn, g)) for name, fn in fns.items()]
+    samples = interleaved_samples([call for _row, _name, call in timed], repeats)
+    for (row, name, _call), (calls, dt) in zip(timed, samples):
         row["solvers"][name] = {
             "calls": calls,
             "seconds": round(dt, 6),
@@ -390,15 +392,13 @@ def run_bench(family: str, sizes, seed: int = 0, repeats: int = 3, max_ratio: fl
     smallest = min(rows, key=lambda r: r["elements"])
     largest = max(rows, key=lambda r: r["elements"])
     checks = {}
-    ok = True
     for name in rows[0]["solvers"]:
         lo = smallest["solvers"][name]["per_element_ns"]
         hi = largest["solvers"][name]["per_element_ns"]
         ratio = hi / lo if lo > 0 else float("inf")
-        passed = ratio <= max_ratio or largest is smallest
-        checks[name] = {"cost_ratio": round(ratio, 3), "ok": passed}
-        ok = ok and passed
-    return {"family": family, "rows": rows, "checks": checks, "max_ratio": max_ratio, "ok": ok}
+        checks[name] = {"cost_ratio": round(ratio, 3), "ok": ratio <= MAX_RATIO or largest is smallest}
+    ok = all(check["ok"] for check in checks.values())
+    return {"family": family, "rows": rows, "checks": checks, "max_ratio": MAX_RATIO, "ok": ok}
 
 
 def cmd_bench(args) -> int:

@@ -557,12 +557,16 @@ def obj_to_instance(obj: dict) -> Instance:
     return inst
 
 
-def loads_instance(text: str) -> Instance:
+def _parse_json(text: str):
+    """``json.loads(text)``; text that is not JSON, or nests too deep, is a SchemaError at the root."""
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SchemaError("", f"not valid JSON: {exc}") from exc
-    return obj_to_instance(obj)
+
+
+def loads_instance(text: str) -> Instance:
+    return obj_to_instance(_parse_json(text))
 
 
 def load_instance(path) -> Instance:

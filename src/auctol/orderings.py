@@ -439,11 +439,8 @@ def lexbfs_peo(g: BidGraph) -> Ordering | NotChordal:
             front.size += 1
             block_of[v] = front
         for blk, _front in moved.values():
-            if not blk.size:
-                if blk.prev is not None:
-                    blk.prev.next = blk.next
-                else:
-                    head = blk.next
+            if not blk.size:  # its new front block, just before it, is never empty
+                blk.prev.next = blk.next
                 if blk.next is not None:
                     blk.next.prev = blk.prev
 

@@ -55,9 +55,14 @@ class SplitMix64:
         return SplitMix64(self.next_u64())
 
     def randrange(self, n: int) -> int:
-        """Uniform integer in [0, n). Rejection sampling, no modulo bias."""
+        """Uniform integer in [0, n). Rejection sampling, no modulo bias; above
+        2**64, one output gives the low 64 bits and a draw below ceil(n / 2**64) the rest."""
         if n <= 0:
             raise ValueError("randrange needs n >= 1")
+        while n > _MASK + 1:
+            x = self.next_u64() | self.randrange(-(-n >> 64)) << 64
+            if x < n:
+                return x
         limit = (_MASK + 1) - ((_MASK + 1) % n)
         while True:
             x = self.next_u64()
@@ -73,7 +78,8 @@ class SplitMix64:
             raise ValueError("randrange needs n >= 1")
         start = self._state
         xs = self.u64s(len(bounds))
-        # randrange redraws x only from 2**64 - (2**64 % n) up, and 2**64 % n < n
+        # randrange redraws x only from 2**64 - (2**64 % n) up, and 2**64 % n < n;
+        # a bound above 2**64 makes the test fail and takes the single draws
         if max(xs) < (_MASK + 1) - max(bounds):
             return [x % n for x, n in zip(xs, bounds)]
         self._state = start

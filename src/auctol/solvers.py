@@ -79,23 +79,21 @@ class Solution:
 
 
 class ValueTable:
-    """Per-node values and selection flags from a solver's two passes.
+    """Per-node values from a solver's forward pass.
 
-    Backed by the solver's index-space arrays; the id-keyed dicts are
+    Backed by the solver's index-space array; the id-keyed dict is
     materialized on first access. With ``den`` given, ``val`` holds integer
     numerators and the values are ``Fraction(num, den)``, made on that first
     access; otherwise ``val`` holds the values themselves.
     """
 
-    __slots__ = ("_order", "_val", "_sel", "_den", "_val_map", "_sel_map")
+    __slots__ = ("_order", "_val", "_den", "_val_map")
 
-    def __init__(self, order: list[str], val: list, select: list[bool], den: int | None = None):
+    def __init__(self, order: list[str], val: list, den: int | None = None):
         self._order = order
         self._val = val
-        self._sel = select
         self._den = den
         self._val_map = None
-        self._sel_map = None
 
     @property
     def val(self) -> dict:
@@ -104,12 +102,6 @@ class ValueTable:
             vals = self._val if den is None else (Fraction(x, den) for x in self._val)
             self._val_map = dict(zip(self._order, vals))
         return self._val_map
-
-    @property
-    def select(self) -> dict[str, bool]:
-        if self._sel_map is None:
-            self._sel_map = dict(zip(self._order, self._sel))
-        return self._sel_map
 
 
 def selection_solution(g: BidGraph, sel: list[bool], algorithm: str) -> Solution:
@@ -202,7 +194,7 @@ def forward_pass(
                 for gi in mine:
                     used[gi] += 1
     den = None if all(x == 1 for x in k) else d
-    return selection_solution(g, sel, algorithm), ValueTable(order, val, sel, den)
+    return selection_solution(g, sel, algorithm), ValueTable(order, val, den)
 
 
 def local_ratio(g: BidGraph, groups=None, algorithm: str = "lropcost") -> Solution:

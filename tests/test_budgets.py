@@ -14,11 +14,9 @@ from auctol import (
     build_bid_graph,
     check_feasible,
     exact_feasible,
-    gen_budget,
     group_clique_graph,
     opcost,
     orient,
-    oriented_graph,
     solve_light,
     solve_overlapping,
     solve_overlapping_lr,
@@ -29,7 +27,6 @@ from auctol import (
 from auctol.errors import ValidationError
 from auctol.rng import SplitMix64
 
-from flatness import cost_ratio
 from test_graphs import random_bids
 
 
@@ -363,26 +360,3 @@ def test_constraint_partition_validation():
     cs = ConstraintSet("unweighted", [Group("g", {"a"}, 1)])
     with pytest.raises(ValidationError, match="partition"):
         solve_unweighted(g, cs)
-
-
-@pytest.mark.parametrize(
-    "kind, params, solve",
-    [
-        ("unweighted", {"k_max": 3, "group_size": 4}, lambda g, cs: solve_unweighted(g, cs)[0]),
-        ("overlapping", {"k_max": 3, "t": 2}, solve_overlapping),
-    ],
-)
-def test_count_pass_with_k_above_one_linear_time(kind, params, solve):
-    """The k-of-group pass with limits up to 3, where values are numerators
-    over a common denominator that the pass refines, costs about the same
-    per element (|V| + |E|) at 16k bids as at 2k (within 3x)."""
-
-    def stage(n):
-        inst = gen_budget("interval", kind, {"n": n, "include_object_graph": False, **params}, seed=12)
-        assert any(grp.limit > 1 for grp in inst.constraints.groups)
-        g = oriented_graph(inst)
-        solve(g, inst.constraints)  # builds the cached group index
-        return lambda: solve(g, inst.constraints), g.n + g.m
-
-    ratio = cost_ratio(stage, (2000, 16000))
-    assert ratio <= 3.0, f"per-element {kind} pass cost at 16k bids is {ratio:.1f}x the cost at 2k"

@@ -14,6 +14,7 @@ from auctol import Bid, Instance, OrderingSpec, cli, instances
 from auctol import dumps_instance, gen_budget, gen_grid, gen_interval, gen_interval_selection, gen_subtrees, gen_tight, save_instance
 from auctol.cli import run
 from auctol.errors import ValidationError
+from auctol.rng import SplitMix64
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -222,6 +223,36 @@ def test_gen_bad_arguments_exit2(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"validation error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--family", "interval", "--n", "3", "--wmin", "0", "--wmax", str(10**23)],
+        ["--family", "budget", "--kind", "weighted", "--n", "40", "--group-size", "8", "--wmin", "0", "--wmax", str(2**63)],
+    ],
+    ids=["interval-wmax-above-2-64", "budget-weighted-group-sums-above-2-65"],
+)
+def test_gen_bounds_above_2_64(tmp_path, monkeypatch, argv):
+    """A price bound, or a money budget drawn up to half a group's weight
+    sum, above 2**64 takes several outputs per draw rather than redrawing
+    forever; the counted outputs fail the test at once if a draw redraws."""
+    outputs, next_u64 = [], SplitMix64.next_u64
+
+    def counted(self):
+        outputs.append(None)
+        assert len(outputs) < 10_000, "a draw keeps redrawing"
+        return next_u64(self)
+
+    monkeypatch.setattr(SplitMix64, "next_u64", counted)
+    out = tmp_path / "inst.json"
+    assert run(["gen", *argv, "--output", str(out)]) == 0
+    monkeypatch.undo()
+    inst = instances.load_instance(out)
+    assert all(0 <= p <= int(argv[-1]) for p in inst.table.prices)
+    limits = [grp.limit for grp in inst.constraints.groups] if inst.constraints else []
+    assert max(inst.table.prices + limits) >= 2**64
+    assert run(["verify", "--input", str(out)]) == 0
 
 
 def test_generators_reject_an_empty_weight_range():
@@ -465,6 +496,38 @@ C4_CHORDAL = {
     ],
     "ordering_spec": {"method": "chordal"},
 }
+
+
+def test_verify_solution_needs_no_ordering(tmp_path, capsys):
+    """A solution's feasibility does not depend on the ordering the instance
+    asks for: a 4-cycle that asks for a chordal ordering still has its
+    feasible solution checked, and an infeasible one flagged."""
+    inst, sol = tmp_path / "c4.json", tmp_path / "sol.json"
+    inst.write_text(json.dumps(C4_CHORDAL))
+    sol.write_text(json.dumps({"selected": ["a", "c"], "revenue": 2}))
+    assert run(["verify", "--input", str(inst), "--solution", str(sol)]) == 0
+    assert capsys.readouterr().err == ""
+    sol.write_text(json.dumps({"selected": ["a", "b"], "revenue": 2}))
+    assert run(["verify", "--input", str(inst), "--solution", str(sol)]) == 5
+    assert capsys.readouterr().err == "violation: conflict: 'a' and 'b' share an object\n"
+
+
+@pytest.mark.parametrize("which", ["solve", "verify-input", "verify-solution"])
+def test_json_nested_too_deep_exit2(tmp_path, capsys, which):
+    """Instance and solution files nested too deep to parse exit 2 with a
+    schema error at the root, not a RecursionError traceback."""
+    deep, inst = tmp_path / "deep.json", tmp_path / "c4.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    inst.write_text(json.dumps(C4_CHORDAL))
+    argv = {
+        "solve": ["solve", "--input", str(deep)],
+        "verify-input": ["verify", "--input", str(deep), "--solution", str(deep)],
+        "verify-solution": ["verify", "--input", str(inst), "--solution", str(deep)],
+    }[which]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("schema error: : not valid JSON: maximum recursion depth exceeded")
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])

@@ -19,9 +19,7 @@ SRC = ROOT / "src" / "auctol"
 CALLERS = [SRC, ROOT / "demos", ROOT / "perfbench"]
 
 # Definitions with no caller in the scanned code, each kept on purpose.
-ALLOWED = {
-    "solvers.ValueTable.select": "the per-node selection flags, the public half of a solver's value table",
-}
+ALLOWED: dict[str, str] = {}
 
 
 def definitions(source: str, module: str) -> dict[str, tuple[str, bool]]:

@@ -53,7 +53,6 @@ from auctol.orderings import (
     validate_tree_decomposition,
 )
 from auctol.rng import SplitMix64
-from flatness import cost_ratio
 
 MINIMAL = """
 {
@@ -811,61 +810,3 @@ def test_loader_matches_reference_on_mutated_corpus():
         accepted += want[0] == "ok"
         messages.add(want[1] if want[0] != "ok" else "ok")
     assert compared >= 2000 and accepted >= 100 and len(messages) >= 150, (compared, accepted, len(messages))
-
-
-def test_load_stage_linear_time():
-    """Loading an interval instance with its object graph costs about the same
-    per input byte at 16k bids as at 2k (within 3x)."""
-
-    def stage(n):
-        text = dumps_instance(gen_interval(n, seed=4))
-        return lambda: loads_instance(text), len(text.encode("utf-8"))
-
-    ratio = cost_ratio(stage, (2000, 16000))
-    assert ratio <= 3.0, f"per-byte load cost at 16k bids is {ratio:.1f}x the cost at 2k"
-
-
-def test_dump_stage_linear_time():
-    """Writing an interval instance with its object graph costs about the
-    same per output byte at 16k bids as at 2k (within 3x)."""
-
-    def stage(n):
-        inst = gen_interval(n, seed=4)
-        return lambda: dumps_instance(inst), len(dumps_instance(inst).encode("utf-8"))
-
-    ratio = cost_ratio(stage, (2000, 16000))
-    assert ratio <= 3.0, f"per-byte dump cost at 16k bids is {ratio:.1f}x the cost at 2k"
-
-
-def test_load_and_bid_graph_stage_linear_time():
-    """Loading an interval instance with its object graph and building its
-    bid graph from the interned bids costs about the same per element
-    (|V| + |E|) at 16k bids as at 2k (within 3x)."""
-
-    def stage(n):
-        text = dumps_instance(gen_interval(n, seed=4))
-        g = bid_graph(loads_instance(text))
-        return lambda: bid_graph(loads_instance(text)), g.n + g.m
-
-    ratio = cost_ratio(stage, (2000, 16000))
-    assert ratio <= 3.0, f"per-element load and build cost at 16k bids is {ratio:.1f}x the cost at 2k"
-
-
-GENERATORS = {
-    "interval": lambda n: gen_interval(n, seed=4),
-    "budget-unweighted": lambda n: gen_budget("interval", "unweighted", {"n": n, "k_max": 3, "group_size": 4}, 4),
-    "budget-overlapping": lambda n: gen_budget("interval", "overlapping", {"n": n, "k_max": 3, "t": 2}, 4),
-}
-
-
-@pytest.mark.parametrize("family", sorted(GENERATORS))
-def test_generator_linear_time(family):
-    """Generating an instance, object graph included, costs about the same
-    per bid at 16k bids as at 2k (within 3x)."""
-    gen = GENERATORS[family]
-
-    def stage(n):
-        return lambda: gen(n), n
-
-    ratio = cost_ratio(stage, (2000, 16000))
-    assert ratio <= 3.0, f"per-bid {family} generator cost at 16k bids is {ratio:.1f}x the cost at 2k"

@@ -28,7 +28,6 @@ from auctol.errors import ValidationError
 from auctol.instances import bid_graph
 from auctol.orderings import NotChordal, TreeDecomposition
 from auctol.rng import SplitMix64
-from flatness import cost_ratio
 
 
 def is_peo(g, ordering):
@@ -582,27 +581,6 @@ def test_planted_ordering():
         planted_optimal_ordering(g, {"p", "q"})
 
 
-def test_tree_decomposition_stage_linear_time():
-    """Min-degree heuristic, validation and the frontier ordering together
-    cost about the same per element at 8k objects as at 1k (within 3x).
-    Elements are objects + object edges + total bag size."""
-
-    def stage(tree_size):
-        inst = gen_subtrees(tree_size, 2 * tree_size, seed=5)
-        og = inst.object_graph
-
-        def run():
-            td = min_degree_heuristic_decomposition(og)
-            assert validate_tree_decomposition(og, td) == []
-            tree_decomposition_ordering(td, inst.bids, og)
-
-        td = min_degree_heuristic_decomposition(og)
-        return run, len(og.objects) + len(og.edges) + sum(len(b) for b in td.bags.values())
-
-    ratio = cost_ratio(stage, (1000, 8000))
-    assert ratio <= 3.0, f"per-element cost at 8k objects is {ratio:.1f}x the cost at 1k"
-
-
 class _RefBlock:
     __slots__ = ("members", "prev", "next")
 
@@ -733,16 +711,3 @@ def test_lexbfs_equals_reference_loop():
         g = build_bid_graph(bids)
         assert lexbfs_peo(g) == reference_lexbfs_peo(g)
     assert outcomes == {"Ordering", "NotChordal"}
-
-
-def test_lexbfs_linear_time():
-    """lex-BFS costs about the same per element on 16k conflict-free bids as
-    on 2k (within 3x): every bid leaves the head block from its front, which
-    must not make finding the next live member walk the deleted ones."""
-
-    def stage(n):
-        g = build_bid_graph([Bid(f"b{i:05d}", {f"o{i}"}, 1) for i in range(n)])
-        return lambda: lexbfs_peo(g), g.n + g.m
-
-    ratio = cost_ratio(stage, (2000, 16000))
-    assert ratio <= 3.0, f"per-element cost at 16k bids is {ratio:.1f}x the cost at 2k"

@@ -73,3 +73,57 @@ def test_shuffle_and_sample_indices_match_single_draw_loops(seed):
         for k in range(min(n, 4) + 1):
             drawn = SplitMix64(seed).sample_indices(n, k)
             assert len(set(drawn)) == k and all(0 <= i < n for i in drawn)
+
+
+class CountedDraws(SplitMix64):
+    """A stream that fails once it has made more outputs than ``limit``, so
+    that a draw which keeps redrawing fails at once rather than hangs."""
+
+    __slots__ = ("outputs", "limit")
+
+    def __init__(self, seed: int, limit: int):
+        super().__init__(seed)
+        self.outputs, self.limit = 0, limit
+
+    def next_u64(self) -> int:
+        self.outputs += 1
+        assert self.outputs <= self.limit, "randrange keeps redrawing"
+        return super().next_u64()
+
+
+def _one_output_draw(rng: SplitMix64, n: int) -> int:
+    """The draw below n <= 2**64: outputs from the largest multiple of n up are redrawn."""
+    while (x := rng.next_u64()) >= 2**64 // n * n:
+        pass
+    return x % n
+
+
+@pytest.mark.parametrize("bound", [2**64 + 1, 10**23, 3 * 2**64, 2**65 - 1, 2**128])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_bounds_above_2_64_draw_the_low_and_high_bits_apart(seed, bound):
+    """One output gives the low 64 bits and a draw below ceil(bound / 2**64)
+    the rest; a value at or above the bound is drawn again."""
+    rng, ref = CountedDraws(seed, 200), SplitMix64(seed)
+    for _ in range(20):
+        while (y := ref.next_u64() | _one_output_draw(ref, -(-bound >> 64)) << 64) >= bound:
+            pass
+        assert rng.randrange(bound) == y
+    assert rng._state == ref._state
+    assert rng.randranges([bound, 5]) == [ref.randrange(bound), ref.randrange(5)]
+
+
+@pytest.mark.parametrize("bound", [2**128 + 1, 3**200, 10**1000])
+def test_bounds_far_above_2_64_stay_in_range(bound):
+    rng = CountedDraws(7, 20 * 4 * (bound.bit_length() // 64 + 1))
+    values = [rng.randrange(bound) for _ in range(20)]
+    assert all(0 <= x < bound for x in values) and len(set(values)) == 20
+    assert max(values) >= bound // 4  # the high words are drawn, not left at 0
+
+
+@pytest.mark.parametrize("bound", BOUNDS)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_bounds_up_to_2_64_take_one_output_per_draw(seed, bound):
+    rng, ref = CountedDraws(seed, 200), SplitMix64(seed)
+    for _ in range(40):
+        assert rng.randrange(bound) == _one_output_draw(ref, bound)
+    assert rng._state == ref._state

@@ -78,7 +78,7 @@ def test_value_table_recomputes():
         assert verify_value_table(g, table)
         vals = [table.val[u] for u in order]
         vals[0] += 1
-        broken = ValueTable(order, vals, [table.select[u] for u in order])
+        broken = ValueTable(order, vals)
         assert not verify_value_table(g, broken)
 
 
