@@ -13,9 +13,9 @@ from auctol import (
     beta_bound_union,
     beta_exact,
     bid_graph,
-    check_frontier_property,
     decreasing_weight_ordering,
     exact_mwis,
+    frontier_violations,
     gen_grid,
     gen_interval,
     gen_subtrees,
@@ -60,7 +60,7 @@ ordering = tree_decomposition_ordering(td, sub.bids, sub.object_graph)
 sg = orient(bid_graph(sub), ordering)
 print(f"  heuristic decomposition width {td.width()}")
 print(f"  frontier bound {beta_bound_frontier(ordering)} vs exact beta {beta_exact(sg).beta_graph}")
-assert check_frontier_property(ordering, sub.bids) == []
+assert frontier_violations(bid_graph(sub), ordering, sub.table.object_sets()) == []
 
 print("\ngrid auctions: coordinate-sum order bounds beta by the dimension:")
 grid = gen_grid((4, 4), seed=3)

@@ -36,7 +36,7 @@ from .graphs import (
     beta_bound_union,
     beta_exact,
     build_bid_graph,
-    check_frontier_property,
+    frontier_violations,
     orient,
 )
 from .instances import (

@@ -26,7 +26,7 @@ from functools import cache, partial
 from pathlib import Path
 
 from . import budgets, instances, solvers
-from .errors import CapacityError, NotChordalError, SchemaError, ValidationError
+from .errors import CapacityError, EncodingError, NotChordalError, SchemaError, ValidationError
 from .graphs import beta_exact, orient
 from .orderings import decreasing_weight_ordering, min_degree_heuristic_decomposition
 
@@ -148,7 +148,7 @@ def cmd_gen(args) -> int:
 def _check_solution_file(args) -> int:
     inst = instances.load_instance(args.input)
     g = instances.bid_graph(inst)  # feasibility needs no ordering
-    obj = instances._parse_json(Path(args.solution).read_text(encoding="utf-8"))
+    obj = instances._parse_json(instances._read_text(args.solution))
     if not isinstance(obj, dict) or not isinstance(obj.get("selected"), list):
         raise SchemaError("/selected", "solution file needs a selected array")
     selected = [instances._expect_str(u, f"/selected/{i}") for i, u in enumerate(obj["selected"])]
@@ -169,7 +169,8 @@ def _check_solution_file(args) -> int:
 @_collector_paused()
 def verify_instance(path: Path, oracle_cap: int, timings: bool = False) -> dict:
     """Run every applicable solver plus the oracles on one instance and
-    check each claimed inequality. Returns a RunReport dict."""
+    check each claimed inequality. Returns a RunReport dict, or raises
+    OSError or EncodingError when the file cannot be read as UTF-8 text."""
     report: dict = {"instance": path.name, "ok": True, "violations": []}
 
     def violate(msg: str) -> None:
@@ -179,6 +180,8 @@ def verify_instance(path: Path, oracle_cap: int, timings: bool = False) -> dict:
     try:
         inst = instances.load_instance(path)
         g = instances.oriented_graph(inst)
+    except EncodingError:
+        raise
     except (ValidationError, NotChordalError, CapacityError) as exc:
         violate(f"setup failed: {exc}")
         return report
@@ -198,30 +201,25 @@ def _run_checks(report: dict, violate, inst, g, oracle_cap: int, timings: bool) 
     algos: dict[str, dict] = {}
     report["algorithms"] = algos
 
-    def run(name, fn):
+    def run(name, fn, *args):
+        """``fn(*args)``, with its solution's entry in the report."""
         t0 = time.perf_counter()
-        sol = fn()
+        result = fn(*args)
         dt = time.perf_counter() - t0
+        sol = result[0] if isinstance(result, tuple) else result
         entry = {"revenue": sol.revenue, "selected": len(sol.selected)}
         if timings:
             entry["wall_ms"] = round(dt * 1000.0, 3)
         algos[name] = entry
-        return sol
+        return result
 
-    table = None
-
-    def run_opcost():
-        nonlocal table
-        sol, table = solvers.opcost(g)
-        return sol
-
-    op = run("opcost", run_opcost)
-    lr = run("lropcost", lambda: solvers.lropcost(g))
+    op, table = run("opcost", solvers.opcost, g)
+    lr = run("lropcost", solvers.lropcost, g)
     if op.selected != lr.selected:
         violate("opcost and lropcost selected different sets")
     if not solvers.verify_value_table(g, table):
         violate("value table fails recomputation")
-    run("greedy", lambda: solvers.greedy(g, g.ordering))
+    run("greedy", solvers.greedy, g, g.ordering)
     for name, sol in (("opcost", op), ("lropcost", lr)):
         ok, violations = budgets.check_feasible(sol, g, None)
         for v in violations:
@@ -231,9 +229,8 @@ def _run_checks(report: dict, violate, inst, g, oracle_cap: int, timings: bool) 
     primary = op
     if cs is not None:
         one_pass, cross_check = budgets.SOLVERS_BY_KIND[cs.kind]
-        bsol = one_pass(g, cs)
+        bsol = run(cs.kind, one_pass, g, cs)
         cross = cross_check(g, cs)
-        algos[cs.kind] = {"revenue": bsol.revenue, "selected": len(bsol.selected)}
         if bsol.selected != cross.selected:
             violate(f"{cs.kind}: one-pass and local-ratio modes disagree")
         ok, violations = budgets.check_feasible(bsol, g, cs)
@@ -265,20 +262,16 @@ def _run_checks(report: dict, violate, inst, g, oracle_cap: int, timings: bool) 
             if stated is not None and beta > stated:
                 violate(f"stated beta bound {stated} below exact beta {beta}")
             claimed = instances.claimed_ratio(primary.certificate.algorithm, beta, cs)
-            report["claimed_ratio"] = _ratio_str(claimed)
+            report["claimed_ratio"] = str(claimed)
             if primary.revenue == 0:
                 if opt > 0:
                     violate("approximation returned zero revenue against positive optimum")
                 report["observed_ratio"] = "1"
             else:
                 observed = Fraction(opt, primary.revenue)
-                report["observed_ratio"] = _ratio_str(observed)
+                report["observed_ratio"] = str(observed)
                 if observed > claimed:
                     violate(f"observed ratio {observed} exceeds claimed {claimed}")
-
-
-def _ratio_str(r: Fraction) -> str:
-    return str(r.numerator) if r.denominator == 1 else f"{r.numerator}/{r.denominator}"
 
 
 def cmd_verify(args) -> int:
@@ -293,7 +286,7 @@ def cmd_verify(args) -> int:
     for p in paths:
         try:
             report = verify_instance(p, args.oracle_cap, timings=args.timings)
-        except OSError as exc:
+        except (OSError, EncodingError) as exc:  # not readable as text
             unread = unread or exc
             continue
         sys.stdout.write(json.dumps(report, sort_keys=True) + "\n")

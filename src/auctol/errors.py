@@ -16,6 +16,13 @@ class SchemaError(ValidationError):
         super().__init__(f"{pointer}: {message}")
 
 
+class EncodingError(SchemaError):
+    """A file is not valid UTF-8: a SchemaError at the root."""
+
+    def __init__(self, exc: UnicodeDecodeError):
+        super().__init__("", f"not valid UTF-8: {exc}")
+
+
 class CapacityError(RuntimeError):
     """An exact routine was asked to exceed its configured size cap."""
 

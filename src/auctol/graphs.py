@@ -60,20 +60,6 @@ class Bid:
             raise ValidationError(f"bid {self.id!r}: price must be >= 0")
 
 
-def _trusted_bid(bid_id: str, objects: frozenset[str], price: int, group: str | None) -> Bid:
-    """A :class:`Bid` from fields already known to be valid, without the
-    constructor's checks (the loader has checked the whole array in bulk).
-    The fields are set one by one, in declaration order, as the generated
-    ``__init__`` sets them, so the instance keeps the compact shared-key
-    attribute dict; filling ``__dict__`` at once doubles its memory."""
-    bid = object.__new__(Bid)
-    object.__setattr__(bid, "id", bid_id)
-    object.__setattr__(bid, "objects", objects)
-    object.__setattr__(bid, "price", price)
-    object.__setattr__(bid, "group", group)
-    return bid
-
-
 class ObjectGraph:
     """Undirected relevance graph over auction objects.
 
@@ -310,7 +296,7 @@ class BidTable:
     ascending); object id o is ``names[o]``, ids ascending by name.
 
     An instance keeps its bids in this form, interned against its object
-    graph's ids, and creates :class:`Bid` objects only on request.
+    graph's ids.
     """
 
     def __init__(self, ids: list[str], prices: list[int], groups: list, rows: list[list[int]], names: list[str]):
@@ -349,9 +335,6 @@ class BidTable:
         """Each bid's object names, as a set."""
         names = self.names
         return [frozenset(map(names.__getitem__, row)) for row in self.rows]
-
-    def bids(self) -> list[Bid]:
-        return list(map(_trusted_bid, self.ids, self.object_sets(), self.prices, self.groups))
 
     def disconnected(self, og: ObjectGraph) -> list[str]:
         """Ids of the bids whose objects are not connected in ``og``, which
@@ -574,22 +557,17 @@ def beta_bound_union(bounds: list[int]) -> int:
     return sum(bounds)
 
 
-def check_frontier_property(ordering: Ordering, bids: list[Bid]) -> list[tuple[str, str]]:
-    """Check the frontier hypothesis on every conflicting pair of bids.
+def frontier_violations(g: BidGraph, ordering: Ordering, objects: list) -> list[tuple[str, str]]:
+    """Check the frontier hypothesis on every edge of ``g``, the conflict
+    graph of bids whose object sets are ``objects`` (by node).
 
     Returns (A, B) pairs with A before B, objects(A) meets objects(B), but
     B missing frontier(A), ordered by A's then B's position. Empty list
-    means the frontier bound is sound.
+    means the frontier bound is sound. Walks the successor slices of ``g``
+    oriented by ``ordering``: O(|V| + |E|) set tests.
     """
     if ordering.frontier_sets is None:
         raise UnsupportedOrderingError("ordering carries no frontier sets")
-    return frontier_violations(build_bid_graph(bids), ordering, [b.objects for b in bids])
-
-
-def frontier_violations(g: BidGraph, ordering: Ordering, objects: list) -> list[tuple[str, str]]:
-    """:func:`check_frontier_property` on ``g``, the conflict graph of bids
-    whose object sets are ``objects`` (by node). Walks the successor slices
-    of ``g`` oriented by ``ordering``: O(|V| + |E|) set tests."""
     g = orient(g, ordering)
     order, index, frontier = g.order(), g.index, ordering.frontier_sets
     bad = []

@@ -34,7 +34,7 @@ from json.encoder import encode_basestring
 from operator import add, itemgetter
 
 from .budgets import KINDS, ConstraintSet, Group
-from .errors import NotChordalError, SchemaError, ValidationError
+from .errors import EncodingError, NotChordalError, SchemaError, ValidationError
 from .graphs import (
     Bid,
     BidGraph,
@@ -110,7 +110,8 @@ class Instance:
     @property
     def bids(self) -> list[Bid]:
         if self._bids is None:
-            self._bids = self._table.bids()
+            t = self._table
+            self._bids = list(map(Bid, t.ids, t.object_sets(), t.prices, t.groups))
         return self._bids
 
 
@@ -416,13 +417,14 @@ def _load_bids(value, og: ObjectGraph | None) -> tuple[BidTable, set[str]]:
                 return BidTable.from_columns(ids, prices, groups, objs, og), id_set
             except KeyError:  # an undeclared object: the walk names it
                 pass
-    ids, objs, prices, groups = [], [], [], []
+    ids, objs, prices, groups, seen = [], [], [], [], set()
     for i, entry in enumerate(entries):
         _expect_obj(entry, f"/bids/{i}")
         for key in entry:
             _expect(key in _BID_KEYS, f"/bids/{i}/{key}", "unknown key")
         bid_id = _expect_str(entry.get("id"), f"/bids/{i}/id")
-        _expect(bid_id not in ids, f"/bids/{i}/id", f"duplicate bid id {bid_id!r}")
+        _expect(bid_id not in seen, f"/bids/{i}/id", f"duplicate bid id {bid_id!r}")
+        seen.add(bid_id)
         ids.append(bid_id)
         objs.append(_str_list(entry.get("objects"), f"/bids/{i}/objects"))
         _expect(objs[-1], f"/bids/{i}/objects", "object set must be non-empty")
@@ -434,7 +436,7 @@ def _load_bids(value, og: ObjectGraph | None) -> tuple[BidTable, set[str]]:
             for o in objs[-1]:
                 _expect(o in og, f"/bids/{i}/objects", f"undeclared object {o!r}")
         _expect(bid_id, f"/bids/{i}/id", "bid id must be a non-empty string")
-    return BidTable.from_columns(ids, prices, groups, objs, og), set(ids)
+    return BidTable.from_columns(ids, prices, groups, objs, og), seen
 
 
 def _load_groups(value, limit_key: str, ids: set[str]) -> list[Group]:
@@ -565,13 +567,21 @@ def _parse_json(text: str):
         raise SchemaError("", f"not valid JSON: {exc}") from exc
 
 
+def _read_text(path) -> str:
+    """The text of the UTF-8 file at ``path``, read in one go."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise EncodingError(exc) from exc
+
+
 def loads_instance(text: str) -> Instance:
     return obj_to_instance(_parse_json(text))
 
 
 def load_instance(path) -> Instance:
-    with open(path, encoding="utf-8") as fh:
-        return loads_instance(fh.read())
+    return loads_instance(_read_text(path))
 
 
 def dumps_solution(sol) -> str:
@@ -630,7 +640,8 @@ def beta_bound_info(inst: Instance, ordering: Ordering, g: BidGraph | None) -> t
     graph (built here if it is None and a check needs it): beta <= 1 for a
     ``chordal`` ordering that passes the zero fill-in test, the largest
     frontier for frontier sets with the frontier property, and the grid
-    dimension for a grid ordering whose edges all rise in the coordinate sum.
+    dimension for a grid ordering of distinct points of one dimension whose
+    edges all rise in the coordinate sum.
     A check recorded on the ordering (``Ordering._checked_on``) for this
     graph or table is not run again."""
     if ordering.provenance == "chordal":
@@ -643,11 +654,15 @@ def beta_bound_info(inst: Instance, ordering: Ordering, g: BidGraph | None) -> t
         ):
             return beta_bound_frontier(ordering), "frontier-bound"
     if ordering.provenance == "grid" and inst.ordering_spec and inst.ordering_spec.coords:
-        # beta <= k holds when every edge steps from the earlier node to the
-        # later by +1 in one coordinate: each successor slice then sits among
-        # the k increasing grid neighbours
+        # beta <= k holds when the points are distinct and of one dimension k
+        # and every edge steps from the earlier node to the later by +1 in
+        # one coordinate: each successor slice then sits among the k
+        # increasing grid neighbours, one bid at each
+        g = bid_graph(inst) if g is None else g
         coords, rank = inst.ordering_spec.coords, ordering.rank()
         at, pos = [coords[u] for u in g.ids], [rank[u] for u in g.ids]
+        if len(set(at)) != len(at) or len(set(map(len, at))) != 1:
+            return None, None
         ptr, nbr = g.ptr, g.nbr
         for i in range(g.n):
             for j in nbr[ptr[i] : ptr[i + 1]]:

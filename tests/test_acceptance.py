@@ -18,10 +18,10 @@ from auctol import (
     bid_graph,
     build_bid_graph,
     check_feasible,
-    check_frontier_property,
     decreasing_weight_ordering,
     exact_feasible,
     exact_mwis,
+    frontier_violations,
     gen_budget,
     gen_grid,
     gen_interval,
@@ -337,7 +337,7 @@ def test_criterion_9_frontier_soundness():
         max_bag = max(len(bag) for bag in td.bags.values())
         assert beta_exact(g).beta_graph <= max_bag, seed
         assert beta_exact(g).beta_graph <= beta_bound_frontier(ordering), seed
-        assert check_frontier_property(ordering, bids) == [], seed
+        assert frontier_violations(g, ordering, [b.objects for b in bids]) == [], seed
         count += 1
     assert count == 100
     _report("criterion-9 frontier-soundness", f"{count} decomposition-ordered instances", t0)

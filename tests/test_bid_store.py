@@ -27,7 +27,7 @@ def test_order_and_solve_never_convert_bids(tmp_path, monkeypatch):
     explicit = tmp_path / "explicit.json"
     explicit.write_text(dumps_instance(Instance(base.bids, base.object_graph, None, spec, base.metadata)), encoding="utf-8")
     monkeypatch.setattr(BidTable, "from_bids", classmethod(_refuse))
-    monkeypatch.setattr(BidTable, "bids", _refuse)
+    monkeypatch.setattr(Instance, "bids", property(_refuse))
 
     ordered = tmp_path / "ordered.json"
     assert run(["order", "--input", str(plain), "--method", "tree-decomposition", "--output", str(ordered)]) == 0

@@ -17,6 +17,9 @@ from auctol.errors import ValidationError
 from auctol.rng import SplitMix64
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+# child processes import this checkout's package, installed or not
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
 
 GOLDEN_SPECS = {
     "interval": lambda s: gen_interval(12, seed=s),
@@ -362,12 +365,14 @@ def test_console_script_end_to_end(tmp_path):
          "--epsilon-milli", "100", "--seed", "0", "--output", str(out)],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 0, proc.stderr
     proc = subprocess.run(
         [sys.executable, "-m", "auctol.cli", "solve", "--input", str(out)],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["revenue"] == 1000
@@ -530,6 +535,54 @@ def test_json_nested_too_deep_exit2(tmp_path, capsys, which):
     assert captured.err.startswith("schema error: : not valid JSON: maximum recursion depth exceeded")
 
 
+NOT_UTF8 = b'\xff\xfe{"format": 1}'
+
+
+@pytest.mark.parametrize("which", ["solve", "verify-input", "verify-solution"])
+def test_not_utf8_exit2(tmp_path, capsys, which):
+    """Instance and solution files that are not UTF-8 exit 2 with a schema
+    error at the root, not a UnicodeDecodeError traceback."""
+    bad, inst = tmp_path / "bad.json", tmp_path / "c4.json"
+    bad.write_bytes(NOT_UTF8)
+    inst.write_text(json.dumps(C4_CHORDAL))
+    argv = {
+        "solve": ["solve", "--input", str(bad)],
+        "verify-input": ["verify", "--input", str(bad)],
+        "verify-solution": ["verify", "--input", str(inst), "--solution", str(bad)],
+    }[which]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("schema error: : not valid UTF-8: ")
+
+
+def test_verify_dir_reports_every_utf8_file_before_exit2(tmp_path, capsys):
+    """A file of ``verify --input DIR`` that is not UTF-8 exits 2 only after
+    the files sorted before and after it got their RunReports."""
+    text = (GOLDEN / "interval-1.json").read_text()
+    (tmp_path / "a.json").write_text(text)
+    (tmp_path / "m.json").write_bytes(NOT_UTF8)
+    (tmp_path / "y.json").write_text(text)
+    assert run(["verify", "--input", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    reports = [json.loads(line) for line in out.splitlines()]
+    assert [r["instance"] for r in reports] == ["a.json", "y.json"]
+    assert all(r["ok"] for r in reports)
+    assert err.startswith("schema error: : not valid UTF-8: ")
+
+
+def test_verify_timings_time_every_entry(capsys):
+    """``--timings`` adds ``wall_ms`` to every algorithm entry, the budget
+    solver's included, and changes nothing else in the report."""
+    path = str(GOLDEN / "budget-unweighted-1.json")
+    assert run(["verify", "--input", path, "--timings"]) == 0
+    timed = json.loads(capsys.readouterr().out)
+    assert sorted(timed["algorithms"]) == ["greedy", "lropcost", "opcost", "unweighted"]
+    assert all(isinstance(entry.pop("wall_ms"), float) for entry in timed["algorithms"].values())
+    assert run(["verify", "--input", path]) == 0
+    assert json.loads(capsys.readouterr().out) == timed
+
+
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
 def test_run_leaves_the_collector_as_it_found_it(tmp_path, monkeypatch, enabled):
     """solve, order and verify pause the collector only while they run, on
@@ -601,9 +654,7 @@ def test_import_does_not_touch_the_collector(enabled):
         "import auctol, auctol.cli\n"
         "assert (gc.isenabled(), gc.get_threshold(), gc.get_freeze_count()) == before, before\n"
     )
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+    subprocess.run([sys.executable, "-c", code], check=True, env=CHILD_ENV)
 
 
 FRONTIER_BOUND_2 = {

@@ -7,11 +7,12 @@ A row of :data:`STAGES` names a stage, a fixture builder and the two sizes.
 :func:`auctol.cli.interleaved_samples`, the sampler of ``auctol bench``.
 """
 
+import json
 from pathlib import Path
 
 import pytest
 
-from auctol import Bid, ObjectGraph, budgets, instances, orderings
+from auctol import Bid, ObjectGraph, SchemaError, budgets, instances, orderings
 from auctol.cli import MAX_RATIO, interleaved_samples, verify_instance
 from auctol.graphs import build_bid_graph, frontier_violations, orient
 from test_graphs import disconnected
@@ -65,6 +66,20 @@ def count_pass(kind, params, solve):
 def load(n):  # elements are input bytes
     text = instances.dumps_instance(instances.gen_interval(n, seed=4))
     return lambda: instances.loads_instance(text), len(text.encode("utf-8"))
+
+
+def load_malformed(n):  # elements are input bytes
+    # the last bid's price is negative, so the bulk checks fail and the
+    # walk over every bid rejects the file at its last one
+    obj = json.loads(instances.dumps_instance(instances.gen_interval(n, seed=4)))
+    obj["bids"][-1]["price"] = -1
+    text = json.dumps(obj)
+
+    def call():
+        with pytest.raises(SchemaError, match=f"^/bids/{n - 1}/price: price must be >= 0$"):
+            instances.loads_instance(text)
+
+    return call, len(text.encode("utf-8"))
 
 
 def dump(n):  # elements are output bytes
@@ -148,6 +163,7 @@ STAGES = {
     ),
     "count-pass-overlapping": (count_pass("overlapping", {"k_max": 3, "t": 2}, budgets.solve_overlapping), SIZES),
     "load": (load, SIZES),
+    "load-malformed": (load_malformed, SIZES),
     "dump": (dump, SIZES),
     "load-and-bid-graph": (load_and_bid_graph, SIZES),
     "generator-interval": (generator(lambda n: instances.gen_interval(n, seed=4)), SIZES),

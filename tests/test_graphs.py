@@ -13,7 +13,7 @@ from auctol import (
     beta_bound_union,
     beta_exact,
     build_bid_graph,
-    check_frontier_property,
+    frontier_violations,
     orient,
 )
 from auctol.graphs import BidTable
@@ -258,7 +258,7 @@ def test_beta_bound_union():
         beta_bound_union([1, 0])
 
 
-def test_check_frontier_property_matches_all_pairs():
+def test_frontier_violations_matches_all_pairs():
     # oracle: every ordered pair, as the frontier hypothesis is stated
     for seed in range(20):
         rng = SplitMix64(seed)
@@ -274,4 +274,6 @@ def test_check_frontier_property_matches_all_pairs():
             for b in order[i + 1 :]
             if by_id[a].objects & by_id[b].objects and not frontier[a] & by_id[b].objects
         ]
-        assert check_frontier_property(ordering, bids) == expected
+        assert frontier_violations(build_bid_graph(bids), ordering, [b.objects for b in bids]) == expected
+    with pytest.raises(UnsupportedOrderingError):
+        frontier_violations(build_bid_graph(bids), Ordering(order), [b.objects for b in bids])

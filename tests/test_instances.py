@@ -264,6 +264,28 @@ def test_grid_bound_needs_rising_coordinate_sums():
     assert beta_bound_info(inst, moved, og) == (None, None)
 
 
+@pytest.mark.parametrize(
+    "bids, coords",
+    [
+        ({"a": "xy", "b": "x", "c": "y"}, {"a": (0,), "b": (1,), "c": (1,)}),
+        ({"a": "w", "b": "xy", "c": "x", "d": "y"}, {"a": (5,), "b": (0, 0), "c": (1, 0), "d": (0, 1)}),
+    ],
+    ids=["repeated-point", "mixed-dimensions"],
+)
+def test_grid_bound_needs_distinct_points_of_one_dimension(bids, coords):
+    """Hand-made coordinates along which every edge rises by one get no grid
+    bound when two bids share a point or the vectors differ in length: in
+    both cases a bid has two independent successors, beta 2, while the
+    first vector has length 1."""
+    spec = OrderingSpec("grid", coords=coords)
+    inst = Instance([Bid(u, frozenset(objs), 1) for u, objs in bids.items()], ordering_spec=spec)
+    ordering = Ordering(list(bids), "grid")
+    g = bid_graph(inst)
+    assert beta_exact(orient(g, ordering)).beta_graph == 2
+    assert beta_bound_info(inst, ordering, g) == (None, None)
+    assert beta_bound_info(inst, ordering, None) == (None, None)
+
+
 def _four_cycle() -> Instance:
     """The bids a{w,x} b{x,y} c{y,z} d{z,w}: a 4-cycle, beta 2 in any order."""
     objects = {"a": {"w", "x"}, "b": {"x", "y"}, "c": {"y", "z"}, "d": {"z", "w"}}

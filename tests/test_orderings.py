@@ -11,8 +11,8 @@ from auctol import (
     beta_bound_frontier,
     beta_exact,
     build_bid_graph,
-    check_frontier_property,
     decreasing_weight_ordering,
+    frontier_violations,
     gen_grid,
     gen_interval,
     gen_subtrees,
@@ -390,7 +390,7 @@ def test_td_ordering_hand_trace():
     assert ordering.frontier_sets["A1"] == frozenset({"o1", "o2"})
     assert ordering.frontier_sets["A2"] == frozenset({"o2", "o3"})
     assert beta_bound_frontier(ordering) == 2
-    assert check_frontier_property(ordering, bids) == []
+    assert frontier_violations(build_bid_graph(bids), ordering, [b.objects for b in bids]) == []
 
 
 def test_td_ordering_width1_bound_two():
@@ -399,7 +399,7 @@ def test_td_ordering_width1_bound_two():
     assert td.width() == 1
     ordering = tree_decomposition_ordering(td, inst.bids, inst.object_graph)
     assert beta_bound_frontier(ordering) == 2
-    assert check_frontier_property(ordering, inst.bids) == []
+    assert frontier_violations(bid_graph(inst), ordering, inst.table.object_sets()) == []
 
 
 def test_td_ordering_single_bag_ties_by_id():
