@@ -302,6 +302,7 @@ def cmd_verify(args) -> int:
 BENCH_FAMILIES = ("interval", "budget-unweighted", "budget-overlapping")
 
 
+@_collector_paused()
 def _bench_instance(family: str, target: int, seed: int):
     # interval bids average ~1.5 conflicts each, so |V|+|E| lands near 2.5n
     n = max(10, int(target / 2.5))

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, compress
+from itertools import accumulate, chain, compress, filterfalse
 
 from .errors import CapacityError, UnsupportedOrderingError, ValidationError
 
@@ -89,12 +89,21 @@ class ObjectGraph:
         pairs = set(zip(src, dst))
         if len(pairs) != len(src) or not pairs.isdisjoint(zip(dst, src)):
             _reject_edges(self.objects, edges)
-        rows: list[list[int]] = [[] for _ in self.names]
+        # the pair set is dropped before the rows are filled, so the peak
+        # holds one of the two; rows are filled in place by a counting pass
+        # (no list per object), each in edge order
+        del pairs, edges
+        deg = [0] * len(self.names)
+        for a in chain(src, dst):
+            deg[a] += 1
+        self.ptr = ptr = [0, *accumulate(deg)]
+        self.nbr = nbr = [0] * ptr[-1]
+        at = ptr[:-1]
         for a, b in zip(src, dst):
-            rows[a].append(b)
-            rows[b].append(a)
-        self.ptr = [0, *accumulate(map(len, rows))]
-        self.nbr = list(chain.from_iterable(rows))
+            nbr[at[a]] = b
+            at[a] += 1
+            nbr[at[b]] = a
+            at[b] += 1
         self._src, self._dst = src, dst
         self._edges = None
 
@@ -564,12 +573,17 @@ def frontier_violations(g: BidGraph, ordering: Ordering, objects: list) -> list[
     Returns (A, B) pairs with A before B, objects(A) meets objects(B), but
     B missing frontier(A), ordered by A's then B's position. Empty list
     means the frontier bound is sound. Walks the successor slices of ``g``
-    oriented by ``ordering``: O(|V| + |E|) set tests.
+    oriented by ``ordering``: O(|V| + |E|) set tests. Raises
+    UnsupportedOrderingError when the ordering has no frontier sets or its
+    sets leave a bid out, naming the first such bid in the ordering.
     """
     if ordering.frontier_sets is None:
         raise UnsupportedOrderingError("ordering carries no frontier sets")
     g = orient(g, ordering)
     order, index, frontier = g.order(), g.index, ordering.frontier_sets
+    missing = next(filterfalse(frontier.__contains__, order), None)
+    if missing is not None:
+        raise UnsupportedOrderingError(f"frontier sets leave out bid {missing!r}")
     bad = []
     for r, a in enumerate(order):
         fa = frontier[a]

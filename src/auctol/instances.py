@@ -34,7 +34,7 @@ from json.encoder import encode_basestring
 from operator import add, itemgetter
 
 from .budgets import KINDS, ConstraintSet, Group
-from .errors import EncodingError, NotChordalError, SchemaError, ValidationError
+from .errors import EncodingError, NotChordalError, SchemaError, UnsupportedOrderingError, ValidationError
 from .graphs import (
     Bid,
     BidGraph,
@@ -469,7 +469,14 @@ def _load_groups(value, limit_key: str, ids: set[str]) -> list[Group]:
 
 
 def obj_to_instance(obj: dict) -> Instance:
+    """The instance ``obj``, a parsed instance file, describes; raises
+    SchemaError naming the first part of it that is wrong. ``obj`` is not
+    changed. The function reads a shallow copy and drops ``object_edges`` and
+    ``bids`` from it once their columns are taken, so when the caller keeps
+    no reference to ``obj`` (as :func:`load_instance` does not) each section
+    is freed while the rest is built."""
     _expect_obj(obj, "")
+    obj = dict(obj)
     _expect(obj.get("format") == FORMAT_TAG, "/format", f"expected {FORMAT_TAG!r}")
     known = {"format", "metadata", "objects", "object_edges", "bids", "constraints", "ordering_spec"}
     for key in obj:
@@ -493,13 +500,14 @@ def obj_to_instance(obj: dict) -> Instance:
     )
     if "objects" in obj:
         objects = _str_list(obj["objects"], "/objects")
-        edges = _str_pairs(obj["object_edges"], "/object_edges")
+        edges = _str_pairs(obj.pop("object_edges"), "/object_edges")
         try:
             og = ObjectGraph(objects, edges)
         except ValidationError as exc:
             raise SchemaError("/object_edges", str(exc)) from exc
+        del edges
 
-    table, ids = _load_bids(obj.get("bids"), og)
+    table, ids = _load_bids(obj.pop("bids", None), og)
 
     constraints = None
     if "constraints" in obj:
@@ -581,7 +589,9 @@ def loads_instance(text: str) -> Instance:
 
 
 def load_instance(path) -> Instance:
-    return loads_instance(_read_text(path))
+    # no name holds the text or the parsed tree, so each is freed as soon as
+    # the next step has what it needs
+    return obj_to_instance(_parse_json(_read_text(path)))
 
 
 def dumps_solution(sol) -> str:
@@ -649,9 +659,13 @@ def beta_bound_info(inst: Instance, ordering: Ordering, g: BidGraph | None) -> t
         if ordering._checked_on is g.nbr or is_perfect_elimination(g, ordering):
             return 1, "perfect-elimination"
     if ordering.frontier_sets is not None:
-        if ordering._checked_on is inst.table or not frontier_violations(
-            bid_graph(inst) if g is None else g, ordering, inst.table.object_sets()
-        ):
+        try:
+            holds = ordering._checked_on is inst.table or not frontier_violations(
+                bid_graph(inst) if g is None else g, ordering, inst.table.object_sets()
+            )
+        except UnsupportedOrderingError:  # sets that leave a bid out bound nothing
+            holds = False
+        if holds:
             return beta_bound_frontier(ordering), "frontier-bound"
     if ordering.provenance == "grid" and inst.ordering_spec and inst.ordering_spec.coords:
         # beta <= k holds when the points are distinct and of one dimension k
@@ -660,8 +674,8 @@ def beta_bound_info(inst: Instance, ordering: Ordering, g: BidGraph | None) -> t
         # increasing grid neighbours, one bid at each
         g = bid_graph(inst) if g is None else g
         coords, rank = inst.ordering_spec.coords, ordering.rank()
-        at, pos = [coords[u] for u in g.ids], [rank[u] for u in g.ids]
-        if len(set(at)) != len(at) or len(set(map(len, at))) != 1:
+        at, pos = list(map(coords.get, g.ids)), [rank[u] for u in g.ids]
+        if None in at or len(set(at)) != len(at) or len(set(map(len, at))) != 1:
             return None, None
         ptr, nbr = g.ptr, g.nbr
         for i in range(g.n):

@@ -19,7 +19,12 @@ SRC = ROOT / "src" / "auctol"
 CALLERS = [SRC, ROOT / "demos", ROOT / "perfbench"]
 
 # Definitions with no caller in the scanned code, each kept on purpose.
-ALLOWED: dict[str, str] = {}
+ALLOWED: dict[str, str] = {
+    # the public entry point for instance text held in memory (the flatness
+    # gates time it); load_instance inlines its body so that no frame keeps
+    # the file text alive while the instance is built
+    "instances.loads_instance": "public API for text the caller holds",
+}
 
 
 def definitions(source: str, module: str) -> dict[str, tuple[str, bool]]:

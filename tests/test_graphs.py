@@ -18,6 +18,7 @@ from auctol import (
 )
 from auctol.graphs import BidTable
 from auctol.errors import CapacityError, UnsupportedOrderingError, ValidationError
+from auctol.orderings import min_degree_heuristic_decomposition
 from auctol.rng import SplitMix64
 
 
@@ -84,6 +85,17 @@ def test_build_bid_graph_matches_naive_oracle():
 def test_build_bid_graph_duplicate_id():
     with pytest.raises(ValidationError, match="dup"):
         build_bid_graph([Bid("b", {"o1"}, 1), Bid("b", {"o2"}, 1)])
+
+
+def test_object_graph_rows_in_edge_order():
+    """Object ids ascend by name; each object's neighbours keep the order of
+    the edges that name it, as min_degree_heuristic_decomposition reads them."""
+    og = ObjectGraph(["c", "a", "b", "d"], [("a", "b"), ("c", "b"), ("b", "d")])
+    assert og.names == ["a", "b", "c", "d"]
+    assert (og.ptr, og.nbr) == ([0, 1, 4, 5, 6], [1, 0, 2, 3, 1, 1])
+    td = min_degree_heuristic_decomposition(og)
+    assert (td.tree_nodes, td.tree_edges, td.root) == (["a", "c", "b", "d"], [("a", "b"), ("c", "b"), ("b", "d")], "d")
+    assert td.bags == {"a": {"a", "b"}, "c": {"b", "c"}, "b": {"b", "d"}, "d": {"d"}}
 
 
 def path_graph(names):

@@ -1,8 +1,10 @@
 """Instance files, canonical JSON, and the generators."""
 
 import copy
+import gc
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -33,7 +35,7 @@ from auctol import (
 )
 from auctol import graphs
 from auctol.budgets import ConstraintSet, Group
-from auctol.errors import SchemaError, ValidationError
+from auctol.errors import SchemaError, UnsupportedOrderingError, ValidationError
 from auctol.graphs import ObjectGraph, Ordering
 from auctol.instances import (
     FORMAT_TAG,
@@ -325,6 +327,31 @@ def test_frontier_bound_needs_the_frontier_property():
     sound = {"a": frozenset({"w", "x"}), "b": frozenset({"y"}), "c": frozenset({"z"}), "d": frozenset({"z"})}
     ordering = Ordering(["a", "b", "c", "d"], "explicit", sound)
     assert beta_bound_info(inst, ordering, orient(g, ordering)) == (2, "frontier-bound")
+
+
+def _two_bids_on_x(spec=None) -> Instance:
+    return Instance([Bid("a", frozenset({"x"}), 1), Bid("b", frozenset({"x"}), 1)], ordering_spec=spec)
+
+
+def test_frontier_sets_that_leave_a_bid_out_certify_no_bound():
+    """Frontier sets built by hand that leave out bid b: the frontier check
+    names b, and no bound is certified (both once raised KeyError)."""
+    inst = _two_bids_on_x()
+    ordering = Ordering(["a", "b"], "explicit", {"a": frozenset({"x"})})
+    g = bid_graph(inst)
+    with pytest.raises(UnsupportedOrderingError, match="leave out bid 'b'"):
+        graphs.frontier_violations(g, ordering, inst.table.object_sets())
+    assert beta_bound_info(inst, ordering, g) == (None, None)
+    assert beta_bound_info(inst, ordering, None) == (None, None)
+
+
+def test_grid_coordinates_that_leave_a_bid_out_certify_no_bound():
+    """A grid spec built by hand with coordinates for a only certifies no
+    bound (it once raised KeyError)."""
+    inst = _two_bids_on_x(OrderingSpec("grid", coords={"a": (0,)}))
+    ordering = Ordering(["a", "b"], "grid")
+    assert beta_bound_info(inst, ordering, bid_graph(inst)) == (None, None)
+    assert beta_bound_info(inst, ordering, None) == (None, None)
 
 
 def test_gen_tight_ratios():
@@ -832,3 +859,49 @@ def test_loader_matches_reference_on_mutated_corpus():
         accepted += want[0] == "ok"
         messages.add(want[1] if want[0] != "ok" else "ok")
     assert compared >= 2000 and accepted >= 100 and len(messages) >= 150, (compared, accepted, len(messages))
+
+
+def _traced_peak(load) -> int:
+    """The tracemalloc peak, in bytes, of calling ``load``, collector paused."""
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        load()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+
+
+def test_load_instance_frees_the_text_once_parsed(tmp_path):
+    """load_instance holds the file text only until the parse returns: its
+    traced peak is at least half the file size below that of a caller that
+    keeps the text while obj_to_instance builds the instance."""
+    path = tmp_path / "interval.json"
+    save_instance(gen_interval(4000), path)
+    size = path.stat().st_size
+
+    def held():
+        text = path.read_text(encoding="utf-8")
+        obj_to_instance(json.loads(text))
+
+    gap = _traced_peak(held) - _traced_peak(lambda: load_instance(path))
+    assert gap >= size / 2, (gap, size)
+
+
+@pytest.mark.parametrize("broken", [False, True], ids=["valid", "schema-error-after-edges"])
+def test_obj_to_instance_leaves_its_argument_unchanged(broken):
+    """obj_to_instance drops sections from its own shallow copy only: the
+    caller's document is the same afterwards, also when a bid fails the
+    schema after the object edges were taken."""
+    doc = json.loads((GOLDEN / "budget-overlapping-1.json").read_text())
+    if broken:
+        doc["bids"][-1]["price"] = -1
+    before = json.dumps(doc)
+    if broken:
+        with pytest.raises(SchemaError, match=f"/bids/{len(doc['bids']) - 1}/price"):
+            obj_to_instance(doc)
+    else:
+        obj_to_instance(doc)
+    assert json.dumps(doc) == before
