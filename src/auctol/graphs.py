@@ -84,15 +84,21 @@ class ObjectGraph:
             src, dst = (list(map(self.index.__getitem__, side)) for side in zip(*edges)) if edges else ([], [])
         except KeyError:
             _reject_edges(self.objects, edges)
+        # from here on the edges are read as id pairs, and each temporary is
+        # dropped before the next is built: the given pairs (freed here when
+        # the caller passed an iterator and so holds no other reference),
+        # then the pair set, before the rows are filled in place
+        del edges
+        self._src, self._dst = src, dst
+        self._edges = None
         # an edge given twice in one direction shrinks the pair set; one given
         # both ways round, or a self-loop, has its reverse in the set
         pairs = set(zip(src, dst))
         if len(pairs) != len(src) or not pairs.isdisjoint(zip(dst, src)):
-            _reject_edges(self.objects, edges)
-        # the pair set is dropped before the rows are filled, so the peak
-        # holds one of the two; rows are filled in place by a counting pass
-        # (no list per object), each in edge order
-        del pairs, edges
+            _reject_edges(self.objects, self.edges)
+        del pairs
+        # a counting pass sizes the rows, so no list is built per object;
+        # each row keeps its edges' order
         deg = [0] * len(self.names)
         for a in chain(src, dst):
             deg[a] += 1
@@ -104,8 +110,6 @@ class ObjectGraph:
             at[a] += 1
             nbr[at[b]] = a
             at[b] += 1
-        self._src, self._dst = src, dst
-        self._edges = None
 
     @property
     def edges(self) -> list[tuple[str, str]]:

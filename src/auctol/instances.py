@@ -500,12 +500,13 @@ def obj_to_instance(obj: dict) -> Instance:
     )
     if "objects" in obj:
         objects = _str_list(obj["objects"], "/objects")
-        edges = _str_pairs(obj.pop("object_edges"), "/object_edges")
+        # an iterator lets go of the edge list once the graph has read it, so
+        # the graph can free the parsed pairs before it builds its own
+        edges = iter(_str_pairs(obj.pop("object_edges"), "/object_edges"))
         try:
             og = ObjectGraph(objects, edges)
         except ValidationError as exc:
             raise SchemaError("/object_edges", str(exc)) from exc
-        del edges
 
     table, ids = _load_bids(obj.pop("bids", None), og)
 
