@@ -471,10 +471,10 @@ def _load_groups(value, limit_key: str, ids: set[str]) -> list[Group]:
 def obj_to_instance(obj: dict) -> Instance:
     """The instance ``obj``, a parsed instance file, describes; raises
     SchemaError naming the first part of it that is wrong. ``obj`` is not
-    changed. The function reads a shallow copy and drops ``object_edges`` and
-    ``bids`` from it once their columns are taken, so when the caller keeps
-    no reference to ``obj`` (as :func:`load_instance` does not) each section
-    is freed while the rest is built."""
+    changed: ``object_edges`` and ``bids`` are taken out of a shallow copy
+    as each is handed to the step that reads it, so when the caller keeps
+    no reference to ``obj`` (:func:`load_instance` keeps none) each section
+    is freed once read, while the rest is still being built."""
     _expect_obj(obj, "")
     obj = dict(obj)
     _expect(obj.get("format") == FORMAT_TAG, "/format", f"expected {FORMAT_TAG!r}")

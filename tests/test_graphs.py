@@ -98,6 +98,25 @@ def test_object_graph_rows_in_edge_order():
     assert td.bags == {"a": {"a", "b"}, "c": {"b", "c"}, "b": {"b", "d"}, "d": {"d"}}
 
 
+@pytest.mark.parametrize(
+    "objects, edges, message",
+    [
+        ("ab", [("a", "b"), ("b", "a")], "duplicate edge 'a'-'b'"),
+        ("abc", [("b", "c"), ("a", "b"), ("c", "b")], "duplicate edge 'b'-'c'"),
+        ("abc", [("a", "b"), ("c", "c")], "self-loop on object 'c'"),
+        ("ab", [("a", "x")], "edge endpoint 'x' is not a declared object"),
+        ("aab", [("a", "b")], "duplicate object id 'a'"),
+    ],
+)
+def test_object_graph_names_the_first_bad_edge(objects, edges, message):
+    """Edges are checked as id pairs once read; the error still names the
+    first bad edge, in input order, whether given as a list or an iterator."""
+    for given in (edges, iter(edges)):
+        with pytest.raises(ValidationError) as exc:
+            ObjectGraph(list(objects), given)
+        assert str(exc.value) == message
+
+
 def path_graph(names):
     return ObjectGraph(names, [(names[i], names[i + 1]) for i in range(len(names) - 1)])
 
