@@ -87,7 +87,7 @@ class ObjectGraph:
         # from here on the edges are read as id pairs, and each temporary is
         # dropped before the next is built: the given pairs (freed here when
         # the caller passed an iterator and so holds no other reference),
-        # then the pair set, before the rows are filled in place
+        # then the pair set, before the rows are built
         del edges
         self._src, self._dst = src, dst
         self._edges = None
@@ -97,19 +97,12 @@ class ObjectGraph:
         if len(pairs) != len(src) or not pairs.isdisjoint(zip(dst, src)):
             _reject_edges(self.objects, self.edges)
         del pairs
-        # a counting pass sizes the rows, so no list is built per object;
-        # each row keeps its edges' order
-        deg = [0] * len(self.names)
-        for a in chain(src, dst):
-            deg[a] += 1
-        self.ptr = ptr = [0, *accumulate(deg)]
-        self.nbr = nbr = [0] * ptr[-1]
-        at = ptr[:-1]
+        rows: list[list[int]] = [[] for _ in self.names]
         for a, b in zip(src, dst):
-            nbr[at[a]] = b
-            at[a] += 1
-            nbr[at[b]] = a
-            at[b] += 1
+            rows[a].append(b)
+            rows[b].append(a)
+        self.ptr = [0, *accumulate(map(len, rows))]
+        self.nbr = list(chain.from_iterable(rows))
 
     @property
     def edges(self) -> list[tuple[str, str]]:
