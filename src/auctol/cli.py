@@ -86,8 +86,14 @@ def _solve_dispatch(inst, g, algo: str, use_constraints: bool, oracle_cap: int, 
     return one_pass(g, cs) if algo == "opcost" else cross_check(g, cs)
 
 
+def _at_least(value: int, low: int, flag: str) -> None:
+    if value < low:
+        raise ValidationError(f"{flag} must be >= {low}; got {value}")
+
+
 @_collector_paused()
 def cmd_solve(args) -> int:
+    _at_least(args.cap, 0, "--cap")
     inst = instances.load_instance(args.input)
     g = instances.oriented_graph(inst)
     sol = _solve_dispatch(inst, g, args.algo, args.constraints == "auto", args.cap, args.include_zero_value)
@@ -110,8 +116,6 @@ def cmd_order(args) -> int:
         if inst.ordering_spec is None or inst.ordering_spec.coords is None:
             raise ValidationError("grid ordering needs coordinates in the instance")
         spec.coords = inst.ordering_spec.coords
-        # coords under another method were never checked against the bids
-        instances._check_grid_coords(spec.coords, set(inst.table.ids))
     out = instances.Instance(inst.table, inst.object_graph, inst.constraints, spec, inst.metadata)
     if args.method != "decreasing-weight":  # which certifies no bound
         # only lex-BFS and the grid bound read the bid graph
@@ -275,6 +279,7 @@ def _run_checks(report: dict, violate, inst, g, oracle_cap: int, timings: bool) 
 
 
 def cmd_verify(args) -> int:
+    _at_least(args.oracle_cap, 0, "--oracle-cap")
     if args.solution is not None:
         return _check_solution_file(args)
     root = Path(args.input)
@@ -400,6 +405,7 @@ def cmd_bench(args) -> int:
         sizes = [int(s) for s in args.sizes.split(",")]
     except ValueError:
         raise ValidationError(f"--sizes must be integers joined by ',', like 10000,100000; got {args.sizes!r}") from None
+    _at_least(args.repeats, 1, "--repeats")
     report = run_bench(args.family, sizes, args.seed, args.repeats)
     sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return EXIT_OK if report["ok"] else EXIT_VIOLATION

@@ -31,6 +31,7 @@ shared freely across threads.
 
 from __future__ import annotations
 
+import copy
 from array import array
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, filterfalse
@@ -392,13 +393,15 @@ def check_unique_ids(ids: list[str]) -> None:
 
 
 def orient(g: BidGraph, ordering: Ordering) -> BidGraph:
-    """Attach an orientation: a graph sharing ``g``'s rows, with every edge
-    pointing from the earlier node in ``ordering`` to the later, and the
-    rank-space weights and predecessor/successor slices built once."""
+    """Attach an orientation: a copy of ``g`` sharing its ids and rows, with
+    its own cache of derived indexes, every edge pointing from the earlier
+    node in ``ordering`` to the later, and the rank-space weights and
+    predecessor/successor slices built once."""
     order, rank = ordering.order, ordering.rank()
     if len(order) != g.n or rank.keys() != g.index.keys():
         raise ValidationError("ordering must be a permutation of exactly the graph's nodes")
-    out = BidGraph(g.weights, g.ptr, g.nbr)
+    out = copy.copy(g)
+    out.derived = []
     ptr, nbr, index = g.ptr, g.nbr, g.index
     rank_of = [rank[u] for u in g.ids]
     # every edge is once a predecessor and once a successor entry: size the

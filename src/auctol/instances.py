@@ -119,11 +119,6 @@ class Instance:
 # validation
 
 
-def _check_grid_coords(coords: dict, ids: set[str]) -> None:
-    if set(coords) != ids:
-        raise ValidationError("grid coordinates must cover exactly the bid ids")
-
-
 def validate_instance(inst: Instance) -> None:
     """Full semantic validation; raises ValidationError on the first problem."""
     table, og = inst.table, inst.object_graph
@@ -167,7 +162,8 @@ def validate_instance(inst: Instance) -> None:
     if spec.method == "grid":
         if spec.coords is None:
             raise ValidationError("grid ordering requires coordinates")
-        _check_grid_coords(spec.coords, ids)
+        if set(spec.coords) != ids:
+            raise ValidationError("grid coordinates must cover exactly the bid ids")
     if spec.method == "planted-optimal":
         if spec.independent_set is None:
             raise ValidationError("planted-optimal ordering requires an independent set")
@@ -654,16 +650,22 @@ def beta_bound_info(inst: Instance, ordering: Ordering, g: BidGraph | None) -> t
     dimension for a grid ordering of distinct points of one dimension whose
     edges all rise in the coordinate sum.
     A check recorded on the ordering (``Ordering._checked_on``) for this
-    graph or table is not run again."""
-    if ordering.provenance == "chordal":
-        g = bid_graph(inst) if g is None else g
-        if ordering._checked_on is g.nbr or is_perfect_elimination(g, ordering):
-            return 1, "perfect-elimination"
+    graph or table is not run again. An ordering that does not order
+    exactly the instance's bids certifies no bound."""
+    checked = ordering._checked_on
+    if ordering.provenance == "chordal" and g is not None and checked is g.nbr:
+        return 1, "perfect-elimination"
+    if ordering.frontier_sets is not None and checked is inst.table:
+        return beta_bound_frontier(ordering), "frontier-bound"
+    g = bid_graph(inst) if g is None else g
+    rank = ordering.rank()
+    if len(ordering.order) != g.n or rank.keys() != g.index.keys():
+        return None, None
+    if ordering.provenance == "chordal" and is_perfect_elimination(g, ordering):
+        return 1, "perfect-elimination"
     if ordering.frontier_sets is not None:
         try:
-            holds = ordering._checked_on is inst.table or not frontier_violations(
-                bid_graph(inst) if g is None else g, ordering, inst.table.object_sets()
-            )
+            holds = not frontier_violations(g, ordering, inst.table.object_sets())
         except UnsupportedOrderingError:  # sets that leave a bid out bound nothing
             holds = False
         if holds:
@@ -673,8 +675,7 @@ def beta_bound_info(inst: Instance, ordering: Ordering, g: BidGraph | None) -> t
         # and every edge steps from the earlier node to the later by +1 in
         # one coordinate: each successor slice then sits among the k
         # increasing grid neighbours, one bid at each
-        g = bid_graph(inst) if g is None else g
-        coords, rank = inst.ordering_spec.coords, ordering.rank()
+        coords = inst.ordering_spec.coords
         at, pos = list(map(coords.get, g.ids)), [rank[u] for u in g.ids]
         if None in at or len(set(at)) != len(at) or len(set(map(len, at))) != 1:
             return None, None
@@ -727,7 +728,8 @@ def certify(sol: Solution, inst: Instance, g: BidGraph) -> Solution:
 # advance is drawn in one batch; the subtree growth and the overlapping group
 # assignment, whose bounds follow earlier draws, draw one at a time. Where
 # object names share one zero-padded width, ascending names are ascending
-# numbers, so object j is object id j with no interning.
+# numbers, so object j is object id j with no interning. The output is valid
+# by construction: it is validated once, by dumps_instance, when written.
 
 
 def _pad(n: int) -> int:
@@ -801,15 +803,13 @@ def gen_interval(
     if n < 1:
         raise ValidationError("n must be >= 1")
     table, og = _interval_table(n, weight_range, SplitMix64(seed), include_object_graph)
-    inst = Instance(
+    return Instance(
         table,
         og,
         None,
         OrderingSpec("chordal"),
         {"family": "interval", "seed": seed, "n": n},
     )
-    validate_instance(inst)
-    return inst
 
 
 def gen_interval_selection(
@@ -831,15 +831,13 @@ def gen_interval_selection(
     ids = table.ids
     groups = [Group(label, frozenset(ids[j * per_group : (j + 1) * per_group]), 1) for j, label in enumerate(labels)]
     group_of = [label for label in labels for _ in range(per_group)]
-    inst = Instance(
+    return Instance(
         BidTable(ids, table.prices, group_of, table.rows, table.names),
         og,
         ConstraintSet("unweighted", groups),
         OrderingSpec("chordal"),
         {"family": "interval-selection", "seed": seed, "n_groups": n_groups, "per_group": per_group},
     )
-    validate_instance(inst)
-    return inst
 
 
 def gen_subtrees(
@@ -879,15 +877,13 @@ def gen_subtrees(
         rows.append(sorted(chosen))
     ids = _ids("b", n_bids)
     table = BidTable(ids, _prices(r_w, wmin, wmax, ids), [None] * n_bids, rows, og.names)
-    inst = Instance(
+    return Instance(
         table,
         og,
         None,
         OrderingSpec("chordal"),
         {"family": "subtrees", "seed": seed, "tree_size": tree_size, "n_bids": n_bids},
     )
-    validate_instance(inst)
-    return inst
 
 
 def gen_grid(
@@ -943,7 +939,7 @@ def gen_grid(
 
     ids = ["b" + "_".join(str(x) for x in p) for p in keep]
     table = BidTable.from_columns(ids, _prices(r_w, wmin, wmax, ids), [None] * len(keep), list(incident.values()), og)
-    inst = Instance(
+    return Instance(
         table,
         og,
         None,
@@ -955,8 +951,6 @@ def gen_grid(
             "density_milli": density_milli,
         },
     )
-    validate_instance(inst)
-    return inst
 
 
 def gen_tight(beta: int, epsilon_milli: int, seed: int = 0) -> Instance:
@@ -975,15 +969,13 @@ def gen_tight(beta: int, epsilon_milli: int, seed: int = 0) -> Instance:
     ids = ["a_hub", *_ids("s", beta)]
     rows = [list(range(beta)), *([i] for i in range(beta))]
     table = BidTable(ids, [1000] + [1000 - epsilon_milli] * beta, [None] * (beta + 1), rows, og.names)
-    inst = Instance(
+    return Instance(
         table,
         og,
         None,
         OrderingSpec("explicit", permutation=list(ids)),
         {"family": "tight", "seed": seed, "beta": beta, "epsilon_milli": epsilon_milli},
     )
-    validate_instance(inst)
-    return inst
 
 
 # The base families by name, each called as ``fn(params, seed)``: ``auctol
@@ -1081,6 +1073,4 @@ def gen_budget(
             "group_size": group_size,
         }
     )
-    inst = Instance(table, base.object_graph, cs, base.ordering_spec, metadata)
-    validate_instance(inst)
-    return inst
+    return Instance(table, base.object_graph, cs, base.ordering_spec, metadata)

@@ -151,8 +151,8 @@ def tree_decomposition_ordering(
     The tree is rooted (given root, else lowest tree-node id) and its nodes
     are linearized descendants-first: the reverse of a depth-first pre-order
     that visits children in ascending id order. Each bid A is anchored at the
-    greatest tree node (deepest under that linearization... the one latest in
-    the ancestor-first order) whose bag intersects A; bids sort by anchor
+    first tree node in that pre-order whose bag meets A, which is the
+    greatest such node in the descendants-first order; bids sort by anchor
     rank, ties by bid id. The anchor bag becomes A's frontier set, so the
     resulting bound is width + 1.
 
@@ -177,12 +177,12 @@ def tree_decomposition_ordering(
 
     root = td.root if td.root is not None else sorted(td.tree_nodes)[0]
     adj = td.tree_adj()
-    pre_index: dict[str, int] = {}
+    pre_order: list[str] = []
     stack = [root]
     seen = {root}
     while stack:
         t = stack.pop()
-        pre_index[t] = len(pre_index)
+        pre_order.append(t)
         # reversed ascending so the lowest-id child is visited first
         for u in sorted(adj[t], reverse=True):
             if u not in seen:
@@ -192,13 +192,10 @@ def tree_decomposition_ordering(
     # first pre-order occurrence per object == greatest tree node in the
     # ancestors-are-greater linear order
     obj_anchor: dict[str, int] = {}
-    by_pre = sorted(td.tree_nodes, key=lambda t: pre_index[t])
-    for t in by_pre:
+    for p, t in enumerate(pre_order):
         for o in td.bags[t]:
-            if o not in obj_anchor:
-                obj_anchor[o] = pre_index[t]
+            obj_anchor.setdefault(o, p)
 
-    anchor_node = {pre_index[t]: t for t in td.tree_nodes}
     names = table.names
     keyed = []
     frontier: dict[str, frozenset[str]] = {}
@@ -208,7 +205,7 @@ def tree_decomposition_ordering(
         if missing:
             raise ValidationError(f"bid {bid_id!r} object {missing[0]!r} appears in no bag")
         t_a = min(map(obj_anchor.__getitem__, objs))
-        frontier[bid_id] = td.bags[anchor_node[t_a]]
+        frontier[bid_id] = td.bags[pre_order[t_a]]
         # descendants-first: larger pre-order index sorts earlier
         keyed.append((-t_a, bid_id))
     keyed.sort()

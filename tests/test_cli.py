@@ -358,6 +358,25 @@ def test_bench_sizes_not_integers_exit2(capsys):
     assert captured.err == "validation error: --sizes must be integers joined by ',', like 10000,100000; got '100,foo'\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "--algo", "exact", "--cap", "-1"], "--cap must be >= 0; got -1"),
+        (["verify", "--oracle-cap", "-5"], "--oracle-cap must be >= 0; got -5"),
+        (["bench", "--repeats", "0"], "--repeats must be >= 1; got 0"),
+    ],
+    ids=["solve-cap", "verify-oracle-cap", "bench-repeats"],
+)
+def test_flags_below_their_least_value_exit2(tmp_path, capsys, argv, message):
+    path = tmp_path / "inst.json"
+    save_instance(gen_tight(2, 100), path)
+    command = argv[:1] + (["--input", str(path)] if argv[0] != "bench" else []) + argv[1:]
+    assert run(command) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"validation error: {message}\n"
+
+
 def test_console_script_end_to_end(tmp_path):
     out = tmp_path / "inst.json"
     proc = subprocess.run(

@@ -34,10 +34,11 @@ from auctol import (
     validate_instance,
 )
 from auctol import graphs
-from auctol.budgets import ConstraintSet, Group
+from auctol.budgets import KINDS, ConstraintSet, Group
 from auctol.errors import SchemaError, UnsupportedOrderingError, ValidationError
 from auctol.graphs import ObjectGraph, Ordering
 from auctol.instances import (
+    BASE_GENERATORS,
     FORMAT_TAG,
     ORDERING_METHODS,
     Instance,
@@ -169,6 +170,38 @@ def test_generators_roundtrip_fixpoint(tmp_path):
         text = path.read_text()
         again = load_instance(path)
         assert dumps_instance(again) == text
+
+
+# parameters for every base family and for gen_budget: the defaults, one
+# bid, a larger mixed case with zero prices, and one with no object graph
+# (interval only), equal prices and singleton groups
+SWEEP_PARAMS = [
+    {},
+    {"n": 1, "n_bids": 1, "tree_size": 1, "dims": (1,)},
+    {
+        "n": 40, "n_bids": 40, "tree_size": 15, "dims": (3, 3, 2), "density_milli": 600,
+        "weight_range": (0, 3), "group_size": 4, "k_max": 3, "t": 3,
+    },
+    {"include_object_graph": False, "weight_range": (5, 5), "group_size": 1, "k_max": 1, "t": 1},
+]
+
+
+@pytest.mark.parametrize("kind", [None, *KINDS])
+@pytest.mark.parametrize("base", sorted(BASE_GENERATORS))
+def test_generator_output_passes_validation(base, kind):
+    """Generators do not check their own output, which is valid by
+    construction; this sweep over seeds and parameters is the evidence."""
+    for params in SWEEP_PARAMS:
+        for seed in range(5):
+            inst = BASE_GENERATORS[base](params, seed) if kind is None else gen_budget(base, kind, params, seed)
+            validate_instance(inst)
+
+
+def test_selection_and_tight_output_passes_validation():
+    for seed in range(5):
+        validate_instance(gen_interval_selection(1 + seed, 3 - seed % 3, seed))
+        validate_instance(gen_interval_selection(3, 4, seed, (0, 2)))
+        validate_instance(gen_tight(1 + seed, 1 + 200 * seed, seed))
 
 
 def test_generated_instances_validate_and_order():
@@ -350,6 +383,26 @@ def test_grid_coordinates_that_leave_a_bid_out_certify_no_bound():
     bound (it once raised KeyError)."""
     inst = _two_bids_on_x(OrderingSpec("grid", coords={"a": (0,)}))
     ordering = Ordering(["a", "b"], "grid")
+    assert beta_bound_info(inst, ordering, bid_graph(inst)) == (None, None)
+    assert beta_bound_info(inst, ordering, None) == (None, None)
+
+
+BID_ORDERS = {"leaves-out": ["a"], "repeats": ["a", "a"], "unknown-id": ["a", "c"], "extra-id": ["a", "b", "c"]}
+
+
+@pytest.mark.parametrize("order", BID_ORDERS.values(), ids=BID_ORDERS)
+@pytest.mark.parametrize(
+    "provenance, sets",
+    [("chordal", None), ("explicit", dict.fromkeys("ab", frozenset("x"))), ("grid", None)],
+    ids=["chordal", "frontier", "grid"],
+)
+def test_an_ordering_of_other_bids_certifies_no_bound(provenance, sets, order):
+    """An ordering that does not order exactly the bids a{x} and b{x}
+    certifies no bound in the chordal, frontier and grid checks. Each case
+    once raised, except two that certified beta 1: the chordal order a, a
+    and the grid order a, b, c."""
+    inst = _two_bids_on_x(OrderingSpec("grid", coords={"a": (0,), "b": (1,)}))
+    ordering = Ordering(order, provenance, sets)
     assert beta_bound_info(inst, ordering, bid_graph(inst)) == (None, None)
     assert beta_bound_info(inst, ordering, None) == (None, None)
 
