@@ -120,7 +120,9 @@ class Instance:
 
 
 def validate_instance(inst: Instance) -> None:
-    """Full semantic validation; raises ValidationError on the first problem."""
+    """Full semantic validation; raises ValidationError on the first problem.
+    The library runs it only where a file is read (:func:`obj_to_instance`)
+    or written (:func:`dumps_instance`)."""
     table, og = inst.table, inst.object_graph
     check_unique_ids(table.ids)
     ids = set(table.ids)
