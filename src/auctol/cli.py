@@ -64,6 +64,25 @@ def _collector_paused():
             gc.enable()
 
 
+@cache
+def _pin_mmap_threshold() -> None:
+    """Fix glibc's mmap threshold at its starting value of 128 KiB, once per
+    process. By default glibc raises the threshold to the size of each
+    mapped block it frees (up to 32 MiB, mallopt(3) M_MMAP_THRESHOLD), so
+    after the first request the file text and every large list of later
+    requests come from the brk heap, which is not given back to the OS, and
+    each later request peaks about 10 MB higher. Setting the threshold turns
+    that rule off: every block of 128 KiB or more gets its own mapping and
+    is returned when freed. Does nothing where the C library has no
+    ``mallopt``."""
+    try:
+        import ctypes
+
+        ctypes.CDLL(None).mallopt(-3, 128 * 1024)  # -3 is M_MMAP_THRESHOLD
+    except (ImportError, OSError, AttributeError, TypeError):  # no C library to load, or no mallopt in it
+        pass
+
+
 def _solve_dispatch(inst, g, algo: str, use_constraints: bool, oracle_cap: int, include_zero_value: bool = False):
     cs = inst.constraints if use_constraints else None
     if include_zero_value and (algo != "opcost" or cs is not None):
@@ -126,6 +145,11 @@ def cmd_order(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    if args.family != "tight":  # the one family with fixed prices
+        _at_least(args.wmin, 0, "--wmin")
+    if args.family == "budget":  # gen_budget would clamp these to 1
+        for value, flag in ((args.group_size, "--group-size"), (args.k_max, "--k-max"), (args.t, "--t")):
+            _at_least(value, 1, flag)
     # one params dict for the base generators, whether run directly or under budget
     params = dict(
         n=args.n, n_bids=args.n, tree_size=args.tree_size, density_milli=args.density_milli,
@@ -405,6 +429,8 @@ def cmd_bench(args) -> int:
         sizes = [int(s) for s in args.sizes.split(",")]
     except ValueError:
         raise ValidationError(f"--sizes must be integers joined by ',', like 10000,100000; got {args.sizes!r}") from None
+    for size in sizes:
+        _at_least(size, 1, "--sizes")
     _at_least(args.repeats, 1, "--repeats")
     report = run_bench(args.family, sizes, args.seed, args.repeats)
     sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
@@ -476,6 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
+    _pin_mmap_threshold()
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)

@@ -3,6 +3,7 @@
 import gc
 import json
 import os
+import platform
 import subprocess
 import sys
 import weakref
@@ -364,13 +365,23 @@ def test_bench_sizes_not_integers_exit2(capsys):
         (["solve", "--algo", "exact", "--cap", "-1"], "--cap must be >= 0; got -1"),
         (["verify", "--oracle-cap", "-5"], "--oracle-cap must be >= 0; got -5"),
         (["bench", "--repeats", "0"], "--repeats must be >= 1; got 0"),
+        (["bench", "--sizes=-5,0"], "--sizes must be >= 1; got -5"),
+        (["bench", "--sizes", "100,0"], "--sizes must be >= 1; got 0"),
+        (["gen", "--family", "budget", "--group-size", "0"], "--group-size must be >= 1; got 0"),
+        (["gen", "--family", "budget", "--k-max", "0"], "--k-max must be >= 1; got 0"),
+        (["gen", "--family", "budget", "--kind", "overlapping", "--t", "0"], "--t must be >= 1; got 0"),
+        (["gen", "--family", "interval", "--wmin", "-5"], "--wmin must be >= 0; got -5"),
+        (["gen", "--family", "budget", "--base-family", "subtrees", "--wmin", "-1"], "--wmin must be >= 0; got -1"),
     ],
-    ids=["solve-cap", "verify-oracle-cap", "bench-repeats"],
+    ids=[
+        "solve-cap", "verify-oracle-cap", "bench-repeats", "bench-sizes-negative", "bench-sizes-zero",
+        "gen-group-size", "gen-k-max", "gen-t", "gen-wmin", "gen-budget-wmin",
+    ],
 )
 def test_flags_below_their_least_value_exit2(tmp_path, capsys, argv, message):
     path = tmp_path / "inst.json"
     save_instance(gen_tight(2, 100), path)
-    command = argv[:1] + (["--input", str(path)] if argv[0] != "bench" else []) + argv[1:]
+    command = argv[:1] + (["--input", str(path)] if argv[0] not in ("gen", "bench") else []) + argv[1:]
     assert run(command) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -674,6 +685,41 @@ def test_import_does_not_touch_the_collector(enabled):
         "assert (gc.isenabled(), gc.get_threshold(), gc.get_freeze_count()) == before, before\n"
     )
     subprocess.run([sys.executable, "-c", code], check=True, env=CHILD_ENV)
+
+
+def test_import_does_not_pin_the_mmap_threshold():
+    """The mmap threshold is pinned by ``cli.run``, not on import: importing
+    the package loads no ``ctypes``."""
+    code = "import sys\nimport auctol, auctol.cli\nassert 'ctypes' not in sys.modules\n"
+    subprocess.run([sys.executable, "-c", code], check=True, env=CHILD_ENV)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's mmap threshold")
+def test_a_later_request_peaks_no_higher_than_the_first(tmp_path):
+    """With glibc's dynamic mmap threshold, the blocks a first request frees
+    move the large blocks of later requests onto the heap, which is not
+    given back; each later ``solve`` then peaked about 6 MB higher on this
+    5 MB file."""
+    path = tmp_path / "inst.json"
+    save_instance(gen_interval(20000, seed=1), path)
+    code = (
+        "import sys\n"
+        "from auctol import cli\n"
+        "def hwm_kb():\n"
+        "    with open('/proc/self/status') as f:\n"
+        "        return next(int(line.split()[1]) for line in f if line.startswith('VmHWM'))\n"
+        "peaks = []\n"
+        "for _ in range(3):\n"
+        "    assert cli.run(['solve', '--input', sys.argv[1], '--output', sys.argv[2]]) == 0\n"
+        "    peaks.append(hwm_kb())\n"
+        "print(peaks[0], peaks[2])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(path), str(tmp_path / "sol.json")],
+        capture_output=True, text=True, check=True, env=CHILD_ENV,
+    )
+    first, third = map(int, proc.stdout.split())
+    assert third - first <= 2 * 1024, (first, third)
 
 
 FRONTIER_BOUND_2 = {
