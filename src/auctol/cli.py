@@ -71,16 +71,19 @@ def _pin_mmap_threshold() -> None:
     mapped block it frees (up to 32 MiB, mallopt(3) M_MMAP_THRESHOLD), so
     after the first request the file text and every large list of later
     requests come from the brk heap, which is not given back to the OS, and
-    each later request peaks about 10 MB higher. Setting the threshold turns
+    on a 40k-bid interval file each later request peaked about 10 MB
+    higher. Setting the threshold turns
     that rule off: every block of 128 KiB or more gets its own mapping and
     is returned when freed. Does nothing where the C library has no
     ``mallopt``."""
     try:
         import ctypes
 
-        ctypes.CDLL(None).mallopt(-3, 128 * 1024)  # -3 is M_MMAP_THRESHOLD
+        mallopt = ctypes.CDLL(None).mallopt
     except (ImportError, OSError, AttributeError, TypeError):  # no C library to load, or no mallopt in it
-        pass
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 128 * 1024)  # -3 is M_MMAP_THRESHOLD
 
 
 def _solve_dispatch(inst, g, algo: str, use_constraints: bool, oracle_cap: int, include_zero_value: bool = False):
