@@ -72,10 +72,9 @@ def _pin_mmap_threshold() -> None:
     after the first request the file text and every large list of later
     requests come from the brk heap, which is not given back to the OS, and
     on a 40k-bid interval file each later request peaked about 10 MB
-    higher. Setting the threshold turns
-    that rule off: every block of 128 KiB or more gets its own mapping and
-    is returned when freed. Does nothing where the C library has no
-    ``mallopt``."""
+    higher. Setting the threshold turns that rule off: every block of
+    128 KiB or more gets its own mapping and is returned when freed. Does
+    nothing where the C library has no ``mallopt``."""
     try:
         import ctypes
 
