@@ -96,7 +96,7 @@ def _solve_dispatch(inst, g, algo: str, use_constraints: bool, oracle_cap: int, 
         if algo == "lropcost":
             return solvers.lropcost(g)
         if algo == "greedy":
-            return solvers.greedy(g, g.ordering)
+            return solvers.greedy(g)
         return solvers.exact_mwis(g, node_cap=oracle_cap if oracle_cap else 30)
     if algo == "greedy":
         raise ValidationError("greedy has no budget-aware mode; pass --constraints ignore")
@@ -249,7 +249,7 @@ def _run_checks(report: dict, violate, inst, g, oracle_cap: int, timings: bool) 
         violate("opcost and lropcost selected different sets")
     if not solvers.verify_value_table(g, table):
         violate("value table fails recomputation")
-    run("greedy", solvers.greedy, g, g.ordering)
+    run("greedy", solvers.greedy, g)
     for name, sol in (("opcost", op), ("lropcost", lr)):
         ok, violations = budgets.check_feasible(sol, g, None)
         for v in violations:

@@ -23,10 +23,14 @@ object graph is stored the same way, over object ids in ascending name
 order, and an instance keeps its bids as rows of those ids
 (:class:`BidTable`).
 
-All structures are treated as immutable once built; nothing here mutates a
-graph after construction, apart from the edge list an object graph fills in
-on first use (the same whichever thread fills it), so instances can be
-shared freely across threads.
+No structure changes once built, except for five attributes written on
+first use: the edge list ``ObjectGraph.edges``, the index cache
+``BidGraph.derived`` and three records naming what a check passed on
+(``BidTable._germane_in``, ``Ordering._checked_on``,
+``TreeDecomposition._valid_for``). A cached value is the same whichever
+thread builds it and a record only names a passed check, so threads that
+share an instance risk at most a repeated build or check. A record assumes
+that what it sits on is not changed after the check.
 """
 
 from __future__ import annotations

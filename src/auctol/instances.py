@@ -31,6 +31,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import accumulate, chain, compress, repeat
 from json.encoder import encode_basestring
+from math import isfinite
 from operator import add, itemgetter
 
 from .budgets import KINDS, ConstraintSet, Group
@@ -85,32 +86,25 @@ class OrderingSpec:
 
 class Instance:
     """Bids, an optional object graph, optional budget constraints and an
-    ordering recipe.
-
-    ``bids`` is a list of :class:`Bid` or a :class:`BidTable` interned
-    against ``object_graph`` (the loader passes one). ``table`` is the one
-    bid representation the pipeline reads: a given table as it is, a given
-    list interned on first use. ``bids`` is a list of :class:`Bid` made from
-    the table on first access and kept; reading it changes nothing else.
-    """
+    ordering recipe. ``table`` is the one bid form the pipeline reads: a
+    :class:`BidTable` given as ``bids`` (interned against ``object_graph``,
+    as the loader's is) or a list of :class:`Bid` interned here by
+    :meth:`BidTable.from_bids`, which raises ValidationError on a repeated id
+    or an undeclared object. ``bids`` is a list of :class:`Bid` made from the
+    table on first access and kept; reading it changes nothing else."""
 
     def __init__(self, bids, object_graph=None, constraints=None, ordering_spec=None, metadata=None):
-        self._table, self._bids = (bids, None) if isinstance(bids, BidTable) else (None, bids)
+        self.table: BidTable = bids if isinstance(bids, BidTable) else BidTable.from_bids(bids, object_graph)
+        self._bids: list[Bid] | None = None
         self.object_graph: ObjectGraph | None = object_graph
         self.constraints: ConstraintSet | None = constraints
         self.ordering_spec: OrderingSpec | None = ordering_spec
         self.metadata: dict = {} if metadata is None else metadata
 
     @property
-    def table(self) -> BidTable:
-        if self._table is None:
-            self._table = BidTable.from_bids(self._bids, self.object_graph)
-        return self._table
-
-    @property
     def bids(self) -> list[Bid]:
         if self._bids is None:
-            t = self._table
+            t = self.table
             self._bids = list(map(Bid, t.ids, t.object_sets(), t.prices, t.groups))
         return self._bids
 
@@ -118,13 +112,24 @@ class Instance:
 # ---------------------------------------------------------------------------
 # validation
 
+_PRICE_LIMIT = 10**3999  # 4000 digits: fewer than 10**300 lower prices sum within Python's 4300-digit int text limit
+
+
+def _is_metadata_scalar(value) -> bool:
+    """A string, an integer that is not a bool or a finite float: the metadata JSON writes and reads back."""
+    return isinstance(value, (str, int)) and not isinstance(value, bool) or isinstance(value, float) and isfinite(value)
+
 
 def validate_instance(inst: Instance) -> None:
     """Full semantic validation; raises ValidationError on the first problem.
     The library runs it only where a file is read (:func:`obj_to_instance`)
     or written (:func:`dumps_instance`)."""
     table, og = inst.table, inst.object_graph
+    if bad := [key for key, value in inst.metadata.items() if not _is_metadata_scalar(value)]:
+        raise ValidationError(f"metadata {bad[0]!r}: metadata values must be finite scalars")
     check_unique_ids(table.ids)
+    if bad := [u for u, price in zip(table.ids, table.prices) if price >= _PRICE_LIMIT]:
+        raise ValidationError(f"bid {bad[0]!r}: price must have fewer than 4000 digits")
     ids = set(table.ids)
     if og is not None:
         bad = table.disconnected(og)  # interning against og has found every object declared
@@ -484,11 +489,7 @@ def obj_to_instance(obj: dict) -> Instance:
     if "metadata" in obj:
         metadata = _expect_obj(obj["metadata"], "/metadata")
         for k, v in metadata.items():
-            _expect(
-                isinstance(v, (str, int, float)) and not isinstance(v, bool),
-                f"/metadata/{k}",
-                "metadata values must be scalars",
-            )
+            _expect(_is_metadata_scalar(v), f"/metadata/{k}", "metadata values must be finite scalars")
 
     og = None
     _expect(
@@ -567,10 +568,10 @@ def obj_to_instance(obj: dict) -> Instance:
 
 
 def _parse_json(text: str):
-    """``json.loads(text)``; text that is not JSON, or nests too deep, is a SchemaError at the root."""
+    """``json.loads(text)``; text that is not JSON, nests too deep or has too long an int is a SchemaError at the root."""
     try:
         return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # a JSONDecodeError is a ValueError
         raise SchemaError("", f"not valid JSON: {exc}") from exc
 
 

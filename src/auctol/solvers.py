@@ -24,10 +24,11 @@ oriented graph. They read the rank-space weights and predecessor/successor
 slices that :func:`auctol.graphs.orient` builds once per ordering, and
 finish through :func:`selection_solution`.
 
-``greedy`` is the classical first-fit baseline. ``exact_mwis`` is the
-oracle for small graphs that observed ratios are measured against: a thin
-caller of :func:`auctol.graphs.exact_search`, the one exhaustive search
-behind every exact oracle.
+``greedy``, the classical first-fit baseline, reads the same slices and
+finishes the same way. ``exact_mwis`` is the oracle for small graphs that
+observed ratios are measured against: a thin caller of
+:func:`auctol.graphs.exact_search`, the one exhaustive search behind every
+exact oracle.
 All weights are integers (minor currency units), so every comparison here is
 exact.
 """
@@ -40,8 +41,8 @@ from fractions import Fraction
 from itertools import compress
 from math import gcd
 
-from .errors import CapacityError, ValidationError
-from .graphs import BidGraph, check_independent, exact_search, neighbor_masks
+from .errors import CapacityError
+from .graphs import BidGraph, check_independent, exact_search, neighbor_masks, orient
 
 
 @dataclass(frozen=True)
@@ -275,23 +276,17 @@ def lropcost(g: BidGraph) -> Solution:
 
 
 def greedy(g: BidGraph, ordering=None) -> Solution:
-    """First-fit baseline: scan the order, keep whatever fits."""
-    order = ordering.order if ordering is not None else g.order()
-    if set(order) != set(g.ids):
-        raise ValidationError("ordering must cover exactly the graph's nodes")
-    index, ptr, nbr = g.index, g.ptr, g.nbr
-    blocked = bytearray(g.n)
-    chosen: list[str] = []
-    for u in order:
-        i = index[u]
-        if not blocked[i]:
-            chosen.append(u)
-            blocked[i] = 1
-            for j in nbr[ptr[i] : ptr[i + 1]]:
+    """First-fit baseline: keep each node, in rank order, that no kept earlier
+    neighbour blocks; an ``ordering`` other than ``g``'s own orients ``g`` first."""
+    if ordering is not None and ordering is not g.ordering:
+        g = orient(g, ordering)
+    blocked = bytearray(len(g.order()))  # g.order() raises on an unoriented graph
+    succ_ptr, succ_idx = g.succ_ptr, g.succ_idx
+    for i in range(len(blocked)):
+        if not blocked[i]:  # kept: block its later neighbours
+            for j in succ_idx[succ_ptr[i] : succ_ptr[i + 1]]:
                 blocked[j] = 1
-    selected = frozenset(chosen)
-    check_independent(ptr, nbr, [u in selected for u in g.ids], g.ids)
-    return Solution(selected, sum(g.weights[u] for u in chosen), Certificate("greedy"))
+    return selection_solution(g, [not b for b in blocked], "greedy")
 
 
 def exact_mwis(g: BidGraph, node_cap: int = 30) -> Solution:

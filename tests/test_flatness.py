@@ -63,6 +63,14 @@ def count_pass(kind, params, solve):
     return build
 
 
+def group_index(n):
+    # the group index a budget solve builds once per graph; the count-pass
+    # rows above time only the pass, as their warm-up call caches the index
+    inst = instances.gen_budget("interval", "unweighted", {"n": n, "k_max": 3, "group_size": 4, "include_object_graph": False}, seed=12)
+    g = instances.oriented_graph(inst)
+    return lambda: budgets._groups_csr(inst.constraints, g.rank()), g.n + g.m
+
+
 def load(n):  # elements are input bytes
     text = instances.dumps_instance(instances.gen_interval(n, seed=4))
     return lambda: instances.loads_instance(text), len(text.encode("utf-8"))
@@ -162,6 +170,7 @@ STAGES = {
         SIZES,
     ),
     "count-pass-overlapping": (count_pass("overlapping", {"k_max": 3, "t": 2}, budgets.solve_overlapping), SIZES),
+    "group-index": (group_index, SIZES),
     "load": (load, SIZES),
     "load-malformed": (load_malformed, SIZES),
     "dump": (dump, SIZES),

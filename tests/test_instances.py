@@ -98,6 +98,56 @@ def test_schema_rejects_unknown_keys():
         loads_instance('{"format": "auctol/1", "bids": [], "surprise": 1}')
 
 
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_non_finite_metadata_rejected_on_load(value):
+    """``json`` reads these as floats, but no JSON reader accepts them back."""
+    with pytest.raises(SchemaError) as err:
+        loads_instance('{"format": "auctol/1", "metadata": {"x": %s}, "bids": []}' % value)
+    assert str(err.value) == "/metadata/x: metadata values must be finite scalars"
+
+
+@pytest.mark.parametrize("value", [[1], {"a": 1}, True, None, float("nan"), float("inf")], ids=repr)
+def test_writer_refuses_metadata_the_loader_refuses(value):
+    inst = Instance([Bid("a", {"x"}, 1)], metadata={"k": value})
+    with pytest.raises(ValidationError, match="metadata 'k': metadata values must be finite scalars"):
+        dumps_instance(inst)
+    with pytest.raises(SchemaError, match="/metadata/k: metadata values must be finite scalars"):
+        loads_instance(json.dumps(instance_to_obj(inst)))
+
+
+def test_metadata_scalars_roundtrip():
+    inst = Instance([Bid("a", {"x"}, 1)], metadata={"s": "x", "i": -(10**30), "f": 1.5, "z": 0.0})
+    text = dumps_instance(inst)
+    assert loads_instance(text).metadata == inst.metadata
+    assert dumps_instance(loads_instance(text)) == text
+
+
+def test_price_of_4000_digits_refused_naming_the_bid():
+    """A price of 4000 digits or more is refused where a file is read or
+    written, so a revenue always fits the 4300 digits Python writes as text."""
+    top = 10**3999 - 1  # the greatest price of 3999 digits
+    fine = Instance([Bid("a", {"x"}, top), Bid("b", {"y"}, top)])
+    assert loads_instance(dumps_instance(fine)).table.prices == [top, top]
+    long = Instance([Bid("a", {"x"}, top), Bid("b", {"y"}, top + 1)])
+    with pytest.raises(ValidationError, match="^bid 'b': price must have fewer than 4000 digits$"):
+        dumps_instance(long)
+    with pytest.raises(SchemaError, match="^: bid 'b': price must have fewer than 4000 digits$"):
+        loads_instance(json.dumps(instance_to_obj(long)))
+
+
+@pytest.mark.parametrize(
+    "bids, og, message",
+    [
+        ([Bid("a", {"x"}, 1), Bid("a", {"y"}, 2)], None, "duplicate bid id 'a'"),
+        ([Bid("a", {"x"}, 1), Bid("b", {"y"}, 2)], ObjectGraph(["x"]), "bid 'b' references undeclared object 'y'"),
+    ],
+    ids=["duplicate-id", "undeclared-object"],
+)
+def test_a_bid_list_is_interned_when_the_instance_is_made(bids, og, message):
+    with pytest.raises(ValidationError, match=message):
+        Instance(bids, og)
+
+
 def test_non_germane_bid_rejected_on_load():
     bad = """
     {
@@ -583,6 +633,9 @@ def _ref_validate_instance(inst, adj):
         if b.id in ids:
             raise ValidationError(f"duplicate bid id {b.id!r}")
         ids.add(b.id)
+    for b in inst.bids:
+        if len(str(b.price)) >= 4000:
+            raise ValidationError(f"bid {b.id!r}: price must have fewer than 4000 digits")
     if adj is not None:
         bad = [b.id for b in inst.bids if not _ref_connected(adj, b.objects)]
         if bad:
@@ -655,9 +708,9 @@ def reference_obj_to_instance(obj):
         metadata = _ref_obj(obj["metadata"], "/metadata")
         for k, v in metadata.items():
             _ref_expect(
-                isinstance(v, (str, int, float)) and not isinstance(v, bool),
+                type(v) in (str, int) or (type(v) is float and v - v == 0),  # inf - inf and nan - nan are nan
                 f"/metadata/{k}",
-                "metadata values must be scalars",
+                "metadata values must be finite scalars",
             )
 
     og = adj = None
