@@ -110,6 +110,7 @@ def _groups_csr(cs: ConstraintSet, pos: dict[str, int]) -> GroupIndex:
         for u in grp.members:
             i = pos.get(u)
             if i is None:
+                u = min(v for v in grp.members if v not in pos)  # id order, not hash order
                 raise ValidationError(f"group {grp.label!r} member {u!r} is not a bid node")
             counts[i + 1] += 1
             ranks.append(i)

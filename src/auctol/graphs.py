@@ -577,13 +577,15 @@ def frontier_violations(g: BidGraph, ordering: Ordering, objects: list) -> list[
     Returns (A, B) pairs with A before B, objects(A) meets objects(B), but
     B missing frontier(A), ordered by A's then B's position. Empty list
     means the frontier bound is sound. Walks the successor slices of ``g``
-    oriented by ``ordering``: O(|V| + |E|) set tests. Raises
-    UnsupportedOrderingError when the ordering has no frontier sets or its
-    sets leave a bid out, naming the first such bid in the ordering.
+    oriented by ``ordering`` (oriented here if it is not): O(|V| + |E|) set
+    tests. Raises UnsupportedOrderingError when the ordering has no frontier
+    sets or its sets leave a bid out, naming the first such bid in the
+    ordering.
     """
     if ordering.frontier_sets is None:
         raise UnsupportedOrderingError("ordering carries no frontier sets")
-    g = orient(g, ordering)
+    if g.ordering is not ordering:
+        g = orient(g, ordering)
     order, index, frontier = g.order(), g.index, ordering.frontier_sets
     missing = next(filterfalse(frontier.__contains__, order), None)
     if missing is not None:

@@ -113,6 +113,12 @@ class Instance:
 # validation
 
 _PRICE_LIMIT = 10**3999  # 4000 digits: fewer than 10**300 lower prices sum within Python's 4300-digit int text limit
+_INT_LIMIT = 10**4300  # 4301 digits: past Python's int text limit, so no writer can write it
+
+
+def _too_long(value) -> bool:
+    """Whether ``value`` is an integer of more than 4300 digits."""
+    return isinstance(value, int) and not -_INT_LIMIT < value < _INT_LIMIT
 
 
 def _is_metadata_scalar(value) -> bool:
@@ -127,6 +133,8 @@ def validate_instance(inst: Instance) -> None:
     table, og = inst.table, inst.object_graph
     if bad := [key for key, value in inst.metadata.items() if not _is_metadata_scalar(value)]:
         raise ValidationError(f"metadata {bad[0]!r}: metadata values must be finite scalars")
+    if bad := [key for key, value in inst.metadata.items() if _too_long(value)]:
+        raise ValidationError(f"metadata {bad[0]!r}: integers must have at most 4300 digits")
     check_unique_ids(table.ids)
     if bad := [u for u, price in zip(table.ids, table.prices) if price >= _PRICE_LIMIT]:
         raise ValidationError(f"bid {bad[0]!r}: price must have fewer than 4000 digits")
@@ -137,6 +145,8 @@ def validate_instance(inst: Instance) -> None:
             raise ValidationError(f"bid {bad[0]!r} is not germane (object set disconnected)")
     if inst.constraints is not None:
         cs = inst.constraints
+        if bad := [grp.label for grp in cs.groups if _too_long(grp.limit)]:
+            raise ValidationError(f"group {bad[0]!r}: limit must have at most 4300 digits")
         for grp in cs.groups:
             for u in sorted(grp.members):
                 if u not in ids:
@@ -144,13 +154,13 @@ def validate_instance(inst: Instance) -> None:
         if cs.kind in ("unweighted", "weighted"):
             owner: dict[str, str] = {}
             for grp in cs.groups:
-                for u in grp.members:
-                    if u in owner:
-                        raise ValidationError(
-                            f"bid {u!r} is in groups {owner[u]!r} and {grp.label!r}; "
-                            f"{cs.kind} constraints must partition the bids"
-                        )
-                    owner[u] = grp.label
+                if not owner.keys().isdisjoint(grp.members):
+                    u = min(owner.keys() & grp.members)  # the first in id order, not in hash order
+                    raise ValidationError(
+                        f"bid {u!r} is in groups {owner[u]!r} and {grp.label!r}; "
+                        f"{cs.kind} constraints must partition the bids"
+                    )
+                owner.update(dict.fromkeys(grp.members, grp.label))
             for u, group in zip(table.ids, table.groups):
                 if u not in owner:
                     raise ValidationError(f"bid {u!r} belongs to no constraint group")
@@ -183,10 +193,14 @@ def validate_instance(inst: Instance) -> None:
         problems = validate_tree_decomposition(inst.object_graph, spec.tree_decomposition)
         if problems:
             raise ValidationError("invalid tree decomposition: " + "; ".join(problems))
+    if spec.coords is not None and (bad := [u for u, vec in spec.coords.items() if any(map(_too_long, vec))]):
+        raise ValidationError(f"bid {bad[0]!r}: grid coordinates must have at most 4300 digits")
     if spec.frontier_sets is not None and set(spec.frontier_sets) != ids:
         raise ValidationError("frontier sets must cover exactly the bid ids")
     if spec.beta_bound is not None and spec.beta_bound < 1:
         raise ValidationError("beta bound must be >= 1")
+    if _too_long(spec.beta_bound):
+        raise ValidationError("beta bound must have at most 4300 digits")
 
 
 # ---------------------------------------------------------------------------
@@ -560,8 +574,6 @@ def obj_to_instance(obj: dict) -> Instance:
     inst = Instance(table, og, constraints, spec, metadata)
     try:
         validate_instance(inst)
-    except SchemaError:
-        raise
     except ValidationError as exc:
         raise SchemaError("", str(exc)) from exc
     return inst
@@ -653,22 +665,23 @@ def beta_bound_info(inst: Instance, ordering: Ordering, g: BidGraph | None) -> t
     dimension for a grid ordering of distinct points of one dimension whose
     edges all rise in the coordinate sum.
     A check recorded on the ordering (``Ordering._checked_on``) for this
-    graph or table is not run again. An ordering that does not order
-    exactly the instance's bids certifies no bound."""
+    graph or table is not run again. The other checks read ``g`` oriented by
+    ``ordering``; an ordering :func:`orient` refuses certifies no bound."""
     checked = ordering._checked_on
     if ordering.provenance == "chordal" and g is not None and checked is g.nbr:
         return 1, "perfect-elimination"
     if ordering.frontier_sets is not None and checked is inst.table:
         return beta_bound_frontier(ordering), "frontier-bound"
     g = bid_graph(inst) if g is None else g
-    rank = ordering.rank()
-    if len(ordering.order) != g.n or rank.keys() != g.index.keys():
+    try:  # orient refuses an ordering that is not a permutation of exactly the bids
+        h = g if g.ordering is ordering else orient(g, ordering)
+    except ValidationError:
         return None, None
     if ordering.provenance == "chordal" and is_perfect_elimination(g, ordering):
         return 1, "perfect-elimination"
     if ordering.frontier_sets is not None:
         try:
-            holds = not frontier_violations(g, ordering, inst.table.object_sets())
+            holds = not frontier_violations(h, ordering, inst.table.object_sets())
         except UnsupportedOrderingError:  # sets that leave a bid out bound nothing
             holds = False
         if holds:
@@ -678,17 +691,15 @@ def beta_bound_info(inst: Instance, ordering: Ordering, g: BidGraph | None) -> t
         # and every edge steps from the earlier node to the later by +1 in
         # one coordinate: each successor slice then sits among the k
         # increasing grid neighbours, one bid at each
-        coords = inst.ordering_spec.coords
-        at, pos = list(map(coords.get, g.ids)), [rank[u] for u in g.ids]
+        at = list(map(inst.ordering_spec.coords.get, h.order()))
         if None in at or len(set(at)) != len(at) or len(set(map(len, at))) != 1:
             return None, None
-        ptr, nbr = g.ptr, g.nbr
-        for i in range(g.n):
-            for j in nbr[ptr[i] : ptr[i + 1]]:
-                if pos[j] > pos[i]:
-                    step = [b - a for a, b in zip(at[i], at[j])]
-                    if min(step) < 0 or sum(step) != 1:
-                        return None, None
+        ptr, succ = h.succ_ptr, h.succ_idx
+        for r in range(h.n):
+            for s in succ[ptr[r] : ptr[r + 1]]:
+                step = [b - a for a, b in zip(at[r], at[s])]
+                if min(step) < 0 or sum(step) != 1:
+                    return None, None
         return len(at[0]), "grid-dimension"
     return None, None
 
@@ -870,8 +881,6 @@ def gen_subtrees(
         candidates = sorted(adj[start])
         while len(chosen) <= size and candidates:
             pick = candidates.pop(r_grow.randrange(len(candidates)))
-            if pick in inside:
-                continue
             chosen.append(pick)
             inside.add(pick)
             for nb in sorted(adj[pick]):

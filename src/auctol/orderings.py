@@ -57,6 +57,24 @@ class TreeDecomposition:
         return adj
 
 
+def _pre_order(td: TreeDecomposition, root: str) -> list[str]:
+    """The tree nodes reachable from ``root`` in depth-first pre-order,
+    children in ascending id order."""
+    adj = td.tree_adj()
+    pre_order: list[str] = []
+    stack = [root]
+    seen = {root}
+    while stack:
+        t = stack.pop()
+        pre_order.append(t)
+        # reversed ascending so the lowest-id child is visited first
+        for u in sorted(adj[t], reverse=True):
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return pre_order
+
+
 def validate_tree_decomposition(og: ObjectGraph | None, td: TreeDecomposition) -> list[str]:
     """Check tree shape plus, given an object graph, the three
     decomposition properties.
@@ -83,26 +101,15 @@ def _decomposition_violations(og: ObjectGraph | None, td: TreeDecomposition) -> 
     if set(td.bags) != nodes:
         violations.append("tree: bags must be keyed by exactly the tree nodes")
         return violations
-    adj = {t: set() for t in td.tree_nodes}
     for a, b in td.tree_edges:
         if a not in nodes or b not in nodes or a == b:
             violations.append(f"tree: bad edge {a!r}-{b!r}")
             return violations
-        adj[a].add(b)
-        adj[b].add(a)
     if td.tree_nodes:
         if len(td.tree_edges) != len(td.tree_nodes) - 1:
             violations.append("tree: edge count is not |nodes|-1 (not a tree)")
             return violations
-        seen = {td.tree_nodes[0]}
-        stack = [td.tree_nodes[0]]
-        while stack:
-            t = stack.pop()
-            for u in adj[t]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        if len(seen) != len(nodes):
+        if len(_pre_order(td, td.tree_nodes[0])) != len(nodes):
             violations.append("tree: not connected")
             return violations
     if td.root is not None and td.root not in nodes:
@@ -112,12 +119,16 @@ def _decomposition_violations(og: ObjectGraph | None, td: TreeDecomposition) -> 
 
     # one pass over the bags: property 1 and each object's occurrence list
     occ: dict[str, list[str]] = {o: [] for o in og.objects}
-    for t in td.tree_nodes:
+    stray: list[tuple[int, str]] = []
+    for p, t in enumerate(td.tree_nodes):
         for o in td.bags[t]:
             if o in occ:
                 occ[o].append(t)
             else:
-                violations.append(f"property 1: bag {t!r} contains undeclared object {o!r}")
+                stray.append((p, o))
+    # by tree node, then in id order within a bag, not in its hash order
+    for p, o in sorted(stray):
+        violations.append(f"property 1: bag {td.tree_nodes[p]!r} contains undeclared object {o!r}")
     for o in og.objects:
         if not occ[o]:
             violations.append(f"property 1: object {o!r} is in no bag")
@@ -175,19 +186,7 @@ def tree_decomposition_ordering(
     if not td.tree_nodes:
         raise ValidationError("tree decomposition has no nodes")
 
-    root = td.root if td.root is not None else sorted(td.tree_nodes)[0]
-    adj = td.tree_adj()
-    pre_order: list[str] = []
-    stack = [root]
-    seen = {root}
-    while stack:
-        t = stack.pop()
-        pre_order.append(t)
-        # reversed ascending so the lowest-id child is visited first
-        for u in sorted(adj[t], reverse=True):
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
+    pre_order = _pre_order(td, td.root if td.root is not None else min(td.tree_nodes))
 
     # first pre-order occurrence per object == greatest tree node in the
     # ancestors-are-greater linear order

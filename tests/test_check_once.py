@@ -9,7 +9,7 @@ entry point, however often they are tried."""
 
 import pytest
 
-from auctol import Bid, ObjectGraph, dumps_instance, gen_interval, gen_subtrees, graphs, instances, orderings, save_instance
+from auctol import Bid, ObjectGraph, dumps_instance, gen_grid, gen_interval, gen_subtrees, graphs, instances, orderings, save_instance
 from auctol.cli import run
 from auctol.errors import ValidationError
 from auctol.instances import Instance, OrderingSpec, bid_graph, ordering_from_spec
@@ -72,6 +72,28 @@ def test_each_certificate_check_runs_once_per_request(tmp_path, monkeypatch):
     seen = _certificate_checks(monkeypatch)
     assert run(["solve", "--input", str(tmp_path / "out.json"), "--output", str(tmp_path / "sol.json")]) == 0
     assert seen == {"_zero_fill_in": 0, "frontier_violations": 0}
+
+
+def test_certifying_orients_only_a_graph_the_ordering_has_not_oriented(monkeypatch):
+    """The frontier and grid checks read the bid graph as the ordering
+    oriented it: a graph oriented by that ordering is read as it is, any
+    other is oriented once, not once more inside frontier_violations."""
+    bids = [Bid(u, frozenset(objs), 2) for u, objs in [("a", {"w", "x"}), ("b", {"x", "y"}), ("c", {"y", "z"}), ("d", {"z", "w"})]]
+    sets = {"a": frozenset({"w", "x"}), "b": frozenset({"y"}), "c": frozenset({"z"}), "d": frozenset({"z"})}
+    frontier = Instance(bids, None, None, OrderingSpec("explicit", list("abcd"), frontier_sets=sets))
+    cases = []
+    for name, inst, bound in (("frontier", frontier, (2, "frontier-bound")), ("grid", gen_grid((3, 4), seed=1), (2, "grid-dimension"))):
+        g = bid_graph(inst)
+        ordering = ordering_from_spec(inst, g)
+        ordering._checked_on = None  # run the check, not its record
+        cases += [(name, inst, ordering, graphs.orient(g, ordering), bound, 0), (name, inst, ordering, g, bound, 1)]
+    counts = {"orient": 0}
+    _count(monkeypatch, graphs, "orient", counts)
+    _count(monkeypatch, instances, "orient", counts)
+    for name, inst, ordering, g, bound, orients in cases:
+        counts["orient"] = 0
+        assert instances.beta_bound_info(inst, ordering, g) == bound
+        assert counts["orient"] == orients, name
 
 
 PATH_XYZ = (["x", "y", "z"], [("x", "y"), ("y", "z")])

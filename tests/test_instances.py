@@ -33,7 +33,7 @@ from auctol import (
     save_instance,
     validate_instance,
 )
-from auctol import graphs
+from auctol import budgets, graphs
 from auctol.budgets import KINDS, ConstraintSet, Group
 from auctol.errors import SchemaError, UnsupportedOrderingError, ValidationError
 from auctol.graphs import ObjectGraph, Ordering
@@ -51,6 +51,7 @@ from auctol.instances import (
 from auctol.orderings import (
     NotChordal,
     TreeDecomposition,
+    grid_ordering,
     min_degree_heuristic_decomposition,
     tree_decomposition_ordering,
     validate_tree_decomposition,
@@ -133,6 +134,86 @@ def test_price_of_4000_digits_refused_naming_the_bid():
         dumps_instance(long)
     with pytest.raises(SchemaError, match="^: bid 'b': price must have fewer than 4000 digits$"):
         loads_instance(json.dumps(instance_to_obj(long)))
+
+
+ONE_BID = [Bid("a", {"x"}, 1)]
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda v: Instance(ONE_BID, metadata={"k": v}), "metadata 'k': integers must have at most 4300 digits"),
+        (lambda v: Instance(ONE_BID, metadata={"k": -v}), "metadata 'k': integers must have at most 4300 digits"),
+        (
+            lambda v: Instance(ONE_BID, None, None, OrderingSpec("grid", coords={"a": (0, v)})),
+            "bid 'a': grid coordinates must have at most 4300 digits",
+        ),
+        (
+            lambda v: Instance(ONE_BID, None, ConstraintSet("weighted", [Group("g", {"a"}, v)])),
+            "group 'g': limit must have at most 4300 digits",
+        ),
+        (
+            lambda v: Instance(ONE_BID, None, None, OrderingSpec("decreasing-weight", beta_bound=v)),
+            "beta bound must have at most 4300 digits",
+        ),
+    ],
+    ids=["metadata", "negative-metadata", "coordinate", "group-limit", "beta-bound"],
+)
+def test_integers_past_4300_digits_refused_naming_the_field(make, message):
+    """A file holds integers of up to 4300 digits, Python's int text limit;
+    the writer refuses one digit more with a message, not an encoder error."""
+    top = 10**4300 - 1  # the greatest integer of 4300 digits
+    text = dumps_instance(make(top))
+    assert dumps_instance(loads_instance(text)) == text
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        dumps_instance(make(top + 1))
+
+
+GRAPH_A = orient(graphs.build_bid_graph(ONE_BID), Ordering(["a"]))
+STRAY_MEMBER = ConstraintSet("unweighted", [Group("g", {"a", "z"}, 1)])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: validate_instance(Instance(ONE_BID, None, STRAY_MEMBER)), "group 'g' member 'z' is not a bid"),
+        (lambda: validate_instance(Instance(ONE_BID, None, None, OrderingSpec("bogus"))), "unknown ordering method 'bogus'"),
+        (
+            lambda: validate_instance(Instance(ONE_BID, None, None, OrderingSpec("planted-optimal", independent_set={"z"}))),
+            "planted set member 'z' is not a bid",
+        ),
+        (lambda: Group("g", {"a"}, 0), "group 'g': limit must be an integer >= 1"),
+        (lambda: ConstraintSet("bogus", []), "unknown constraint kind 'bogus'"),
+        (lambda: budgets.solve_unweighted(GRAPH_A, STRAY_MEMBER), "group 'g' member 'z' is not a bid node"),
+        (lambda: budgets.group_clique_graph(GRAPH_A, STRAY_MEMBER), "group 'g' member 'z' is not a bid node"),
+        (
+            lambda: tree_decomposition_ordering(
+                TreeDecomposition(["t0"], [], {"t0": frozenset({"x"})}), [Bid("a", {"x", "z"}, 1)], None
+            ),
+            "bid 'a' object 'z' appears in no bag",
+        ),
+        (lambda: grid_ordering({}), "no coordinates given"),
+        (lambda: grid_ordering({"a": (0,), "b": (0, 1)}), "all coordinate vectors must have the same dimension"),
+    ],
+    ids=[
+        "group-member",
+        "ordering-method",
+        "planted-member",
+        "group-limit",
+        "constraint-kind",
+        "group-index-member",
+        "clique-member",
+        "bag-coverage",
+        "no-coordinates",
+        "coordinate-dimension",
+    ],
+)
+def test_library_checks_raise_validation_errors(call, message):
+    """Checks that only a library caller reaches: each raises exactly a
+    ValidationError with its message."""
+    with pytest.raises(Exception) as err:
+        call()
+    assert (type(err.value), str(err.value)) == (ValidationError, message)
 
 
 @pytest.mark.parametrize(
@@ -649,7 +730,7 @@ def _ref_validate_instance(inst, adj):
         if cs.kind in ("unweighted", "weighted"):
             owner = {}
             for grp in cs.groups:
-                for u in grp.members:
+                for u in sorted(grp.members):
                     if u in owner:
                         raise ValidationError(
                             f"bid {u!r} is in groups {owner[u]!r} and {grp.label!r}; "
