@@ -118,7 +118,7 @@ _INT_LIMIT = 10**4300  # 4301 digits: past Python's int text limit, so no writer
 
 def _too_long(value) -> bool:
     """Whether ``value`` is an integer of more than 4300 digits."""
-    return isinstance(value, int) and not -_INT_LIMIT < value < _INT_LIMIT
+    return isinstance(value, int) and abs(value) >= _INT_LIMIT
 
 
 def _is_metadata_scalar(value) -> bool:
@@ -154,13 +154,15 @@ def validate_instance(inst: Instance) -> None:
         if cs.kind in ("unweighted", "weighted"):
             owner: dict[str, str] = {}
             for grp in cs.groups:
-                if not owner.keys().isdisjoint(grp.members):
-                    u = min(owner.keys() & grp.members)  # the first in id order, not in hash order
-                    raise ValidationError(
-                        f"bid {u!r} is in groups {owner[u]!r} and {grp.label!r}; "
-                        f"{cs.kind} constraints must partition the bids"
-                    )
-                owner.update(dict.fromkeys(grp.members, grp.label))
+                for u in grp.members:
+                    if u in owner:
+                        # name the first in id order, not in hash order; labels are unique
+                        u = min(v for v in grp.members if owner.get(v, grp.label) != grp.label)
+                        raise ValidationError(
+                            f"bid {u!r} is in groups {owner[u]!r} and {grp.label!r}; "
+                            f"{cs.kind} constraints must partition the bids"
+                        )
+                    owner[u] = grp.label
             for u, group in zip(table.ids, table.groups):
                 if u not in owner:
                     raise ValidationError(f"bid {u!r} belongs to no constraint group")
