@@ -242,7 +242,7 @@ class BidGraph:
         self.index: dict[str, int] = {u: i for i, u in enumerate(self.ids)}
         self.ptr, self.nbr = ptr, nbr
         self.ordering: Ordering | None = None  # it and the rank space are filled in by orient()
-        self._rank = self.w = self.pred_ptr = self.pred_idx = self.succ_ptr = self.succ_idx = None
+        self.w = self.pred_ptr = self.pred_idx = self.succ_ptr = self.succ_idx = None
         self.derived: list = []  # identity-keyed cache of per-constraint indexes
 
     @property
@@ -264,7 +264,7 @@ class BidGraph:
 
     def rank(self) -> dict[str, int]:
         self.order()  # raises on an unoriented graph
-        return self._rank
+        return self.ordering.rank()
 
     def cached(self, key, build):
         """``build()``, computed once per ``key`` object on this graph."""
@@ -397,26 +397,30 @@ def check_unique_ids(ids: list[str]) -> None:
 
 
 def orient(g: BidGraph, ordering: Ordering) -> BidGraph:
-    """Attach an orientation: a copy of ``g`` sharing its ids and rows, with
-    its own cache of derived indexes, every edge pointing from the earlier
-    node in ``ordering`` to the later, and the rank-space weights and
-    predecessor/successor slices built once."""
-    order, rank = ordering.order, ordering.rank()
-    if len(order) != g.n or rank.keys() != g.index.keys():
+    """Attach an orientation: :func:`orient_by_index` of ``ordering``, which
+    must be a permutation of exactly ``g``'s nodes."""
+    if len(ordering.order) != g.n or ordering.rank().keys() != g.index.keys():
         raise ValidationError("ordering must be a permutation of exactly the graph's nodes")
-    out = copy.copy(g)
-    out.derived = []
-    ptr, nbr, index = g.ptr, g.nbr, g.index
-    rank_of = [rank[u] for u in g.ids]
+    return orient_by_index(g, list(map(g.index.__getitem__, ordering.order)), ordering)
+
+
+def orient_by_index(g: BidGraph, order: list[int], ordering: Ordering) -> BidGraph:
+    """A copy of ``g`` sharing its ids and rows, with its own cache of derived
+    indexes, every edge pointing from the earlier node in ``ordering`` (node
+    indices ``order``) to the later, and the rank-space weights and
+    predecessor/successor slices built once, each row entry ranked once."""
+    n, ptr, nbr = g.n, g.ptr, g.nbr
+    rank = [0] * n
+    for r, i in enumerate(order):
+        rank[i] = r
     # every edge is once a predecessor and once a successor entry: size the
     # arrays up front rather than grow them
-    pred_ptr, succ_ptr = array("q", [0]) * (g.n + 1), array("q", [0]) * (g.n + 1)
+    pred_ptr, succ_ptr = array("q", [0]) * (n + 1), array("q", [0]) * (n + 1)
     pred_idx, succ_idx = array("q", [0]) * g.m, array("q", [0]) * g.m
     p = q = 0
-    for r, u in enumerate(order):
-        i = index[u]
+    for r, i in enumerate(order):
         for j in nbr[ptr[i] : ptr[i + 1]]:
-            s = rank_of[j]
+            s = rank[j]
             if s > r:
                 succ_idx[q] = s
                 q += 1
@@ -424,7 +428,9 @@ def orient(g: BidGraph, ordering: Ordering) -> BidGraph:
                 pred_idx[p] = s
                 p += 1
         pred_ptr[r + 1], succ_ptr[r + 1] = p, q
-    out.ordering, out._rank, out.w = ordering, rank, [g.weights[u] for u in order]
+    out = copy.copy(g)
+    out.derived = []
+    out.ordering, out.w = ordering, list(map(g.weights.__getitem__, ordering.order))
     out.pred_ptr, out.pred_idx, out.succ_ptr, out.succ_idx = pred_ptr, pred_idx, succ_ptr, succ_idx
     return out
 

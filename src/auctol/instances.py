@@ -35,7 +35,7 @@ from math import isfinite
 from operator import add, itemgetter
 
 from .budgets import KINDS, ConstraintSet, Group
-from .errors import EncodingError, NotChordalError, SchemaError, UnsupportedOrderingError, ValidationError
+from .errors import EncodingError, SchemaError, UnsupportedOrderingError, ValidationError
 from .graphs import (
     Bid,
     BidGraph,
@@ -48,12 +48,11 @@ from .graphs import (
     orient,
 )
 from .orderings import (
-    NotChordal,
     TreeDecomposition,
     decreasing_weight_ordering,
     grid_ordering,
     is_perfect_elimination,
-    lexbfs_peo,
+    lexbfs_orientation,
     planted_optimal_ordering,
     tree_decomposition_ordering,
     validate_tree_decomposition,
@@ -631,10 +630,7 @@ def ordering_from_spec(inst: Instance, g: BidGraph) -> Ordering:
     if spec is None:
         return decreasing_weight_ordering(g)
     if spec.method == "chordal":
-        result = lexbfs_peo(g)
-        if isinstance(result, NotChordal):
-            raise NotChordalError((result.node, result.a, result.b))
-        return result
+        return lexbfs_orientation(g).ordering
     if spec.method == "tree-decomposition":
         return tree_decomposition_ordering(spec.tree_decomposition, inst.table, inst.object_graph)
     if spec.method == "grid":
@@ -654,7 +650,10 @@ def ordering_from_spec(inst: Instance, g: BidGraph) -> Ordering:
 
 
 def oriented_graph(inst: Instance) -> BidGraph:
+    """The bid graph oriented by the instance's ordering (a chordal one by lex-BFS itself)."""
     g = bid_graph(inst)
+    if inst.ordering_spec is not None and inst.ordering_spec.method == "chordal":
+        return lexbfs_orientation(g)
     return orient(g, ordering_from_spec(inst, g))
 
 
@@ -679,7 +678,7 @@ def beta_bound_info(inst: Instance, ordering: Ordering, g: BidGraph | None) -> t
         h = g if g.ordering is ordering else orient(g, ordering)
     except ValidationError:
         return None, None
-    if ordering.provenance == "chordal" and is_perfect_elimination(g, ordering):
+    if ordering.provenance == "chordal" and is_perfect_elimination(h, ordering):
         return 1, "perfect-elimination"
     if ordering.frontier_sets is not None:
         try:
@@ -693,8 +692,9 @@ def beta_bound_info(inst: Instance, ordering: Ordering, g: BidGraph | None) -> t
         # and every edge steps from the earlier node to the later by +1 in
         # one coordinate: each successor slice then sits among the k
         # increasing grid neighbours, one bid at each
-        at = list(map(inst.ordering_spec.coords.get, h.order()))
-        if None in at or len(set(at)) != len(at) or len(set(map(len, at))) != 1:
+        coords = inst.ordering_spec.coords
+        at = [tuple(coords[u]) for u in h.order() if u in coords]  # a hand-built spec may hold lists
+        if len(at) != h.n or len(set(at)) != len(at) or len(set(map(len, at))) != 1:
             return None, None
         ptr, succ = h.succ_ptr, h.succ_idx
         for r in range(h.n):

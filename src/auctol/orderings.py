@@ -15,8 +15,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
-from .errors import ValidationError
-from .graphs import Bid, BidGraph, BidTable, ObjectGraph, Ordering
+from .errors import NotChordalError, ValidationError
+from .graphs import Bid, BidGraph, BidTable, ObjectGraph, Ordering, orient, orient_by_index
 
 
 @dataclass
@@ -321,9 +321,10 @@ class _Block:
     """One class of the lex-BFS partition. ``members`` only grows: a node
     that leaves the block stays in the list and is skipped, since its
     ``block_of`` entry no longer names this block, and ``first`` marks where
-    the next live member may start, so no entry is passed over twice."""
+    the next live member may start, so no entry is passed over twice.
+    ``stamp`` is the last visit that split the block, ``front`` its new block."""
 
-    __slots__ = ("members", "first", "size", "prev", "next")
+    __slots__ = ("members", "first", "size", "prev", "next", "stamp", "front")
 
     def __init__(self, members: list[int]):
         self.members = members
@@ -331,54 +332,54 @@ class _Block:
         self.size = len(members)
         self.prev: _Block | None = None
         self.next: _Block | None = None
+        self.stamp = self.front = None
 
 
-def _zero_fill_in(ptr, nbr, order: list[int]) -> tuple[int, list[int], list[int]]:
-    """The zero fill-in test (Tarjan and Yannakakis) of ``order``, node
-    indices of the graph with rows ``nbr[ptr[i]:ptr[i + 1]]`` as an
-    elimination ordering: walking the ranks upwards, the first later neighbor
-    to reach a node is its parent, and every later neighbor of a node must be
-    its parent or adjacent to it. Returns the lowest rank whose later
-    neighbors fail the test (``len(order)`` when none does), the parent of
-    each rank and ``nbr`` in ranks. O(|V| + |E|)."""
-    n = len(order)
-    rank = [0] * n
-    for r, i in enumerate(order):
-        rank[i] = r
-    ranked = [rank[j] for j in nbr]
+def _zero_fill_in(pred_ptr, pred_idx) -> tuple[int, list[int]]:
+    """The zero fill-in test (Tarjan and Yannakakis) of an orientation as an
+    elimination ordering, read from its predecessor slices
+    ``pred_idx[pred_ptr[r]:pred_ptr[r + 1]]``: walking the ranks upwards, the
+    first later neighbor to reach a node is its parent, and every later
+    neighbor of a node must be its parent or adjacent to it. Returns the
+    lowest rank whose later neighbors fail the test (the number of ranks
+    when none does) and the parent of each rank. O(|V| + |E|)."""
+    n = len(pred_ptr) - 1
     parent = list(range(n))
     seen = [-1] * n
     bad = n
-    for r, i in enumerate(order):
-        row = ranked[ptr[i] : ptr[i + 1]]
+    lo = 0
+    for r, hi in enumerate(pred_ptr[1:]):
+        if lo == hi:  # no earlier neighbors
+            continue
+        row, lo = pred_idx[lo:hi], hi
         seen[r] = r
         for s in row:
-            if s < r:
-                seen[s] = r
-                if parent[s] == s:
-                    parent[s] = r
+            seen[s] = r
+            if parent[s] == s:
+                parent[s] = r
         for s in row:
-            if s < r and seen[parent[s]] != r and s < bad:
+            if seen[parent[s]] != r and s < bad:
                 bad = s
-    return bad, parent, ranked
+    return bad, parent
 
 
 def is_perfect_elimination(g: BidGraph, ordering: Ordering) -> bool:
     """Whether ``ordering``, a permutation of ``g``'s nodes, is a perfect
-    elimination ordering of ``g``: the zero fill-in test."""
-    order = list(map(g.index.__getitem__, ordering.order))
-    return _zero_fill_in(g.ptr, g.nbr, order)[0] == g.n
+    elimination ordering of ``g``: the zero fill-in test on ``g`` so oriented."""
+    h = g if g.ordering is ordering else orient(g, ordering)
+    return _zero_fill_in(h.pred_ptr, h.pred_idx)[0] == g.n
 
 
-def lexbfs_peo(g: BidGraph) -> Ordering | NotChordal:
+def lexbfs_orientation(g: BidGraph) -> BidGraph:
     """Chordality recognition with a certified perfect elimination ordering.
 
     Runs lexicographic breadth-first search by partition refinement, reverses
-    the visit order into a candidate elimination ordering, then verifies it:
-    for every node, the later neighbors must form a clique, which the
-    standard parent check certifies in linear time. A returned ordering
+    the visit order into a candidate elimination ordering and orients ``g``
+    by it, then verifies it on the predecessor slices: for every node, the
+    later neighbors must form a clique, which the standard parent check
+    certifies in linear time. Returns ``g`` oriented by the ordering, which
     records the passed check against ``g.nbr`` (``Ordering._checked_on``).
-    On failure returns a :class:`NotChordal` witness instead of an ordering.
+    On failure raises NotChordalError with a witness.
 
     Ties are broken by bid id: nodes are renamed to their position in
     ascending id order, so every block lists its members in id order.
@@ -386,13 +387,12 @@ def lexbfs_peo(g: BidGraph) -> Ordering | NotChordal:
     """
     n = g.n
     if n == 0:
-        return Ordering([], "chordal")
+        return orient_by_index(g, [], Ordering([], "chordal"))
     by_id = sorted(range(n), key=g.ids.__getitem__)
     name = [0] * n  # node index -> position in id order
     for p, i in enumerate(by_id):
         name[i] = p
-    ptr, nbr = g.ptr, g.nbr
-    named = [name[j] for j in nbr]
+    ptr, named = g.ptr, list(map(name.__getitem__, g.nbr))
     rows = [sorted(named[ptr[i] : ptr[i + 1]]) for i in by_id]
 
     head = _Block(list(range(n)))
@@ -413,14 +413,15 @@ def lexbfs_peo(g: BidGraph) -> Ordering | NotChordal:
             if head is not None:
                 head.prev = None
         # pull unvisited neighbors to a fresh block just ahead of their own
-        moved: dict[int, tuple[_Block, _Block]] = {}
         for v in rows[u]:
             blk = block_of[v]
             if blk is None:
                 continue
-            key = id(blk)
-            if key not in moved:
-                front = _Block([])
+            if blk.stamp == u:
+                front = blk.front
+            else:
+                blk.stamp = u
+                blk.front = front = _Block([])
                 front.prev = blk.prev
                 front.next = blk
                 if blk.prev is not None:
@@ -428,27 +429,33 @@ def lexbfs_peo(g: BidGraph) -> Ordering | NotChordal:
                 else:
                     head = front
                 blk.prev = front
-                moved[key] = (blk, front)
-            front = moved[key][1]
-            blk.size -= 1
             front.members.append(v)
             front.size += 1
             block_of[v] = front
-        for blk, _front in moved.values():
-            if not blk.size:  # its new front block, just before it, is never empty
-                blk.prev.next = blk.next
+            blk.size -= 1
+            if not blk.size:  # emptied: unlink it from behind its front block
+                front.next = blk.next
                 if blk.next is not None:
-                    blk.next.prev = blk.prev
+                    blk.next.prev = front
+    del rows, named  # freed before the slices are built
 
-    candidate = [by_id[p] for p in reversed(visit_order)]
-    bad, parent, ranked = _zero_fill_in(ptr, nbr, candidate)
+    candidate = list(map(by_id.__getitem__, reversed(visit_order)))
+    h = orient_by_index(g, candidate, Ordering(list(map(g.ids.__getitem__, candidate)), "chordal"))
+    bad, parent = _zero_fill_in(h.pred_ptr, h.pred_idx)
     if bad == n:
-        ordering = Ordering([g.ids[i] for i in candidate], "chordal")
-        ordering._checked_on = nbr
-        return ordering
+        h.ordering._checked_on = g.nbr
+        return h
     # witness: the failing node's first later neighbor, in row order, that
     # misses its parent
-    u, p = candidate[bad], parent[bad]
-    near = set(ranked[ptr[candidate[p]] : ptr[candidate[p] + 1]])
-    v = next(s for s in ranked[ptr[u] : ptr[u + 1]] if s > bad and s != p and s not in near)
-    return NotChordal(node=g.ids[u], a=g.ids[candidate[p]], b=g.ids[candidate[v]])
+    p, order = parent[bad], h.ordering.order
+    near = set(h.pred_idx[h.pred_ptr[p] : h.pred_ptr[p + 1]]).union(h.succ_idx[h.succ_ptr[p] : h.succ_ptr[p + 1]])
+    v = next(s for s in h.succ_idx[h.succ_ptr[bad] : h.succ_ptr[bad + 1]] if s != p and s not in near)
+    raise NotChordalError((order[bad], order[p], order[v]))
+
+
+def lexbfs_peo(g: BidGraph) -> Ordering | NotChordal:
+    """The ordering of :func:`lexbfs_orientation`, or its witness."""
+    try:
+        return lexbfs_orientation(g).ordering
+    except NotChordalError as exc:
+        return NotChordal(*exc.witness)

@@ -9,7 +9,7 @@ entry point, however often they are tried."""
 
 import pytest
 
-from auctol import Bid, ObjectGraph, dumps_instance, gen_grid, gen_interval, gen_subtrees, graphs, instances, orderings, save_instance
+from auctol import Bid, ObjectGraph, cli, dumps_instance, gen_grid, gen_interval, gen_subtrees, graphs, instances, orderings, save_instance, solvers
 from auctol.cli import run
 from auctol.errors import ValidationError
 from auctol.instances import Instance, OrderingSpec, bid_graph, ordering_from_spec
@@ -72,6 +72,23 @@ def test_each_certificate_check_runs_once_per_request(tmp_path, monkeypatch):
     seen = _certificate_checks(monkeypatch)
     assert run(["solve", "--input", str(tmp_path / "out.json"), "--output", str(tmp_path / "sol.json")]) == 0
     assert seen == {"_zero_fill_in": 0, "frontier_violations": 0}
+
+
+def test_a_chordal_request_reads_the_graph_recognition_oriented(tmp_path, monkeypatch):
+    """lex-BFS orients the bid graph by its candidate ordering to run the
+    zero fill-in test on it, and solve and verify read that graph: neither
+    calls orient, and the test runs once."""
+    path = tmp_path / "chordal.json"
+    save_instance(gen_interval(30, seed=2), path)
+    for command in ("solve", "verify"):
+        counts = {"orient": 0, "_zero_fill_in": 0}
+        for module in (graphs, instances, orderings, solvers, cli):
+            _count(monkeypatch, module, "orient", counts)
+        _count(monkeypatch, orderings, "_zero_fill_in", counts)
+        out = ["--output", str(tmp_path / "out.json")] if command == "solve" else []
+        assert run([command, "--input", str(path), *out]) == 0
+        assert counts == {"orient": 0, "_zero_fill_in": 1}, command
+        monkeypatch.undo()
 
 
 def test_certifying_orients_only_a_graph_the_ordering_has_not_oriented(monkeypatch):

@@ -115,6 +115,14 @@ def orientation(n):
     return lambda: orient(g, ordering), g.n + g.m
 
 
+def chordal_orientation(n):
+    # the bid graph, lex-BFS, the slices of its ordering and the zero
+    # fill-in test on them, as a chordal solve runs them
+    inst = instances.gen_interval(n, seed=4, include_object_graph=False)
+    g = instances.oriented_graph(inst)
+    return lambda: instances.oriented_graph(inst), g.n + g.m
+
+
 def perfect_elimination(n):
     g, ordering = interval_graph(n)
     return lambda: orderings.is_perfect_elimination(g, ordering), g.n + g.m
@@ -185,6 +193,7 @@ STAGES = {
         SIZES,
     ),
     "orient": (orientation, SIZES),
+    "chordal-orientation": (chordal_orientation, SIZES),
     "is-perfect-elimination": (perfect_elimination, SIZES),
     "solve-weighted": (weighted, SIZES),
     "frontier-violations": (frontier, SIZES),

@@ -452,6 +452,19 @@ def test_grid_bound_needs_distinct_points_of_one_dimension(bids, coords):
     assert beta_bound_info(inst, ordering, None) == (None, None)
 
 
+@pytest.mark.parametrize("point", [list, tuple])
+def test_grid_bound_reads_coordinates_given_as_lists(point):
+    """A hand-built grid spec may hold its coordinates as lists, which the
+    grid ordering reads as tuples; the grid check reads them the same way."""
+    spec = OrderingSpec("grid", coords={"a": point([0, 0]), "b": point([0, 1])})
+    inst = Instance([Bid("a", frozenset({"x"}), 1), Bid("b", frozenset({"x"}), 2)], ordering_spec=spec)
+    g = bid_graph(inst)
+    ordering = ordering_from_spec(inst, g)
+    assert ordering.order == ["a", "b"]
+    assert beta_bound_info(inst, ordering, g) == (2, "grid-dimension")
+    assert beta_bound_info(inst, ordering, orient(g, ordering)) == (2, "grid-dimension")
+
+
 def _four_cycle() -> Instance:
     """The bids a{w,x} b{x,y} c{y,z} d{z,w}: a 4-cycle, beta 2 in any order."""
     objects = {"a": {"w", "x"}, "b": {"x", "y"}, "c": {"y", "z"}, "d": {"z", "w"}}
