@@ -446,9 +446,10 @@ def lexbfs_orientation(g: BidGraph) -> BidGraph:
         h.ordering._checked_on = g.nbr
         return h
     # witness: the failing node's first later neighbor, in row order, that
-    # misses its parent
+    # misses its parent; the parent is its lowest later neighbor, so the
+    # parent's successor slice holds every other one it meets
     p, order = parent[bad], h.ordering.order
-    near = set(h.pred_idx[h.pred_ptr[p] : h.pred_ptr[p + 1]]).union(h.succ_idx[h.succ_ptr[p] : h.succ_ptr[p + 1]])
+    near = set(h.succ_idx[h.succ_ptr[p] : h.succ_ptr[p + 1]])
     v = next(s for s in h.succ_idx[h.succ_ptr[bad] : h.succ_ptr[bad + 1]] if s != p and s not in near)
     raise NotChordalError((order[bad], order[p], order[v]))
 
