@@ -94,7 +94,8 @@ def test_a_chordal_request_reads_the_graph_recognition_oriented(tmp_path, monkey
 def test_certifying_orients_only_a_graph_the_ordering_has_not_oriented(monkeypatch):
     """The frontier and grid checks read the bid graph as the ordering
     oriented it: a graph oriented by that ordering is read as it is, any
-    other is oriented once, not once more inside frontier_violations."""
+    other has its rank-space slices built once, not once more inside
+    frontier_violations."""
     bids = [Bid(u, frozenset(objs), 2) for u, objs in [("a", {"w", "x"}), ("b", {"x", "y"}), ("c", {"y", "z"}), ("d", {"z", "w"})]]
     sets = {"a": frozenset({"w", "x"}), "b": frozenset({"y"}), "c": frozenset({"z"}), "d": frozenset({"z"})}
     frontier = Instance(bids, None, None, OrderingSpec("explicit", list("abcd"), frontier_sets=sets))
@@ -104,13 +105,12 @@ def test_certifying_orients_only_a_graph_the_ordering_has_not_oriented(monkeypat
         ordering = ordering_from_spec(inst, g)
         ordering._checked_on = None  # run the check, not its record
         cases += [(name, inst, ordering, graphs.orient(g, ordering), bound, 0), (name, inst, ordering, g, bound, 1)]
-    counts = {"orient": 0}
-    _count(monkeypatch, graphs, "orient", counts)
-    _count(monkeypatch, instances, "orient", counts)
-    for name, inst, ordering, g, bound, orients in cases:
-        counts["orient"] = 0
+    counts = {"orient_by_index": 0}
+    _count(monkeypatch, graphs, "orient_by_index", counts)
+    for name, inst, ordering, g, bound, builds in cases:
+        counts["orient_by_index"] = 0
         assert instances.beta_bound_info(inst, ordering, g) == bound
-        assert counts["orient"] == orients, name
+        assert counts["orient_by_index"] == builds, name
 
 
 PATH_XYZ = (["x", "y", "z"], [("x", "y"), ("y", "z")])
