@@ -178,16 +178,8 @@ def cmd_gen(args) -> int:
 def _check_solution_file(args) -> int:
     inst = instances.load_instance(args.input)
     g = instances.bid_graph(inst)  # feasibility needs no ordering
-    obj = instances._parse_json(instances._read_text(args.solution))
-    if not isinstance(obj, dict) or not isinstance(obj.get("selected"), list):
-        raise SchemaError("/selected", "solution file needs a selected array")
-    selected = [instances._expect_str(u, f"/selected/{i}") for i, u in enumerate(obj["selected"])]
-    sol = solvers.Solution(
-        frozenset(selected),
-        instances._expect_int(obj.get("revenue", 0), "/revenue"),
-        solvers.Certificate(obj.get("algorithm", "unknown")),
-    )
-    # the set above would hide a winner listed twice
+    sol, selected = instances.load_solution(args.solution)
+    # the solution's set hides a winner listed twice
     repeated = sorted(u for u, count in Counter(selected).items() if count > 1)
     _ok, violations = budgets.check_feasible(sol, g, inst.constraints)
     violations = [f"selected bid {u!r} is listed more than once" for u in repeated] + violations

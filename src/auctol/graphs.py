@@ -23,10 +23,9 @@ object graph is stored the same way, over object ids in ascending name
 order, and an instance keeps its bids as rows of those ids
 (:class:`BidTable`).
 
-No structure changes once built, except for five attributes written on
-first use: the edge list ``ObjectGraph.edges``, the index cache
-``BidGraph.derived`` and three records naming what a check passed on
-(``BidTable._germane_in``, ``Ordering._checked_on``,
+No structure changes once built, except for four attributes written on
+first use: the index cache ``BidGraph.derived`` and three records naming
+what a check passed on (``BidTable._germane_in``, ``Ordering._checked_on``,
 ``TreeDecomposition._valid_for``). A cached value is the same whichever
 thread builds it and a record only names a passed check, so threads that
 share an instance risk at most a repeated build or check. A record assumes
@@ -75,7 +74,7 @@ class ObjectGraph:
     The graph is stored in index space. Object id o is ``names[o]``, ids
     ascending by name, so sorting ids sorts names; ``index`` maps a name to
     its id. The neighbours of o are ``nbr[ptr[o]:ptr[o + 1]]`` in edge order.
-    ``edges`` is built on first use.
+    ``edges`` is built from the id pairs on each read.
     """
 
     def __init__(self, objects, edges=()):
@@ -95,7 +94,6 @@ class ObjectGraph:
         # then the pair set, before the rows are built
         del edges
         self._src, self._dst = src, dst
-        self._edges = None
         # an edge given twice in one direction shrinks the pair set; one given
         # both ways round, or a self-loop, has its reverse in the set
         pairs = set(zip(src, dst))
@@ -111,10 +109,8 @@ class ObjectGraph:
 
     @property
     def edges(self) -> list[tuple[str, str]]:
-        if self._edges is None:
-            names = self.names
-            self._edges = [(names[a], names[b]) if a < b else (names[b], names[a]) for a, b in zip(self._src, self._dst)]
-        return self._edges
+        names = self.names
+        return [(names[a], names[b]) if a < b else (names[b], names[a]) for a, b in zip(self._src, self._dst)]
 
     def edge_keys(self) -> set[tuple[int, int]]:
         """Every edge as both id pairs (a, b) and (b, a), built on each call."""
@@ -386,19 +382,23 @@ def build_bid_graph(bids: list[Bid]) -> BidGraph:
     return BidTable.from_bids(bids).graph()
 
 
-def check_unique_ids(ids: list[str]) -> None:
-    """Raise ValidationError naming the first bid id that repeats an earlier one."""
-    if len(set(ids)) != len(ids):
+def check_unique_ids(ids: list[str]) -> set[str]:
+    """The set of ``ids``; raises ValidationError naming the first that repeats an earlier one."""
+    id_set = set(ids)
+    if len(id_set) != len(ids):
         seen = set()
         for u in ids:
             if u in seen:
                 raise ValidationError(f"duplicate bid id {u!r}")
             seen.add(u)
+    return id_set
 
 
 def orient(g: BidGraph, ordering: Ordering) -> BidGraph:
-    """Attach an orientation: :func:`orient_by_index` of ``ordering``, which
-    must be a permutation of exactly ``g``'s nodes."""
+    """``g`` oriented by ``ordering``: ``g`` itself when ``ordering`` oriented it, else
+    :func:`orient_by_index` of ``ordering``, which must be a permutation of exactly ``g``'s nodes."""
+    if g.ordering is ordering:
+        return g
     if len(ordering.order) != g.n or ordering.rank().keys() != g.index.keys():
         raise ValidationError("ordering must be a permutation of exactly the graph's nodes")
     return orient_by_index(g, list(map(g.index.__getitem__, ordering.order)), ordering)
@@ -590,8 +590,7 @@ def frontier_violations(g: BidGraph, ordering: Ordering, objects: list) -> list[
     """
     if ordering.frontier_sets is None:
         raise UnsupportedOrderingError("ordering carries no frontier sets")
-    if g.ordering is not ordering:
-        g = orient(g, ordering)
+    g = orient(g, ordering)
     order, index, frontier = g.order(), g.index, ordering.frontier_sets
     missing = next(filterfalse(frontier.__contains__, order), None)
     if missing is not None:

@@ -58,7 +58,7 @@ from .orderings import (
     validate_tree_decomposition,
 )
 from .rng import SplitMix64
-from .solvers import Solution
+from .solvers import Certificate, Solution
 
 FORMAT_TAG = "auctol/1"
 
@@ -134,10 +134,9 @@ def validate_instance(inst: Instance) -> None:
         raise ValidationError(f"metadata {bad[0]!r}: metadata values must be finite scalars")
     if bad := [key for key, value in inst.metadata.items() if _too_long(value)]:
         raise ValidationError(f"metadata {bad[0]!r}: integers must have at most 4300 digits")
-    check_unique_ids(table.ids)
+    ids = check_unique_ids(table.ids)  # the one id set every rule below reads
     if bad := [u for u, price in zip(table.ids, table.prices) if price >= _PRICE_LIMIT]:
         raise ValidationError(f"bid {bad[0]!r}: price must have fewer than 4000 digits")
-    ids = set(table.ids)
     if og is not None:
         bad = table.disconnected(og)  # interning against og has found every object declared
         if bad:
@@ -146,10 +145,8 @@ def validate_instance(inst: Instance) -> None:
         cs = inst.constraints
         if bad := [grp.label for grp in cs.groups if _too_long(grp.limit)]:
             raise ValidationError(f"group {bad[0]!r}: limit must have at most 4300 digits")
-        for grp in cs.groups:
-            for u in sorted(grp.members):
-                if u not in ids:
-                    raise ValidationError(f"group {grp.label!r} member {u!r} is not a bid")
+        if bad := [grp for grp in cs.groups if not ids.issuperset(grp.members)]:
+            raise ValidationError(f"group {bad[0].label!r} member {min(bad[0].members - ids)!r} is not a bid")
         if cs.kind in ("unweighted", "weighted"):
             owner: dict[str, str] = {}
             for grp in cs.groups:
@@ -175,19 +172,18 @@ def validate_instance(inst: Instance) -> None:
     if spec.method == "explicit":
         if spec.permutation is None:
             raise ValidationError("explicit ordering requires a permutation")
-        if sorted(spec.permutation) != sorted(ids):
+        if len(spec.permutation) != len(ids) or ids != set(spec.permutation):
             raise ValidationError("explicit permutation must be a bijection over the bid ids")
     if spec.method == "grid":
         if spec.coords is None:
             raise ValidationError("grid ordering requires coordinates")
-        if set(spec.coords) != ids:
+        if ids != spec.coords.keys():
             raise ValidationError("grid coordinates must cover exactly the bid ids")
     if spec.method == "planted-optimal":
         if spec.independent_set is None:
             raise ValidationError("planted-optimal ordering requires an independent set")
-        for u in sorted(spec.independent_set):
-            if u not in ids:
-                raise ValidationError(f"planted set member {u!r} is not a bid")
+        if not ids.issuperset(spec.independent_set):
+            raise ValidationError(f"planted set member {min(u for u in spec.independent_set if u not in ids)!r} is not a bid")
     if spec.method == "tree-decomposition":
         if spec.tree_decomposition is None:
             raise ValidationError("tree-decomposition ordering requires an embedded decomposition")
@@ -196,7 +192,7 @@ def validate_instance(inst: Instance) -> None:
             raise ValidationError("invalid tree decomposition: " + "; ".join(problems))
     if spec.coords is not None and (bad := [u for u, vec in spec.coords.items() if any(map(_too_long, vec))]):
         raise ValidationError(f"bid {bad[0]!r}: grid coordinates must have at most 4300 digits")
-    if spec.frontier_sets is not None and set(spec.frontier_sets) != ids:
+    if spec.frontier_sets is not None and ids != spec.frontier_sets.keys():
         raise ValidationError("frontier sets must cover exactly the bid ids")
     if spec.beta_bound is not None and spec.beta_bound < 1:
         raise ValidationError("beta bound must be >= 1")
@@ -365,10 +361,10 @@ def _expect_obj(value, pointer: str) -> dict:
     return value
 
 
-# Arrays are checked in bulk, one pass at C speed with no pointer built.
-# Only when a bulk check fails is the array walked element by element, and
-# that walk raises the SchemaError naming the first failing element in
-# document order. A bulk check compares exact types, so a subclass (never
+# Arrays are checked in bulk, one pass at C speed with no pointer built, and
+# the result is built from the checked columns. When a bulk check fails, a
+# walk over the elements raises the SchemaError naming the first failing one
+# in document order. A bulk check compares exact types, so a subclass (never
 # produced by json.loads) takes the walk, which accepts it.
 
 
@@ -418,24 +414,32 @@ _BID_KEYS = {"id", "objects", "price", "group"}
 def _load_bids(value, og: ObjectGraph | None) -> tuple[BidTable, set[str]]:
     """The bids, interned against ``og`` (or the names they use), and their id set."""
     entries = _expect_list(value, "/bids")
-    if _only(entries, {dict}) and set(chain.from_iterable(entries)) <= _BID_KEYS:
-        ids, objs, prices, groups = (_column(entries, key) for key in ("id", "objects", "price", "group"))
-        if (
-            _only(ids, {str})
-            and all(ids)
-            and len(id_set := set(ids)) == len(ids)
-            and _only(objs, {list})
-            and all(objs)
-            and _only(chain.from_iterable(objs), {str})
-            and _only(prices, {int})
-            and min(prices, default=0) >= 0
-            and _only(groups, {str, type(None)})
-        ):
-            try:
-                return BidTable.from_columns(ids, prices, groups, objs, og), id_set
-            except KeyError:  # an undeclared object: the walk names it
-                pass
-    ids, objs, prices, groups, seen = [], [], [], [], set()
+    if not (_only(entries, {dict}) and set(chain.from_iterable(entries)) <= _BID_KEYS):
+        _walk_bids(entries, og)
+    ids, objs, prices, groups = (_column(entries, key) for key in ("id", "objects", "price", "group"))
+    if not (
+        _only(ids, {str})
+        and all(ids)
+        and len(id_set := set(ids)) == len(ids)
+        and _only(objs, {list})
+        and all(objs)
+        and _only(chain.from_iterable(objs), {str})
+        and _only(prices, {int})
+        and min(prices, default=0) >= 0
+        and _only(groups, {str, type(None)})
+    ):
+        _walk_bids(entries, og)
+        id_set = set(ids)
+    try:
+        return BidTable.from_columns(ids, prices, groups, objs, og), id_set
+    except KeyError:  # an undeclared object: the walk names it
+        _walk_bids(entries, og)
+        raise
+
+
+def _walk_bids(entries: list, og: ObjectGraph | None) -> None:
+    """Raise the SchemaError for the first bid entry :func:`_load_bids` must refuse."""
+    seen = set()
     for i, entry in enumerate(entries):
         _expect_obj(entry, f"/bids/{i}")
         for key in entry:
@@ -443,35 +447,38 @@ def _load_bids(value, og: ObjectGraph | None) -> tuple[BidTable, set[str]]:
         bid_id = _expect_str(entry.get("id"), f"/bids/{i}/id")
         _expect(bid_id not in seen, f"/bids/{i}/id", f"duplicate bid id {bid_id!r}")
         seen.add(bid_id)
-        ids.append(bid_id)
-        objs.append(_str_list(entry.get("objects"), f"/bids/{i}/objects"))
-        _expect(objs[-1], f"/bids/{i}/objects", "object set must be non-empty")
-        prices.append(_expect_int(entry.get("price"), f"/bids/{i}/price"))
-        _expect(prices[-1] >= 0, f"/bids/{i}/price", "price must be >= 0")
-        group = entry.get("group")
-        groups.append(group if group is None else _expect_str(group, f"/bids/{i}/group"))
+        objs = _str_list(entry.get("objects"), f"/bids/{i}/objects")
+        _expect(objs, f"/bids/{i}/objects", "object set must be non-empty")
+        price = _expect_int(entry.get("price"), f"/bids/{i}/price")
+        _expect(price >= 0, f"/bids/{i}/price", "price must be >= 0")
+        if entry.get("group") is not None:
+            _expect_str(entry["group"], f"/bids/{i}/group")
         if og is not None:
-            for o in objs[-1]:
+            for o in objs:
                 _expect(o in og, f"/bids/{i}/objects", f"undeclared object {o!r}")
         _expect(bid_id, f"/bids/{i}/id", "bid id must be a non-empty string")
-    return BidTable.from_columns(ids, prices, groups, objs, og), seen
 
 
 def _load_groups(value, limit_key: str, ids: set[str]) -> list[Group]:
     gobjs = _expect_list(value, "/constraints/groups")
-    if _only(gobjs, {dict}):
-        labels, members, limits = (_column(gobjs, key) for key in ("label", "members", limit_key))
-        if (
-            _only(labels, {str})
-            and _only(members, {list})
-            and all(members)
-            and _only(chain.from_iterable(members), {str})
-            and ids.issuperset(chain.from_iterable(members))
-            and _only(limits, {int})
-            and min(limits, default=1) >= 1
-        ):
-            return list(map(Group, labels, map(frozenset, members), limits))
-    groups = []
+    if not _only(gobjs, {dict}):
+        _walk_groups(gobjs, limit_key, ids)
+    labels, members, limits = (_column(gobjs, key) for key in ("label", "members", limit_key))
+    if not (
+        _only(labels, {str})
+        and _only(members, {list})
+        and all(members)
+        and _only(chain.from_iterable(members), {str})
+        and ids.issuperset(chain.from_iterable(members))
+        and _only(limits, {int})
+        and min(limits, default=1) >= 1
+    ):
+        _walk_groups(gobjs, limit_key, ids)
+    return list(map(Group, labels, map(frozenset, members), limits))
+
+
+def _walk_groups(gobjs: list, limit_key: str, ids: set[str]) -> None:
+    """Raise the SchemaError for the first group entry :func:`_load_groups` must refuse."""
     for i, gobj in enumerate(gobjs):
         _expect_obj(gobj, f"/constraints/groups/{i}")
         label = _expect_str(gobj.get("label"), f"/constraints/groups/{i}/label")
@@ -482,8 +489,6 @@ def _load_groups(value, limit_key: str, ids: set[str]) -> list[Group]:
         limit = _expect_int(gobj[limit_key], f"/constraints/groups/{i}/{limit_key}")
         _expect(limit >= 1, f"/constraints/groups/{i}/{limit_key}", "limit must be >= 1")
         _expect(members, f"/constraints/groups/{i}/members", f"group {label!r} has no members")
-        groups.append(Group(label, frozenset(members), limit))
-    return groups
 
 
 def obj_to_instance(obj: dict) -> Instance:
@@ -507,11 +512,7 @@ def obj_to_instance(obj: dict) -> Instance:
             _expect(_is_metadata_scalar(v), f"/metadata/{k}", "metadata values must be finite scalars")
 
     og = None
-    _expect(
-        ("objects" in obj) == ("object_edges" in obj),
-        "/objects",
-        "objects and object_edges must appear together",
-    )
+    _expect(("objects" in obj) == ("object_edges" in obj), "/objects", "objects and object_edges must appear together")
     if "objects" in obj:
         objects = _str_list(obj["objects"], "/objects")
         # an iterator lets go of the edge list once the graph has read it, so
@@ -540,9 +541,7 @@ def obj_to_instance(obj: dict) -> Instance:
         sobj = _expect_obj(obj["ordering_spec"], "/ordering_spec")
         method = _expect_str(sobj.get("method"), "/ordering_spec/method")
         _expect(method in ORDERING_METHODS, "/ordering_spec/method", f"unknown method {method!r}")
-        permutation = None
-        if "permutation" in sobj:
-            permutation = list(_str_list(sobj["permutation"], "/ordering_spec/permutation"))
+        permutation = list(_str_list(sobj["permutation"], "/ordering_spec/permutation")) if "permutation" in sobj else None
         coords = None
         if "coords" in sobj:
             cmap = _expect_obj(sobj["coords"], "/ordering_spec/coords")
@@ -557,19 +556,15 @@ def obj_to_instance(obj: dict) -> Instance:
             tnodes = list(_str_list(tobj.get("tree_nodes"), "/ordering_spec/tree_decomposition/tree_nodes"))
             tedges = list(map(tuple, _str_pairs(tobj.get("tree_edges"), "/ordering_spec/tree_decomposition/tree_edges")))
             bags = _str_sets(tobj.get("bags"), "/ordering_spec/tree_decomposition/bags")
-            root = tobj.get("root")
-            if root is not None:
-                root = _expect_str(root, "/ordering_spec/tree_decomposition/root")
+            root = None if tobj.get("root") is None else _expect_str(tobj["root"], "/ordering_spec/tree_decomposition/root")
             td = TreeDecomposition(tnodes, tedges, bags, root)
-        independent_set = None
-        if "independent_set" in sobj:
-            independent_set = frozenset(_str_list(sobj["independent_set"], "/ordering_spec/independent_set"))
-        frontier_sets = None
-        if "frontier_sets" in sobj:
-            frontier_sets = _str_sets(sobj["frontier_sets"], "/ordering_spec/frontier_sets")
-        beta_bound = None
-        if "beta_bound" in sobj:
-            beta_bound = _expect_int(sobj["beta_bound"], "/ordering_spec/beta_bound")
+        independent_set = (
+            frozenset(_str_list(sobj["independent_set"], "/ordering_spec/independent_set"))
+            if "independent_set" in sobj
+            else None
+        )
+        frontier_sets = _str_sets(sobj["frontier_sets"], "/ordering_spec/frontier_sets") if "frontier_sets" in sobj else None
+        beta_bound = _expect_int(sobj["beta_bound"], "/ordering_spec/beta_bound") if "beta_bound" in sobj else None
         spec = OrderingSpec(method, permutation, coords, td, independent_set, frontier_sets, beta_bound)
 
     inst = Instance(table, og, constraints, spec, metadata)
@@ -611,6 +606,18 @@ def dumps_solution(sol) -> str:
     return _canonical(sol.to_json_obj())
 
 
+def load_solution(path) -> tuple[Solution, list[str]]:
+    """The solution in the file at ``path``, with no certified bound or ratio
+    (only ``selected`` is required), and its selected ids as listed, so a
+    caller can see an id listed twice."""
+    obj = _parse_json(_read_text(path))
+    has_selected = isinstance(obj, dict) and isinstance(obj.get("selected"), list)
+    _expect(has_selected, "/selected", "solution file needs a selected array")
+    selected = [_expect_str(u, f"/selected/{i}") for i, u in enumerate(obj["selected"])]
+    revenue = _expect_int(obj.get("revenue", 0), "/revenue")
+    return Solution(frozenset(selected), revenue, Certificate(obj.get("algorithm", "unknown"))), selected
+
+
 # ---------------------------------------------------------------------------
 # pipeline helpers
 
@@ -627,7 +634,7 @@ def ordering_from_spec(inst: Instance, g: BidGraph) -> Ordering:
     frontier sets that fail the frontier property on ``g``; sets that pass
     are recorded as checked against the instance's table."""
     spec = inst.ordering_spec
-    if spec is None:
+    if spec is None or spec.method == "decreasing-weight":
         return decreasing_weight_ordering(g)
     if spec.method == "chordal":
         return lexbfs_orientation(g).ordering
@@ -635,8 +642,6 @@ def ordering_from_spec(inst: Instance, g: BidGraph) -> Ordering:
         return tree_decomposition_ordering(spec.tree_decomposition, inst.table, inst.object_graph)
     if spec.method == "grid":
         return grid_ordering(spec.coords)
-    if spec.method == "decreasing-weight":
-        return decreasing_weight_ordering(g)
     if spec.method == "planted-optimal":
         return planted_optimal_ordering(g, spec.independent_set)
     ordering = Ordering(list(spec.permutation), "explicit", spec.frontier_sets)
@@ -675,7 +680,7 @@ def beta_bound_info(inst: Instance, ordering: Ordering, g: BidGraph | None) -> t
         return beta_bound_frontier(ordering), "frontier-bound"
     g = bid_graph(inst) if g is None else g
     try:  # orient refuses an ordering that is not a permutation of exactly the bids
-        h = g if g.ordering is ordering else orient(g, ordering)
+        h = orient(g, ordering)
     except ValidationError:
         return None, None
     if ordering.provenance == "chordal" and is_perfect_elimination(h, ordering):

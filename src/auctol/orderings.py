@@ -366,7 +366,7 @@ def _zero_fill_in(pred_ptr, pred_idx) -> tuple[int, list[int]]:
 def is_perfect_elimination(g: BidGraph, ordering: Ordering) -> bool:
     """Whether ``ordering``, a permutation of ``g``'s nodes, is a perfect
     elimination ordering of ``g``: the zero fill-in test on ``g`` so oriented."""
-    h = g if g.ordering is ordering else orient(g, ordering)
+    h = orient(g, ordering)
     return _zero_fill_in(h.pred_ptr, h.pred_idx)[0] == g.n
 
 

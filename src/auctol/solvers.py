@@ -278,7 +278,7 @@ def lropcost(g: BidGraph) -> Solution:
 def greedy(g: BidGraph, ordering=None) -> Solution:
     """First-fit baseline: keep each node, in rank order, that no kept earlier
     neighbour blocks; an ``ordering`` other than ``g``'s own orients ``g`` first."""
-    if ordering is not None and ordering is not g.ordering:
+    if ordering is not None:
         g = orient(g, ordering)
     blocked = bytearray(len(g.order()))  # g.order() raises on an unoriented graph
     succ_ptr, succ_idx = g.succ_ptr, g.succ_idx

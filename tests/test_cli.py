@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from auctol import Bid, Instance, OrderingSpec, cli, instances
+from auctol import Bid, Instance, OrderingSpec, cli, decreasing_weight_ordering, exact_mwis, instances, opcost, orient
 from auctol import dumps_instance, gen_budget, gen_grid, gen_interval, gen_interval_selection, gen_subtrees, gen_tight, save_instance
 from auctol.cli import run
 from auctol.errors import ValidationError
@@ -872,3 +872,33 @@ def test_include_zero_value_with_plain_opcost(tmp_path, capsys):
     budget = str(GOLDEN / "budget-unweighted-1.json")
     assert run(["solve", "--input", budget, "--constraints", "ignore", "--include-zero-value"]) == 0
     assert json.loads(capsys.readouterr().out)["algorithm"] == "opcost"
+
+
+def test_planted_optimum_comes_back_as_the_revenue(tmp_path, capsys):
+    """A planted-optimal spec that names an exact optimum puts it first, so
+    solve and verify return its revenue, which decreasing weight misses on
+    this grid."""
+    base = gen_grid((3, 4), seed=2)
+    g = instances.bid_graph(base)
+    best = exact_mwis(g)
+    assert opcost(orient(g, decreasing_weight_ordering(g)))[0].revenue < best.revenue
+    path = tmp_path / "planted.json"
+    save_instance(Instance(base.table, base.object_graph, None, OrderingSpec("planted-optimal", independent_set=best.selected)), path)
+    assert run(["solve", "--input", str(path)]) == 0
+    sol = json.loads(capsys.readouterr().out)
+    assert (sol["revenue"], set(sol["selected"])) == (best.revenue, best.selected)
+    assert run(["verify", "--input", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] and report["oracle_revenue"] == report["algorithms"]["opcost"]["revenue"] == best.revenue
+
+
+def test_verify_keeps_the_oracle_where_beta_exact_refuses(tmp_path, capsys):
+    """A star of 27 bids, the hub heaviest and first: its 26 successors pass
+    beta_exact's cap of 25, so the report has the oracle's revenue but no
+    exact beta and no claimed or observed ratio."""
+    path = tmp_path / "star.json"
+    save_instance(gen_tight(26, 100), path)
+    assert run(["verify", "--input", str(path), "--oracle-cap", "30"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] and (report["n"], report["oracle_revenue"]) == (27, 26 * 900)
+    assert not {"beta_exact", "claimed_ratio", "observed_ratio"} & report.keys()

@@ -16,6 +16,7 @@ from auctol import (
     beta_exact,
     bid_graph,
     dumps_instance,
+    dumps_solution,
     exact_mwis,
     gen_budget,
     gen_grid,
@@ -46,6 +47,7 @@ from auctol.instances import (
     beta_bound_info,
     certify,
     instance_to_obj,
+    load_solution,
     obj_to_instance,
 )
 from auctol.orderings import (
@@ -171,6 +173,9 @@ def test_integers_past_4300_digits_refused_naming_the_field(make, message):
 
 GRAPH_A = orient(graphs.build_bid_graph(ONE_BID), Ordering(["a"]))
 STRAY_MEMBER = ConstraintSet("unweighted", [Group("g", {"a", "z"}, 1)])
+THREE_BIDS = [Bid(u, {u}, 1) for u in "abc"]
+# g2 repeats a and b of g1 and adds c: the message names a, the first in id order
+OVERLAPPING_PARTITION = ConstraintSet("unweighted", [Group("g1", {"b", "a"}, 1), Group("g2", {"c", "b", "a"}, 1)])
 
 
 @pytest.mark.parametrize(
@@ -194,6 +199,12 @@ STRAY_MEMBER = ConstraintSet("unweighted", [Group("g", {"a", "z"}, 1)])
         ),
         (lambda: grid_ordering({}), "no coordinates given"),
         (lambda: grid_ordering({"a": (0,), "b": (0, 1)}), "all coordinate vectors must have the same dimension"),
+        (
+            lambda: validate_instance(Instance(THREE_BIDS, None, OVERLAPPING_PARTITION)),
+            "bid 'a' is in groups 'g1' and 'g2'; unweighted constraints must partition the bids",
+        ),
+        (lambda: tree_decomposition_ordering(TreeDecomposition([], [], {}), [], None), "tree decomposition has no nodes"),
+        (lambda: min_degree_heuristic_decomposition(ObjectGraph([])), "object graph is empty"),
     ],
     ids=[
         "group-member",
@@ -206,6 +217,9 @@ STRAY_MEMBER = ConstraintSet("unweighted", [Group("g", {"a", "z"}, 1)])
         "bag-coverage",
         "no-coordinates",
         "coordinate-dimension",
+        "groups-overlap",
+        "empty-decomposition",
+        "empty-object-graph",
     ],
 )
 def test_library_checks_raise_validation_errors(call, message):
@@ -1105,3 +1119,50 @@ def test_obj_to_instance_leaves_its_argument_unchanged(broken):
     else:
         obj_to_instance(doc)
     assert json.dumps(doc) == before
+
+
+def test_load_solution_reads_what_dumps_solution_writes(tmp_path):
+    """The reader takes back the selection, revenue and algorithm; the
+    certificate's bound and ratio rest on checks it does not run."""
+    inst = gen_interval(12, seed=1)
+    g = oriented_graph(inst)
+    sol = certify(opcost(g)[0], inst, g)
+    assert sol.certificate.beta_bound == 1
+    path = tmp_path / "sol.json"
+    path.write_text(dumps_solution(sol), encoding="utf-8")
+    back, listed = load_solution(path)
+    assert (back.selected, back.revenue, back.certificate.algorithm) == (sol.selected, sol.revenue, "opcost")
+    assert (back.certificate.beta_bound, back.certificate.claimed_ratio) == (None, None)
+    assert listed == sorted(sol.selected)
+
+
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _List(list):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+def test_subclassed_values_pass_the_walk_and_load_as_plain_ones():
+    """json.loads makes only exact types. A hand-built document of str, int,
+    list and dict subclasses fails the bulk checks, passes the walk that
+    looks for the first error, and is then built as the plain one is."""
+    plain = instance_to_obj(gen_budget("interval", "unweighted", {"n": 12}, seed=1))
+    sub = copy.deepcopy(plain)
+    sub["bids"] = [
+        _Dict({key: _List(map(_Str, v)) if key == "objects" else _Int(v) if key == "price" else _Str(v) for key, v in b.items()})
+        for b in plain["bids"]
+    ]
+    sub["constraints"]["groups"] = [
+        _Dict(label=_Str(g["label"]), members=_List(map(_Str, g["members"])), k=_Int(g["k"])) for g in plain["constraints"]["groups"]
+    ]
+    assert dumps_instance(obj_to_instance(sub)) == dumps_instance(obj_to_instance(plain))
