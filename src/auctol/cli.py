@@ -116,9 +116,9 @@ def _at_least(value: int, low: int, flag: str) -> None:
 def cmd_solve(args) -> int:
     _at_least(args.cap, 0, "--cap")
     inst = instances.load_instance(args.input)
-    g = instances.oriented_graph(inst)
+    g, bound, _method = instances.oriented_graph(inst)
     sol = _solve_dispatch(inst, g, args.algo, args.constraints == "auto", args.cap, args.include_zero_value)
-    _write_output(instances.dumps_solution(instances.certify(sol, inst, g)), args.output)
+    _write_output(instances.dumps_solution(instances.certify(sol, inst, bound)), args.output)
     return EXIT_OK
 
 
@@ -139,9 +139,7 @@ def cmd_order(args) -> int:
         spec.coords = inst.ordering_spec.coords
     out = instances.Instance(inst.table, inst.object_graph, inst.constraints, spec, inst.metadata)
     if args.method != "decreasing-weight":  # which certifies no bound
-        # only lex-BFS and the grid bound read the bid graph
-        g = instances.bid_graph(out) if args.method in ("chordal", "grid") else None
-        spec.beta_bound, _method = instances.beta_bound_info(out, instances.ordering_from_spec(out, g), g)
+        spec.beta_bound, _method = instances.ordering_bound(out)
     _write_output(instances.dumps_instance(out), args.output)
     return EXIT_OK
 
@@ -201,22 +199,23 @@ def verify_instance(path: Path, oracle_cap: int, timings: bool = False) -> dict:
 
     try:
         inst = instances.load_instance(path)
-        g = instances.oriented_graph(inst)
+        g, bound, method = instances.oriented_graph(inst)
     except EncodingError:
         raise
     except (ValidationError, NotChordalError, CapacityError) as exc:
         violate(f"setup failed: {exc}")
         return report
     try:
-        _run_checks(report, violate, inst, g, oracle_cap, timings)
+        _run_checks(report, violate, inst, g, bound, method, oracle_cap, timings)
     except (ValidationError, CapacityError) as exc:
         violate(f"run failed: {exc}")
     return report
 
 
-def _run_checks(report: dict, violate, inst, g, oracle_cap: int, timings: bool) -> None:
-    """The solver and oracle part of :func:`verify_instance`: fills
-    ``report`` and calls ``violate`` on every failed inequality."""
+def _run_checks(report: dict, violate, inst, g, bound, method, oracle_cap: int, timings: bool) -> None:
+    """The solver and oracle part of :func:`verify_instance` on ``g`` and the
+    bound ``instances.oriented_graph`` certified for it: fills ``report`` and
+    calls ``violate`` on every failed inequality."""
     report["family"] = str(inst.metadata.get("family", "unknown"))
     report["n"] = g.n
     report["m"] = g.m
@@ -260,7 +259,6 @@ def _run_checks(report: dict, violate, inst, g, oracle_cap: int, timings: bool) 
             violate(f"{cs.kind}: {v}")
         primary = bsol
 
-    bound, method = instances.beta_bound_info(inst, g.ordering, g)
     if bound is not None:
         report["beta_bound"] = bound
         report["beta_bound_method"] = method

@@ -23,9 +23,9 @@ object graph is stored the same way, over object ids in ascending name
 order, and an instance keeps its bids as rows of those ids
 (:class:`BidTable`).
 
-No structure changes once built, except for four attributes written on
-first use: the index cache ``BidGraph.derived`` and three records naming
-what a check passed on (``BidTable._germane_in``, ``Ordering._checked_on``,
+No structure changes once built, except for three attributes written on
+first use: the index cache ``BidGraph.derived`` and two records naming the
+object graph a check passed against (``BidTable._germane_in``,
 ``TreeDecomposition._valid_for``). A cached value is the same whichever
 thread builds it and a record only names a passed check, so threads that
 share an instance risk at most a repeated build or check. A record assumes
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import copy
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate, chain, compress, filterfalse
 
 from .errors import CapacityError, UnsupportedOrderingError, ValidationError
@@ -196,18 +196,13 @@ class Ordering:
     bids A before B with intersecting object sets, B must intersect
     frontier(A). The largest frontier size then bounds beta from above.
 
-    ``_checked_on`` records a passed check that a bound rests on, if any: the
-    neighbour array ``nbr`` of the bid graph on which a ``chordal`` ordering
-    passed the zero fill-in test (:func:`orient` shares it, so the record
-    holds for the oriented graph too), or the :class:`BidTable` whose object
-    sets the frontier sets were checked or built against. The record assumes
-    neither the ordering nor what it names is changed after the check.
+    An ordering holds no certificate: its provenance or frontier sets bound
+    beta only where a check passed, and the stage that ran it returns the bound.
     """
 
     order: list[str]
     provenance: str = "explicit"
     frontier_sets: dict[str, frozenset[str]] | None = None
-    _checked_on: object = field(default=None, init=False, repr=False, compare=False)
 
     def rank(self) -> dict[str, int]:
         return {u: i for i, u in enumerate(self.order)}

@@ -608,14 +608,15 @@ def dumps_solution(sol) -> str:
 
 def load_solution(path) -> tuple[Solution, list[str]]:
     """The solution in the file at ``path``, with no certified bound or ratio
-    (only ``selected`` is required), and its selected ids as listed, so a
-    caller can see an id listed twice."""
+    (only ``selected`` is required; ``algorithm``, when given, is a string),
+    and its selected ids as listed, so a caller can see an id listed twice."""
     obj = _parse_json(_read_text(path))
     has_selected = isinstance(obj, dict) and isinstance(obj.get("selected"), list)
     _expect(has_selected, "/selected", "solution file needs a selected array")
     selected = [_expect_str(u, f"/selected/{i}") for i, u in enumerate(obj["selected"])]
     revenue = _expect_int(obj.get("revenue", 0), "/revenue")
-    return Solution(frozenset(selected), revenue, Certificate(obj.get("algorithm", "unknown"))), selected
+    certificate = Certificate(_expect_str(obj.get("algorithm", "unknown"), "/algorithm"))
+    return Solution(frozenset(selected), revenue, certificate), selected
 
 
 # ---------------------------------------------------------------------------
@@ -626,13 +627,11 @@ def bid_graph(inst: Instance) -> BidGraph:
     return inst.table.graph()
 
 
-def ordering_from_spec(inst: Instance, g: BidGraph) -> Ordering:
-    """Construct the ordering an instance declares; defaults to decreasing
-    weight when no spec is present. ``g`` is the instance's bid graph.
-    Raises NotChordalError when a chordal ordering was demanded but
-    recognition fails, and ValidationError when an explicit ordering carries
-    frontier sets that fail the frontier property on ``g``; sets that pass
-    are recorded as checked against the instance's table."""
+def ordering_from_spec(inst: Instance, g: BidGraph | None) -> Ordering:
+    """The ordering an instance declares (decreasing weight when no spec is
+    present), built on ``g``, its bid graph, which tree-decomposition and
+    grid orderings do not read. Raises NotChordalError when a chordal one was
+    demanded but recognition fails; :func:`oriented_graph` checks frontier sets."""
     spec = inst.ordering_spec
     if spec is None or spec.method == "decreasing-weight":
         return decreasing_weight_ordering(g)
@@ -644,41 +643,53 @@ def ordering_from_spec(inst: Instance, g: BidGraph) -> Ordering:
         return grid_ordering(spec.coords)
     if spec.method == "planted-optimal":
         return planted_optimal_ordering(g, spec.independent_set)
-    ordering = Ordering(list(spec.permutation), "explicit", spec.frontier_sets)
-    if spec.frontier_sets is not None:
-        bad = frontier_violations(g, ordering, inst.table.object_sets())
-        if bad:
-            a, b = bad[0]
-            raise ValidationError(f"frontier sets fail: {a!r} precedes and meets {b!r}, which misses frontier({a!r})")
-        ordering._checked_on = inst.table
-    return ordering
+    return Ordering(list(spec.permutation), "explicit", spec.frontier_sets)
 
 
-def oriented_graph(inst: Instance) -> BidGraph:
-    """The bid graph oriented by the instance's ordering (a chordal one by lex-BFS itself)."""
+def oriented_graph(inst: Instance) -> tuple[BidGraph, int | None, str | None]:
+    """The instance's bid graph oriented by its ordering, and the beta bound
+    and check name from the stage that built it: 1 from lex-BFS's zero
+    fill-in test, the largest anchor bag from a tree decomposition checked
+    against the object graph, else :func:`beta_bound_info` on the graph
+    oriented here. Explicit frontier sets that fail raise ValidationError."""
+    return _stage(inst, True)
+
+
+def ordering_bound(inst: Instance) -> tuple[int | None, str | None]:
+    """:func:`oriented_graph`'s bound and check name, with no oriented graph:
+    none is built for a tree decomposition checked against the object graph,
+    and an ordering :func:`orient` refuses certifies no bound, not raising."""
+    return _stage(inst, False)[1:]
+
+
+def _stage(inst: Instance, oriented: bool) -> tuple[BidGraph | None, int | None, str | None]:
+    spec = inst.ordering_spec
+    method = None if spec is None else spec.method
+    if method == "tree-decomposition" and inst.object_graph is not None:
+        g = bid_graph(inst) if oriented else None  # the decomposition checks read none
+        ordering = ordering_from_spec(inst, g)
+        return g and orient(g, ordering), beta_bound_frontier(ordering), "frontier-bound"
     g = bid_graph(inst)
-    if inst.ordering_spec is not None and inst.ordering_spec.method == "chordal":
-        return lexbfs_orientation(g)
-    return orient(g, ordering_from_spec(inst, g))
+    if method == "chordal":
+        return lexbfs_orientation(g), 1, "perfect-elimination"
+    ordering = ordering_from_spec(inst, g)
+    h = orient(g, ordering) if oriented else g
+    bound, how = beta_bound_info(inst, ordering, h)
+    if bound is None and method == "explicit" and spec.frontier_sets is not None:  # name the first failing pair
+        a, b = frontier_violations(h, ordering, inst.table.object_sets())[0]
+        raise ValidationError(f"frontier sets fail: {a!r} precedes and meets {b!r}, which misses frontier({a!r})")
+    return h, bound, how
 
 
-def beta_bound_info(inst: Instance, ordering: Ordering, g: BidGraph | None) -> tuple[int | None, str | None]:
-    """Best beta bound certifiable for this instance and ordering, each bound
-    resting on a check of the ordering against ``g``, the instance's bid
-    graph (built here if it is None and a check needs it): beta <= 1 for a
-    ``chordal`` ordering that passes the zero fill-in test, the largest
+def beta_bound_info(inst: Instance, ordering: Ordering, g: BidGraph) -> tuple[int | None, str | None]:
+    """Best beta bound certifiable from scratch for this instance and an
+    ordering no stage certified (a grid or hand-built one), each resting on
+    a check of the ordering against ``g``, the instance's bid graph: beta <= 1
+    for a ``chordal`` ordering that passes the zero fill-in test, the largest
     frontier for frontier sets with the frontier property, and the grid
     dimension for a grid ordering of distinct points of one dimension whose
-    edges all rise in the coordinate sum.
-    A check recorded on the ordering (``Ordering._checked_on``) for this
-    graph or table is not run again. The other checks read ``g`` oriented by
+    edges all rise in the coordinate sum. The checks read ``g`` oriented by
     ``ordering``; an ordering :func:`orient` refuses certifies no bound."""
-    checked = ordering._checked_on
-    if ordering.provenance == "chordal" and g is not None and checked is g.nbr:
-        return 1, "perfect-elimination"
-    if ordering.frontier_sets is not None and checked is inst.table:
-        return beta_bound_frontier(ordering), "frontier-bound"
-    g = bid_graph(inst) if g is None else g
     try:  # orient refuses an ordering that is not a permutation of exactly the bids
         h = orient(g, ordering)
     except ValidationError:
@@ -732,11 +743,10 @@ def claimed_ratio(algorithm: str, beta: int | None, cs: ConstraintSet | None) ->
     return Fraction(RATIO[algorithm](beta, cs.overlap() if cs is not None and cs.kind == "overlapping" else 1))
 
 
-def certify(sol: Solution, inst: Instance, g: BidGraph) -> Solution:
-    """Return ``sol`` with its certificate filled in: the beta bound
-    :func:`beta_bound_info` certifies for ``g``'s ordering and the ratio
+def certify(sol: Solution, inst: Instance, bound: int | None) -> Solution:
+    """Return ``sol`` with its certificate filled in: ``bound``, the beta bound
+    :func:`oriented_graph` certified for its ordering, and the ratio
     :func:`claimed_ratio` derives from it."""
-    bound, _method = beta_bound_info(inst, g.ordering, g)
     claimed = claimed_ratio(sol.certificate.algorithm, bound, inst.constraints)
     return replace(sol, certificate=replace(sol.certificate, beta_bound=bound, claimed_ratio=claimed))
 

@@ -171,9 +171,9 @@ def tree_decomposition_ordering(
     :class:`BidTable` interned against ``object_graph`` (an instance's
     ``table``), taken as it is. The tree shape is validated first; when
     ``object_graph`` is given, so are the decomposition properties and bid
-    germaneness, and the ordering then records that its frontier sets hold
-    for ``table`` (``Ordering._checked_on``). Bag coverage of bid objects is
-    always checked.
+    germaneness, and these checks make the anchor bags frontier sets, so
+    the caller may certify beta <= width + 1 from the result without a
+    frontier check. Bag coverage of bid objects is always checked.
     """
     violations = validate_tree_decomposition(object_graph, td)
     if violations:
@@ -208,10 +208,7 @@ def tree_decomposition_ordering(
         # descendants-first: larger pre-order index sorts earlier
         keyed.append((-t_a, bid_id))
     keyed.sort()
-    ordering = Ordering([bid_id for _, bid_id in keyed], "tree-decomposition", frontier)
-    if object_graph is not None:  # the anchor bags of germane bids in a valid decomposition are frontier sets
-        ordering._checked_on = table
-    return ordering
+    return Ordering([bid_id for _, bid_id in keyed], "tree-decomposition", frontier)
 
 
 def min_degree_heuristic_decomposition(og: ObjectGraph) -> TreeDecomposition:
@@ -377,9 +374,9 @@ def lexbfs_orientation(g: BidGraph) -> BidGraph:
     the visit order into a candidate elimination ordering and orients ``g``
     by it, then verifies it on the predecessor slices: for every node, the
     later neighbors must form a clique, which the standard parent check
-    certifies in linear time. Returns ``g`` oriented by the ordering, which
-    records the passed check against ``g.nbr`` (``Ordering._checked_on``).
-    On failure raises NotChordalError with a witness.
+    certifies in linear time. Returns ``g`` oriented by the ordering, a
+    perfect elimination ordering, so the caller may certify beta <= 1 from
+    it. On failure raises NotChordalError with a witness.
 
     Ties are broken by bid id: nodes are renamed to their position in
     ascending id order, so every block lists its members in id order.
@@ -443,7 +440,6 @@ def lexbfs_orientation(g: BidGraph) -> BidGraph:
     h = orient_by_index(g, candidate, Ordering(list(map(g.ids.__getitem__, candidate)), "chordal"))
     bad, parent = _zero_fill_in(h.pred_ptr, h.pred_idx)
     if bad == n:
-        h.ordering._checked_on = g.nbr
         return h
     # witness: the failing node's first later neighbor, in row order, that
     # misses its parent; the parent is its lowest later neighbor, so the

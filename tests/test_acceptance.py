@@ -129,7 +129,7 @@ def test_criterion_3_tightness():
     for beta in (2, 3, 5):
         for eps in (1, 100):
             inst = gen_tight(beta, eps, seed=beta * 1000 + eps)
-            g = oriented_graph(inst)
+            g = oriented_graph(inst)[0]
             sol, _ = opcost(g)
             opt = exact_mwis(g).revenue
             assert sol.revenue == 1000
@@ -195,7 +195,7 @@ def test_criterion_6_budget_ratios():
             "interval", "unweighted",
             {"n": 6 + seed % 9, "group_size": 2 + seed % 3, "k_max": 3}, seed=seed,
         )
-        g = oriented_graph(inst)
+        g = oriented_graph(inst)[0]
         cs = inst.constraints
         sol, _ = solve_unweighted(g, cs)
         assert sol.selected == solve_unweighted_lr(g, cs).selected
@@ -210,7 +210,7 @@ def test_criterion_6_budget_ratios():
             {"n": 6 + seed % 9, "group_size": 2 + seed % 3, "k_max": 3, "t": 1 + seed % 3},
             seed=seed,
         )
-        g = oriented_graph(inst)
+        g = oriented_graph(inst)[0]
         cs = inst.constraints
         t = cs.overlap()
         assert t <= 3
@@ -226,7 +226,7 @@ def test_criterion_6_budget_ratios():
             "interval", "weighted",
             {"n": 6 + seed % 9, "group_size": 2 + seed % 3}, seed=seed,
         )
-        g = oriented_graph(inst)
+        g = oriented_graph(inst)[0]
         cs = inst.constraints
         sol = solve_weighted(g, cs)
         _assert_feasible(sol, g, cs)
@@ -252,7 +252,7 @@ def test_criterion_7_feasibility_sweep():
     for kind in ("unweighted", "overlapping", "weighted"):
         for seed in range(20):
             inst = gen_budget("interval", kind, {"n": 10}, seed=seed)
-            g = oriented_graph(inst)
+            g = oriented_graph(inst)[0]
             cs = inst.constraints
             if kind == "unweighted":
                 sols = [solve_unweighted(g, cs)[0], solve_unweighted_lr(g, cs)]

@@ -2,10 +2,12 @@
 and each ordering's certificate once; anything else is still checked
 wherever it is used.
 
-A passed check is recorded on the decomposition or the table and keyed by
-the object graph it ran against, so only the same objects with the same
-graph skip it. Hand-built instances that fail a check are refused by every
-entry point, however often they are tried."""
+A passed decomposition or germaneness check is recorded on the
+decomposition or the table and keyed by the object graph it ran against, so
+only the same objects with the same graph skip it. A certificate check is
+not recorded: the stage that ran it returns the bound, so certifying the
+solution reads that value. Hand-built instances that fail a check are
+refused by every entry point, however often they are tried."""
 
 import pytest
 
@@ -47,9 +49,9 @@ def _certificate_checks(monkeypatch) -> dict:
 
 def test_each_certificate_check_runs_once_per_request(tmp_path, monkeypatch):
     """lex-BFS's zero fill-in test and the frontier check of an explicit
-    ordering are recorded on the ordering, so certifying the solution runs
-    neither again; a tree-decomposition ordering's frontier sets need no
-    check."""
+    ordering run in the stage that orients the graph, which returns the
+    bound, so certifying the solution runs neither again; a
+    tree-decomposition ordering's frontier sets need no check."""
     chordal, frontier, subtrees = tmp_path / "chordal.json", tmp_path / "frontier.json", tmp_path / "subtrees.json"
     save_instance(gen_interval(30, seed=2), chordal)
     bids = [Bid(u, frozenset(objs), 2) for u, objs in [("a", {"w", "x"}), ("b", {"x", "y"}), ("c", {"y", "z"}), ("d", {"z", "w"})]]
@@ -103,7 +105,6 @@ def test_certifying_orients_only_a_graph_the_ordering_has_not_oriented(monkeypat
     for name, inst, bound in (("frontier", frontier, (2, "frontier-bound")), ("grid", gen_grid((3, 4), seed=1), (2, "grid-dimension"))):
         g = bid_graph(inst)
         ordering = ordering_from_spec(inst, g)
-        ordering._checked_on = None  # run the check, not its record
         cases += [(name, inst, ordering, graphs.orient(g, ordering), bound, 0), (name, inst, ordering, g, bound, 1)]
     counts = {"orient_by_index": 0}
     _count(monkeypatch, graphs, "orient_by_index", counts)
@@ -111,6 +112,26 @@ def test_certifying_orients_only_a_graph_the_ordering_has_not_oriented(monkeypat
         counts["orient_by_index"] = 0
         assert instances.beta_bound_info(inst, ordering, g) == bound
         assert counts["orient_by_index"] == builds, name
+
+
+def test_a_frontier_request_orients_once_and_a_tree_decomposition_order_builds_no_bid_graph(tmp_path, monkeypatch):
+    """``solve`` on an explicit ordering with frontier sets builds the
+    rank-space slices once and checks the sets on them; ``order --method
+    tree-decomposition`` checks the decomposition against the object graph
+    and builds no bid graph."""
+    bids = [Bid(u, frozenset(objs), 2) for u, objs in [("a", {"w", "x"}), ("b", {"x", "y"}), ("c", {"y", "z"}), ("d", {"z", "w"})]]
+    sets = {"a": frozenset({"w", "x"}), "b": frozenset({"y"}), "c": frozenset({"z"}), "d": frozenset({"z"})}
+    frontier, subtrees = tmp_path / "frontier.json", tmp_path / "subtrees.json"
+    save_instance(Instance(bids, None, None, OrderingSpec("explicit", list("abcd"), frontier_sets=sets)), frontier)
+    save_instance(gen_subtrees(40, 80, seed=3), subtrees)
+    counts = {"orient_by_index": 0, "graph": 0}
+    _count(monkeypatch, graphs, "orient_by_index", counts)
+    _count(monkeypatch, graphs.BidTable, "graph", counts)
+    assert run(["solve", "--input", str(frontier), "--output", str(tmp_path / "sol.json")]) == 0
+    assert counts == {"orient_by_index": 1, "graph": 1}
+    counts.update(orient_by_index=0, graph=0)
+    assert run(["order", "--input", str(subtrees), "--method", "tree-decomposition", "--output", str(tmp_path / "out.json")]) == 0
+    assert counts == {"orient_by_index": 0, "graph": 0}
 
 
 PATH_XYZ = (["x", "y", "z"], [("x", "y"), ("y", "z")])

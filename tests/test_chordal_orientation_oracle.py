@@ -6,10 +6,10 @@ ranks the rows into a copy of its own for the zero fill-in test, and
 ``orient`` ranks them again through a rank dict and an id lookup per node.
 On interval and subtree bid sets, on cycles of 4 to 7 bids, on random bid
 sets, with ids in ascending order or not, and on graphs of 0 and 1 bids, the
-library must return the same ordering with the same record, the same
-non-chordality witness, the same rank-space slices (through ``orient`` and
-through ``instances.oriented_graph``) and the same perfect-elimination
-verdict on random permutations.
+library must return the same ordering, the same non-chordality witness,
+the same rank-space slices (through ``orient`` and through
+``instances.oriented_graph``, which certifies beta <= 1 from lex-BFS's own
+test) and the same perfect-elimination verdict on random permutations.
 """
 
 import copy
@@ -119,9 +119,7 @@ def ref_lexbfs_peo(g):
     candidate = [by_id[p] for p in reversed(visit_order)]
     bad, parent, ranked = ref_zero_fill_in(ptr, nbr, candidate)
     if bad == n:
-        ordering = Ordering([g.ids[i] for i in candidate], "chordal")
-        ordering._checked_on = nbr
-        return ordering
+        return Ordering([g.ids[i] for i in candidate], "chordal")
     u, p = candidate[bad], parent[bad]
     near = set(ranked[ptr[candidate[p]] : ptr[candidate[p] + 1]])
     v = next(s for s in ranked[ptr[u] : ptr[u + 1]] if s > bad and s != p and s not in near)
@@ -212,14 +210,13 @@ def test_recognition_matches_the_id_space_reference(name):
             instances.oriented_graph(inst)
         assert caught.value.witness == (want.node, want.a, want.b)
         return
-    assert (got.order, got.provenance, got.frontier_sets) == (want.order, want.provenance, want.frontier_sets)
-    assert got._checked_on is want._checked_on
+    assert got == want
     expected = _slices(ref_orient(g, want))
     assert _slices(orient(g, got)) == expected
-    h = instances.oriented_graph(inst)
+    h, bound, method = instances.oriented_graph(inst)
     assert (h.ids, h.ptr, h.nbr, h.weights) == (g.ids, g.ptr, g.nbr, g.weights)
     assert _slices(h) == expected
-    assert instances.beta_bound_info(inst, h.ordering, h) == (1, "perfect-elimination")
+    assert (bound, method) == instances.beta_bound_info(inst, h.ordering, h) == (1, "perfect-elimination")
 
 
 @pytest.mark.parametrize("name", list(CASES))

@@ -415,6 +415,8 @@ def test_console_script_end_to_end(tmp_path):
         ('{"selected": ["b00", 7]}', "/selected/1"),
         ('{"selected": [], "revenue": "0"}', "/revenue"),
         ('{"selected": [], "revenue": 1.5}', "/revenue"),
+        ('{"selected": ["b00"], "revenue": 455, "algorithm": [1]}', "/algorithm"),
+        ('{"selected": ["b00"], "algorithm": null}', "/algorithm"),
         ('{"selected": ', ""),
     ],
 )

@@ -309,7 +309,7 @@ def test_generated_instances_match_reference(kind, k_max):
     for seed in range(3):
         params = {"n": 400, "group_size": 4, "k_max": k_max, "t": 3, "include_object_graph": False}
         inst = gen_budget("interval", kind, params, seed)
-        g = oriented_graph(inst)
+        g = oriented_graph(inst)[0]
         (check_unweighted if kind == "unweighted" else check_overlapping)(g, inst.constraints)
 
 

@@ -57,7 +57,7 @@ def count_pass(kind, params, solve):
     def build(n):
         inst = instances.gen_budget("interval", kind, {"n": n, "include_object_graph": False, **params}, seed=12)
         assert any(grp.limit > 1 for grp in inst.constraints.groups)
-        g = instances.oriented_graph(inst)
+        g = instances.oriented_graph(inst)[0]
         return lambda: solve(g, inst.constraints), g.n + g.m
 
     return build
@@ -67,7 +67,7 @@ def group_index(n):
     # the group index a budget solve builds once per graph; the count-pass
     # rows above time only the pass, as their warm-up call caches the index
     inst = instances.gen_budget("interval", "unweighted", {"n": n, "k_max": 3, "group_size": 4, "include_object_graph": False}, seed=12)
-    g = instances.oriented_graph(inst)
+    g = instances.oriented_graph(inst)[0]
     return lambda: budgets._groups_csr(inst.constraints, g.rank()), g.n + g.m
 
 
@@ -119,7 +119,7 @@ def chordal_orientation(n):
     # the bid graph, lex-BFS, the slices of its ordering and the zero
     # fill-in test on them, as a chordal solve runs them
     inst = instances.gen_interval(n, seed=4, include_object_graph=False)
-    g = instances.oriented_graph(inst)
+    g = instances.oriented_graph(inst)[0]
     return lambda: instances.oriented_graph(inst), g.n + g.m
 
 
@@ -132,7 +132,7 @@ def weighted(n):
     # money budgets with heavy and light bids, so that both the heavy side
     # and the lazy light pass have bids to weigh
     inst = instances.gen_budget("interval", "weighted", {"n": n, "include_object_graph": False}, seed=12)
-    g, cs = instances.oriented_graph(inst), inst.constraints
+    g, cs = instances.oriented_graph(inst)[0], inst.constraints
     budget = {u: grp.limit for grp in cs.groups for u in grp.members}
     assert any(budget[u] < 2 * w <= 2 * budget[u] for u, w in g.weights.items())
     assert any(2 * w <= budget[u] for u, w in g.weights.items())

@@ -353,7 +353,7 @@ def test_generated_instances_validate_and_order():
     for gen in ALL_FAMILIES:
         inst = gen(3)
         validate_instance(inst)
-        g = oriented_graph(inst)  # raises if the declared ordering fails
+        g = oriented_graph(inst)[0]  # raises if the declared ordering fails
         assert g.n == len(inst.bids)
 
 
@@ -417,15 +417,15 @@ def test_gen_subtrees_disjoint_edgeless():
 
 def test_gen_grid_shapes():
     path = gen_grid((1, 6), seed=0)
-    g = oriented_graph(path)
+    g = oriented_graph(path)[0]
     assert beta_exact(g).beta_graph == 1
 
     full = gen_grid((4, 4), seed=0)
-    g = oriented_graph(full)
+    g = oriented_graph(full)[0]
     assert beta_exact(g).beta_graph == 2
 
     cube = gen_grid((2, 2, 2), seed=0)
-    g = oriented_graph(cube)
+    g = oriented_graph(cube)[0]
     assert beta_exact(g).beta_graph <= 3
 
 
@@ -463,7 +463,7 @@ def test_grid_bound_needs_distinct_points_of_one_dimension(bids, coords):
     g = bid_graph(inst)
     assert beta_exact(orient(g, ordering)).beta_graph == 2
     assert beta_bound_info(inst, ordering, g) == (None, None)
-    assert beta_bound_info(inst, ordering, None) == (None, None)
+    assert beta_bound_info(inst, ordering, orient(g, ordering)) == (None, None)
 
 
 @pytest.mark.parametrize("point", [list, tuple])
@@ -494,12 +494,12 @@ def test_chordal_bound_needs_a_perfect_elimination_ordering():
     cycle = orient(g, Ordering(["a", "b", "c", "d"], "chordal"))
     assert beta_exact(cycle).beta_graph == 2
     assert beta_bound_info(inst, cycle.ordering, cycle) == (None, None)
-    sol = certify(opcost(cycle)[0], inst, cycle)
+    sol = certify(opcost(cycle)[0], inst, beta_bound_info(inst, cycle.ordering, cycle)[0])
     assert (sol.certificate.beta_bound, sol.certificate.claimed_ratio) == (None, None)
 
     path = Instance([Bid(u, frozenset(objs), 1) for u, objs in [("a", {"x"}), ("b", {"x", "y"}), ("c", {"y"})]])
     ordering = Ordering(["a", "c", "b"], "chordal")
-    assert beta_bound_info(path, ordering, None) == (1, "perfect-elimination")
+    assert beta_bound_info(path, ordering, bid_graph(path)) == (1, "perfect-elimination")
 
 
 def test_frontier_bound_needs_the_frontier_property():
@@ -512,7 +512,7 @@ def test_frontier_bound_needs_the_frontier_property():
     og = orient(g, ordering)
     assert beta_exact(og).beta_graph == 2
     assert beta_bound_info(inst, ordering, og) == (None, None)
-    sol = certify(opcost(og)[0], inst, og)
+    sol = certify(opcost(og)[0], inst, beta_bound_info(inst, ordering, og)[0])
     assert (sol.certificate.beta_bound, sol.certificate.claimed_ratio) == (None, None)
 
     sound = {"a": frozenset({"w", "x"}), "b": frozenset({"y"}), "c": frozenset({"z"}), "d": frozenset({"z"})}
@@ -533,7 +533,6 @@ def test_frontier_sets_that_leave_a_bid_out_certify_no_bound():
     with pytest.raises(UnsupportedOrderingError, match="leave out bid 'b'"):
         graphs.frontier_violations(g, ordering, inst.table.object_sets())
     assert beta_bound_info(inst, ordering, g) == (None, None)
-    assert beta_bound_info(inst, ordering, None) == (None, None)
 
 
 def test_grid_coordinates_that_leave_a_bid_out_certify_no_bound():
@@ -542,7 +541,6 @@ def test_grid_coordinates_that_leave_a_bid_out_certify_no_bound():
     inst = _two_bids_on_x(OrderingSpec("grid", coords={"a": (0,)}))
     ordering = Ordering(["a", "b"], "grid")
     assert beta_bound_info(inst, ordering, bid_graph(inst)) == (None, None)
-    assert beta_bound_info(inst, ordering, None) == (None, None)
 
 
 BID_ORDERS = {"leaves-out": ["a"], "repeats": ["a", "a"], "unknown-id": ["a", "c"], "extra-id": ["a", "b", "c"]}
@@ -562,7 +560,6 @@ def test_an_ordering_of_other_bids_certifies_no_bound(provenance, sets, order):
     inst = _two_bids_on_x(OrderingSpec("grid", coords={"a": (0,), "b": (1,)}))
     ordering = Ordering(order, provenance, sets)
     assert beta_bound_info(inst, ordering, bid_graph(inst)) == (None, None)
-    assert beta_bound_info(inst, ordering, None) == (None, None)
 
 
 def test_gen_tight_ratios():
@@ -570,7 +567,7 @@ def test_gen_tight_ratios():
     # opt/alg ratio is exactly beta * (1000 - eps) / 1000
     for beta, eps in [(3, 100), (5, 1), (2, 1)]:
         inst = gen_tight(beta, eps, seed=0)
-        g = oriented_graph(inst)
+        g = oriented_graph(inst)[0]
         sol, _ = opcost(g)
         assert sol.revenue == 1000
         opt = exact_mwis(g).revenue
@@ -579,7 +576,7 @@ def test_gen_tight_ratios():
     # hub itself is optimal, so the algorithm is exact here
     inst = gen_tight(1, 100, seed=0)
     assert len(inst.bids) == 2
-    g = oriented_graph(inst)
+    g = oriented_graph(inst)[0]
     sol, _ = opcost(g)
     succ_weight = sum(b.price for b in inst.bids if b.id != "a_hub")
     assert Fraction(succ_weight, sol.revenue) == Fraction(900, 1000)
@@ -650,7 +647,7 @@ def test_explicit_frontier_ordering_builds_the_bid_graph_once(monkeypatch):
     monkeypatch.setattr(graphs, "csr", lambda n, cliques: builds.append(n) or csr(n, cliques))
     for inst in (built, loads_instance(dumps_instance(built))):
         builds.clear()
-        g = oriented_graph(inst)
+        g = oriented_graph(inst)[0]
         assert g.ordering.frontier_sets == spec.frontier_sets
         assert builds == [g.n]
 
@@ -1125,8 +1122,8 @@ def test_load_solution_reads_what_dumps_solution_writes(tmp_path):
     """The reader takes back the selection, revenue and algorithm; the
     certificate's bound and ratio rest on checks it does not run."""
     inst = gen_interval(12, seed=1)
-    g = oriented_graph(inst)
-    sol = certify(opcost(g)[0], inst, g)
+    g, bound, _method = oriented_graph(inst)
+    sol = certify(opcost(g)[0], inst, bound)
     assert sol.certificate.beta_bound == 1
     path = tmp_path / "sol.json"
     path.write_text(dumps_solution(sol), encoding="utf-8")

@@ -141,4 +141,4 @@ def test_value_zero_nodes_occur():
 
 @pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.name)
 def test_golden_matches_reference(path):
-    check(oriented_graph(load_instance(path)))
+    check(oriented_graph(load_instance(path))[0])

@@ -6,6 +6,9 @@ and the command line's exit codes.
 * Every bound :func:`auctol.instances.beta_bound_info` certifies is at least
   :func:`auctol.beta_exact`, on orderings built by hand: any provenance, any
   frontier sets and any grid coordinates.
+* So is every bound :func:`auctol.instances.oriented_graph` takes from the
+  stage that built the ordering: lex-BFS, a tree decomposition of the object
+  graph, or explicit frontier sets checked once.
 * ``auctol/1`` documents with several fields wrong at once make
   ``solve``, ``order`` and ``verify`` exit 0, 2, 3, 4 or 5 and never raise.
 """
@@ -18,9 +21,11 @@ import json
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from auctol import Bid, Instance, Ordering, OrderingSpec, beta_exact, build_bid_graph, lropcost, opcost, orient
+from auctol import Bid, Instance, ObjectGraph, Ordering, OrderingSpec, beta_exact, build_bid_graph, lropcost, opcost, orient
 from auctol.cli import run
-from auctol.instances import beta_bound_info, bid_graph
+from auctol.errors import NotChordalError, ValidationError
+from auctol.instances import beta_bound_info, bid_graph, oriented_graph
+from auctol.orderings import min_degree_heuristic_decomposition
 
 OBJECTS = [f"o{j:02d}" for j in range(12)]
 
@@ -93,10 +98,42 @@ def test_certified_beta_bound_is_at_least_exact_beta(data):
     ordering = Ordering(order, provenance, frontier)
 
     g = bid_graph(inst)
-    bound, method = beta_bound_info(inst, ordering, data.draw(st.sampled_from((g, None))))
+    bound, method = beta_bound_info(inst, ordering, orient(g, ordering) if data.draw(st.booleans()) else g)
     if bound is not None:
         beta = beta_exact(orient(g, ordering)).beta_graph
         assert beta <= bound, (method, bound, beta)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.data())
+def test_stage_beta_bound_is_at_least_exact_beta(data):
+    """The object graph joins the objects of each bid and a few drawn pairs
+    more, so every bid is germane and its decomposition has bags of many
+    sizes. Frontier sets are drawn from each bid's objects and a few others,
+    so some pass the check and some fail it."""
+    bids = data.draw(bid_lists())
+    used = sorted(set().union(*(b.objects for b in bids)))
+    pairs = {tuple(sorted(b.objects))[i : i + 2] for b in bids for i in range(len(b.objects) - 1)}
+    pairs |= {tuple(sorted(pair)) for pair in data.draw(st.lists(st.tuples(st.sampled_from(used), st.sampled_from(used)), max_size=4))}
+    og = ObjectGraph(used, [(a, b) for a, b in pairs if a != b])
+    method = data.draw(st.sampled_from(("chordal", "tree-decomposition", "explicit")))
+    spec = OrderingSpec(method, data.draw(st.permutations([b.id for b in bids])))
+    if method == "tree-decomposition":
+        spec.tree_decomposition = min_degree_heuristic_decomposition(og)
+    if method == "explicit":
+        extra = st.sets(st.sampled_from(used), max_size=2)
+        spec.frontier_sets = {b.id: frozenset(data.draw(st.sets(st.sampled_from(sorted(b.objects))))) | data.draw(extra) for b in bids}
+    try:
+        g, bound, how = oriented_graph(Instance(bids, og, None, spec))
+    except NotChordalError:
+        assert method == "chordal"
+        return
+    except ValidationError as exc:
+        assert method == "explicit" and str(exc).startswith("frontier sets fail"), exc
+        return
+    assert bound is not None
+    beta = beta_exact(g).beta_graph
+    assert beta <= bound, (how, bound, beta)
 
 
 def _valid_document(draw):

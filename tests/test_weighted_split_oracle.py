@@ -126,7 +126,7 @@ def test_random_bid_sets_match_reference(light_mode):
 def test_generated_instances_match_reference(base, params, light_mode):
     for seed in range(12):
         inst = gen_budget(base, "weighted", params, seed)
-        g = oriented_graph(inst)
+        g = oriented_graph(inst)[0]
         same_solution(
             solve_weighted(g, inst.constraints, light_mode=light_mode),
             ref_weighted(g, inst.constraints, light_mode),
