@@ -38,8 +38,10 @@ from __future__ import annotations
 import copy
 import sys
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 from typing import NamedTuple
 
 from .errors import CapacityError, ValidationError
@@ -77,11 +79,7 @@ class ConstraintSet:
 
     def overlap(self) -> int:
         """t: the maximum number of groups any single bid belongs to."""
-        count: dict[str, int] = {}
-        for grp in self.groups:
-            for u in grp.members:
-                count[u] = count.get(u, 0) + 1
-        return max(count.values(), default=1)
+        return max(Counter(chain.from_iterable(grp.members for grp in self.groups)).values(), default=1)
 
 
 class GroupIndex(NamedTuple):

@@ -23,13 +23,14 @@ object graph is stored the same way, over object ids in ascending name
 order, and an instance keeps its bids as rows of those ids
 (:class:`BidTable`).
 
-No structure changes once built, except for three attributes written on
-first use: the index cache ``BidGraph.derived`` and two records naming the
-object graph a check passed against (``BidTable._germane_in``,
-``TreeDecomposition._valid_for``). A cached value is the same whichever
-thread builds it and a record only names a passed check, so threads that
-share an instance risk at most a repeated build or check. A record assumes
-that what it sits on is not changed after the check.
+No structure changes once built, except for four attributes written on
+first use: the id-to-node map ``BidGraph.index``, the index cache
+``BidGraph.derived`` and two records naming the object graph a check passed
+against (``BidTable._germane_in``, ``TreeDecomposition._valid_for``). A
+cached value is the same whichever thread builds it and a record only names
+a passed check, so threads that share an instance risk at most a repeated
+build or check. A record assumes that what it sits on is not changed after
+the check.
 """
 
 from __future__ import annotations
@@ -37,7 +38,9 @@ from __future__ import annotations
 import copy
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, chain, compress, filterfalse
+from operator import eq
 
 from .errors import CapacityError, UnsupportedOrderingError, ValidationError
 
@@ -85,25 +88,26 @@ class ObjectGraph:
         if len(self.index) != len(self.objects):
             _reject_edges(self.objects, edges)
         try:
-            src, dst = (list(map(self.index.__getitem__, side)) for side in zip(*edges)) if edges else ([], [])
+            ends = list(map(self.index.__getitem__, chain.from_iterable(edges)))
         except KeyError:
             _reject_edges(self.objects, edges)
+        if len(ends) != 2 * len(edges):  # an edge that is not a pair
+            _reject_edges(self.objects, edges)
         # from here on the edges are read as id pairs, and each temporary is
-        # dropped before the next is built: the given pairs (freed here when
+        # dropped once the next is built: the given pairs (freed here when
         # the caller passed an iterator and so holds no other reference),
-        # then the pair set, before the rows are built
+        # then the endpoint list, once split into its two sides
         del edges
-        self._src, self._dst = src, dst
-        # an edge given twice in one direction shrinks the pair set; one given
-        # both ways round, or a self-loop, has its reverse in the set
-        pairs = set(zip(src, dst))
-        if len(pairs) != len(src) or not pairs.isdisjoint(zip(dst, src)):
-            _reject_edges(self.objects, self.edges)
-        del pairs
+        self._src, self._dst = src, dst = ends[0::2], ends[1::2]
+        del ends
         rows: list[list[int]] = [[] for _ in self.names]
         for a, b in zip(src, dst):
             rows[a].append(b)
             rows[b].append(a)
+        # an edge given twice, either way round, or a self-loop repeats an
+        # entry of a row
+        if not all(map(eq, map(len, map(set, rows)), map(len, rows))):
+            _reject_edges(self.objects, self.edges)
         self.ptr = [0, *accumulate(map(len, rows))]
         self.nbr = list(chain.from_iterable(rows))
 
@@ -220,7 +224,8 @@ class BidGraph:
 
     Node i is bid ``ids[i]`` (input order). Its neighbours are
     ``nbr[ptr[i]:ptr[i + 1]]`` (compressed sparse rows: an offset array plus
-    one packed index array). :func:`orient` attaches an ordering and renames
+    one packed index array); ``index`` maps an id to its node, built the
+    first time it is read. :func:`orient` attaches an ordering and renames
     nodes to their rank in it: ``w[r]`` is the weight at rank r, and its
     earlier and later neighbours are the rank slices
     ``pred_idx[pred_ptr[r]:pred_ptr[r + 1]]`` and
@@ -230,11 +235,15 @@ class BidGraph:
     def __init__(self, weights: dict[str, int], ptr: array, nbr: array):
         self.ids: list[str] = list(weights)
         self.weights: dict[str, int] = weights
-        self.index: dict[str, int] = {u: i for i, u in enumerate(self.ids)}
         self.ptr, self.nbr = ptr, nbr
         self.ordering: Ordering | None = None  # it and the rank space are filled in by orient()
         self.w = self.pred_ptr = self.pred_idx = self.succ_ptr = self.succ_idx = None
         self.derived: list = []  # identity-keyed cache of per-constraint indexes
+
+    @cached_property
+    def index(self) -> dict[str, int]:
+        """Node index by bid id, built on first read."""
+        return dict(zip(self.ids, range(len(self.ids))))
 
     @property
     def n(self) -> int:

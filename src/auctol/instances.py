@@ -135,8 +135,9 @@ def validate_instance(inst: Instance) -> None:
     if bad := [key for key, value in inst.metadata.items() if _too_long(value)]:
         raise ValidationError(f"metadata {bad[0]!r}: integers must have at most 4300 digits")
     ids = check_unique_ids(table.ids)  # the one id set every rule below reads
-    if bad := [u for u, price in zip(table.ids, table.prices) if price >= _PRICE_LIMIT]:
-        raise ValidationError(f"bid {bad[0]!r}: price must have fewer than 4000 digits")
+    if max(table.prices, default=0) >= _PRICE_LIMIT:
+        bad = next(u for u, price in zip(table.ids, table.prices) if price >= _PRICE_LIMIT)
+        raise ValidationError(f"bid {bad!r}: price must have fewer than 4000 digits")
     if og is not None:
         bad = table.disconnected(og)  # interning against og has found every object declared
         if bad:
@@ -408,13 +409,33 @@ def _str_sets(value, pointer: str) -> dict[str, frozenset[str]]:
     return dict(zip(obj, map(frozenset, lists)))
 
 
-_BID_KEYS = {"id", "objects", "price", "group"}
+# The keys each kind of object in an instance file may hold; a count
+# constraint's groups hold a limit "k", a weighted one's a limit "b". A key
+# outside its table is refused, with its pointer.
+_KEYS = {
+    "instance": {"format", "metadata", "objects", "object_edges", "bids", "constraints", "ordering_spec"},
+    "bid": {"id", "objects", "price", "group"},
+    "constraints": {"kind", "groups"},
+    "group/k": {"label", "members", "k"},
+    "group/b": {"label", "members", "b"},
+    "ordering_spec": {"method", "permutation", "coords", "tree_decomposition", "independent_set", "frontier_sets", "beta_bound"},
+    "tree_decomposition": {"tree_nodes", "tree_edges", "bags", "root"},
+}
+
+
+def _known_keys(obj: dict, kind: str, pointer: str) -> dict:
+    """``obj``, whose keys must all be in the ``kind`` row of :data:`_KEYS`."""
+    allowed = _KEYS[kind]
+    if not allowed.issuperset(obj):
+        key = next(k for k in obj if k not in allowed)
+        raise SchemaError(f"{pointer}/{key}", "unknown key")
+    return obj
 
 
 def _load_bids(value, og: ObjectGraph | None) -> tuple[BidTable, set[str]]:
     """The bids, interned against ``og`` (or the names they use), and their id set."""
     entries = _expect_list(value, "/bids")
-    if not (_only(entries, {dict}) and set(chain.from_iterable(entries)) <= _BID_KEYS):
+    if not (_only(entries, {dict}) and _KEYS["bid"].issuperset(chain.from_iterable(entries))):
         _walk_bids(entries, og)
     ids, objs, prices, groups = (_column(entries, key) for key in ("id", "objects", "price", "group"))
     if not (
@@ -441,9 +462,7 @@ def _walk_bids(entries: list, og: ObjectGraph | None) -> None:
     """Raise the SchemaError for the first bid entry :func:`_load_bids` must refuse."""
     seen = set()
     for i, entry in enumerate(entries):
-        _expect_obj(entry, f"/bids/{i}")
-        for key in entry:
-            _expect(key in _BID_KEYS, f"/bids/{i}/{key}", "unknown key")
+        _known_keys(_expect_obj(entry, f"/bids/{i}"), "bid", f"/bids/{i}")
         bid_id = _expect_str(entry.get("id"), f"/bids/{i}/id")
         _expect(bid_id not in seen, f"/bids/{i}/id", f"duplicate bid id {bid_id!r}")
         seen.add(bid_id)
@@ -461,7 +480,7 @@ def _walk_bids(entries: list, og: ObjectGraph | None) -> None:
 
 def _load_groups(value, limit_key: str, ids: set[str]) -> list[Group]:
     gobjs = _expect_list(value, "/constraints/groups")
-    if not _only(gobjs, {dict}):
+    if not (_only(gobjs, {dict}) and _KEYS["group/" + limit_key].issuperset(chain.from_iterable(gobjs))):
         _walk_groups(gobjs, limit_key, ids)
     labels, members, limits = (_column(gobjs, key) for key in ("label", "members", limit_key))
     if not (
@@ -480,7 +499,7 @@ def _load_groups(value, limit_key: str, ids: set[str]) -> list[Group]:
 def _walk_groups(gobjs: list, limit_key: str, ids: set[str]) -> None:
     """Raise the SchemaError for the first group entry :func:`_load_groups` must refuse."""
     for i, gobj in enumerate(gobjs):
-        _expect_obj(gobj, f"/constraints/groups/{i}")
+        _known_keys(_expect_obj(gobj, f"/constraints/groups/{i}"), "group/" + limit_key, f"/constraints/groups/{i}")
         label = _expect_str(gobj.get("label"), f"/constraints/groups/{i}/label")
         members = _str_list(gobj.get("members"), f"/constraints/groups/{i}/members")
         for j, m in enumerate(members):
@@ -501,9 +520,7 @@ def obj_to_instance(obj: dict) -> Instance:
     _expect_obj(obj, "")
     obj = dict(obj)
     _expect(obj.get("format") == FORMAT_TAG, "/format", f"expected {FORMAT_TAG!r}")
-    known = {"format", "metadata", "objects", "object_edges", "bids", "constraints", "ordering_spec"}
-    for key in obj:
-        _expect(key in known, f"/{key}", "unknown key")
+    _known_keys(obj, "instance", "")
 
     metadata = {}
     if "metadata" in obj:
@@ -527,7 +544,7 @@ def obj_to_instance(obj: dict) -> Instance:
 
     constraints = None
     if "constraints" in obj:
-        cobj = _expect_obj(obj["constraints"], "/constraints")
+        cobj = _known_keys(_expect_obj(obj["constraints"], "/constraints"), "constraints", "/constraints")
         kind = _expect_str(cobj.get("kind"), "/constraints/kind")
         _expect(kind in KINDS, "/constraints/kind", f"unknown kind {kind!r}")
         groups = _load_groups(cobj.get("groups"), "b" if kind == "weighted" else "k", ids)
@@ -538,7 +555,7 @@ def obj_to_instance(obj: dict) -> Instance:
 
     spec = None
     if "ordering_spec" in obj:
-        sobj = _expect_obj(obj["ordering_spec"], "/ordering_spec")
+        sobj = _known_keys(_expect_obj(obj["ordering_spec"], "/ordering_spec"), "ordering_spec", "/ordering_spec")
         method = _expect_str(sobj.get("method"), "/ordering_spec/method")
         _expect(method in ORDERING_METHODS, "/ordering_spec/method", f"unknown method {method!r}")
         permutation = list(_str_list(sobj["permutation"], "/ordering_spec/permutation")) if "permutation" in sobj else None
@@ -552,11 +569,12 @@ def obj_to_instance(obj: dict) -> Instance:
                 coords[u] = tuple(_expect_int(x, f"/ordering_spec/coords/{u}/{i}") for i, x in enumerate(lst))
         td = None
         if "tree_decomposition" in sobj:
-            tobj = _expect_obj(sobj["tree_decomposition"], "/ordering_spec/tree_decomposition")
-            tnodes = list(_str_list(tobj.get("tree_nodes"), "/ordering_spec/tree_decomposition/tree_nodes"))
-            tedges = list(map(tuple, _str_pairs(tobj.get("tree_edges"), "/ordering_spec/tree_decomposition/tree_edges")))
-            bags = _str_sets(tobj.get("bags"), "/ordering_spec/tree_decomposition/bags")
-            root = None if tobj.get("root") is None else _expect_str(tobj["root"], "/ordering_spec/tree_decomposition/root")
+            tp = "/ordering_spec/tree_decomposition"
+            tobj = _known_keys(_expect_obj(sobj["tree_decomposition"], tp), "tree_decomposition", tp)
+            tnodes = list(_str_list(tobj.get("tree_nodes"), f"{tp}/tree_nodes"))
+            tedges = list(map(tuple, _str_pairs(tobj.get("tree_edges"), f"{tp}/tree_edges")))
+            bags = _str_sets(tobj.get("bags"), f"{tp}/bags")
+            root = None if tobj.get("root") is None else _expect_str(tobj["root"], f"{tp}/root")
             td = TreeDecomposition(tnodes, tedges, bags, root)
         independent_set = (
             frozenset(_str_list(sobj["independent_set"], "/ordering_spec/independent_set"))
@@ -651,7 +669,8 @@ def oriented_graph(inst: Instance) -> tuple[BidGraph, int | None, str | None]:
     and check name from the stage that built it: 1 from lex-BFS's zero
     fill-in test, the largest anchor bag from a tree decomposition checked
     against the object graph, else :func:`beta_bound_info` on the graph
-    oriented here. Explicit frontier sets that fail raise ValidationError."""
+    oriented here. Explicit frontier sets that fail, or that leave a bid
+    out, raise ValidationError."""
     return _stage(inst, True)
 
 
@@ -676,7 +695,10 @@ def _stage(inst: Instance, oriented: bool) -> tuple[BidGraph | None, int | None,
     h = orient(g, ordering) if oriented else g
     bound, how = beta_bound_info(inst, ordering, h)
     if bound is None and method == "explicit" and spec.frontier_sets is not None:  # name the first failing pair
-        a, b = frontier_violations(h, ordering, inst.table.object_sets())[0]
+        try:
+            a, b = frontier_violations(h, ordering, inst.table.object_sets())[0]
+        except UnsupportedOrderingError as exc:  # hand-built sets that leave a bid out
+            raise ValidationError(str(exc)) from exc
         raise ValidationError(f"frontier sets fail: {a!r} precedes and meets {b!r}, which misses frontier({a!r})")
     return h, bound, how
 

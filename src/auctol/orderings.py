@@ -378,21 +378,18 @@ def lexbfs_orientation(g: BidGraph) -> BidGraph:
     perfect elimination ordering, so the caller may certify beta <= 1 from
     it. On failure raises NotChordalError with a witness.
 
-    Ties are broken by bid id: nodes are renamed to their position in
-    ascending id order, so every block lists its members in id order.
+    Ties are broken by bid id. The search refines on ``g``'s own rows, in
+    node indices: the first block lists every node in ascending id order,
+    and each block a visit creates is sorted by id once that visit's row is
+    done, so every block lists its members in id order.
     Orientation on ``g`` is ignored; only the undirected structure matters.
     """
     n = g.n
     if n == 0:
         return orient_by_index(g, [], Ordering([], "chordal"))
-    by_id = sorted(range(n), key=g.ids.__getitem__)
-    name = [0] * n  # node index -> position in id order
-    for p, i in enumerate(by_id):
-        name[i] = p
-    ptr, named = g.ptr, list(map(name.__getitem__, g.nbr))
-    rows = [sorted(named[ptr[i] : ptr[i + 1]]) for i in by_id]
+    ptr, nbr, id_of = g.ptr, g.nbr, g.ids.__getitem__
 
-    head = _Block(list(range(n)))
+    head = _Block(sorted(range(n), key=id_of))
     block_of: list[_Block | None] = [head] * n
     visit_order: list[int] = []
 
@@ -410,7 +407,8 @@ def lexbfs_orientation(g: BidGraph) -> BidGraph:
             if head is not None:
                 head.prev = None
         # pull unvisited neighbors to a fresh block just ahead of their own
-        for v in rows[u]:
+        made = []
+        for v in nbr[ptr[u] : ptr[u + 1]]:
             blk = block_of[v]
             if blk is None:
                 continue
@@ -419,6 +417,7 @@ def lexbfs_orientation(g: BidGraph) -> BidGraph:
             else:
                 blk.stamp = u
                 blk.front = front = _Block([])
+                made.append(front)
                 front.prev = blk.prev
                 front.next = blk
                 if blk.prev is not None:
@@ -434,10 +433,12 @@ def lexbfs_orientation(g: BidGraph) -> BidGraph:
                 front.next = blk.next
                 if blk.next is not None:
                     blk.next.prev = front
-    del rows, named  # freed before the slices are built
+        for front in made:  # rows are in edge order; blocks are in id order
+            if front.size > 1:
+                front.members.sort(key=id_of)
 
-    candidate = list(map(by_id.__getitem__, reversed(visit_order)))
-    h = orient_by_index(g, candidate, Ordering(list(map(g.ids.__getitem__, candidate)), "chordal"))
+    candidate = visit_order[::-1]
+    h = orient_by_index(g, candidate, Ordering(list(map(id_of, candidate)), "chordal"))
     bad, parent = _zero_fill_in(h.pred_ptr, h.pred_idx)
     if bad == n:
         return h

@@ -234,3 +234,61 @@ def test_perfect_elimination_verdict_matches_the_reference(name):
         assert is_perfect_elimination(g, ordering) is want
         assert is_perfect_elimination(other, ordering) is want  # a graph oriented by another ordering
         assert is_perfect_elimination(orient(g, ordering), ordering) is want
+
+
+# ---------------------------------------------------------------------------
+# Visits that split several blocks at once. The library refines on the bid
+# graph's own rows, whose entries follow the object cliques rather than the
+# ids, and sorts each block a visit creates by id once the visit's row is
+# done. ``label_lexbfs`` is lex-BFS by its definition, with no partition: it
+# visits the unvisited node with the lexicographically largest label (the
+# visit numbers of its visited neighbours, in visit order), the lowest id
+# among ties, and counts the blocks each visit splits, one per distinct
+# label among the visited node's unvisited neighbours.
+
+
+def label_lexbfs(g):
+    """The visit order (node indices) and the most blocks one visit split."""
+    n, ptr, nbr = g.n, g.ptr, g.nbr
+    label = [[] for _ in range(n)]
+    unvisited = sorted(range(n), key=g.ids.__getitem__)
+    visit, most = [], 0
+    while unvisited:
+        best = max(label[v] for v in unvisited)
+        u = next(v for v in unvisited if label[v] == best)
+        unvisited.remove(u)
+        visit.append(u)
+        near = [v for v in nbr[ptr[u] : ptr[u + 1]] if v in unvisited]
+        most = max(most, len({tuple(label[v]) for v in near}))
+        for v in near:
+            label[v].append(n - len(visit))
+    return visit, most
+
+
+def _split_cases():
+    """Random bid sets of 6 to 30 bids on 3 to 9 objects, dense enough that
+    visits split three or more blocks, and subtree bid sets, all under ids
+    out of node order."""
+    rng = random.Random(27)
+    cases = [_renamed(_random_bids(rng, rng.randint(6, 30), rng.randint(3, 9)), rng) for _ in range(240)]
+    cases += [_renamed(gen_subtrees(8 + seed % 12, 30, seed=seed).bids, rng) for seed in range(60)]
+    return cases
+
+
+def test_visits_that_split_several_blocks_match_both_references():
+    wide = non_chordal = 0
+    for bids in _split_cases():
+        g = build_bid_graph(bids)
+        assert g.ids != sorted(g.ids)
+        visit, most = label_lexbfs(g)
+        got, want = lexbfs_peo(g), ref_lexbfs_peo(g)
+        assert got == want
+        if isinstance(got, NotChordal):
+            non_chordal += 1
+            with pytest.raises(NotChordalError) as caught:
+                instances.oriented_graph(Instance(bids, None, None, OrderingSpec("chordal")))
+            assert caught.value.witness == (want.node, want.a, want.b)
+        else:
+            assert got.order == [g.ids[i] for i in reversed(visit)]
+        wide += most >= 3
+    assert wide >= 200 and non_chordal >= 100, (wide, non_chordal)

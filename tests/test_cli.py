@@ -130,6 +130,10 @@ def test_solve_validation_error_exit(tmp_path, capsys):
             },
             "/constraints/groups/0/members",
         ),
+        (
+            {"bids": [{"id": "b0", "objects": ["o0"], "price": 1}], "ordering_spec": {"method": "chordal", "permutaton": ["b0"]}},
+            "/ordering_spec/permutaton",
+        ),
     ],
 )
 def test_load_errors_name_a_pointer(tmp_path, capsys, doc, pointer):

@@ -71,6 +71,12 @@ def group_index(n):
     return lambda: budgets._groups_csr(inst.constraints, g.rank()), g.n + g.m
 
 
+def object_graph(n):  # a path of n objects; elements are objects + edges
+    names = [f"o{i:05d}" for i in range(n)]
+    edges = list(zip(names, names[1:]))
+    return lambda: ObjectGraph(names, edges), 2 * n - 1
+
+
 def load(n):  # elements are input bytes
     text = instances.dumps_instance(instances.gen_interval(n, seed=4))
     return lambda: instances.loads_instance(text), len(text.encode("utf-8"))
@@ -179,6 +185,7 @@ STAGES = {
     ),
     "count-pass-overlapping": (count_pass("overlapping", {"k_max": 3, "t": 2}, budgets.solve_overlapping), SIZES),
     "group-index": (group_index, SIZES),
+    "object-graph": (object_graph, SIZES),
     "load": (load, SIZES),
     "load-malformed": (load_malformed, SIZES),
     "dump": (dump, SIZES),

@@ -98,6 +98,9 @@ def test_object_graph_rows_in_edge_order():
     assert td.bags == {"a": {"a", "b"}, "c": {"b", "c"}, "b": {"b", "d"}, "d": {"d"}}
 
 
+PATH = [f"o{i:02d}" for i in range(60)]  # a path of 59 valid edges, then a bad one
+
+
 @pytest.mark.parametrize(
     "objects, edges, message",
     [
@@ -106,7 +109,10 @@ def test_object_graph_rows_in_edge_order():
         ("abc", [("a", "b"), ("c", "c")], "self-loop on object 'c'"),
         ("ab", [("a", "x")], "edge endpoint 'x' is not a declared object"),
         ("aab", [("a", "b")], "duplicate object id 'a'"),
+        (PATH, [*zip(PATH, PATH[1:]), ("o31", "o30")], "duplicate edge 'o30'-'o31'"),
+        (PATH, [*zip(PATH, PATH[1:]), ("o40", "o40")], "self-loop on object 'o40'"),
     ],
+    ids=["reversed", "repeated", "self-loop", "undeclared", "duplicate-object", "reversed-late", "self-loop-late"],
 )
 def test_object_graph_names_the_first_bad_edge(objects, edges, message):
     """Edges are checked as id pairs once read; the error still names the

@@ -101,6 +101,40 @@ def test_schema_rejects_unknown_keys():
         loads_instance('{"format": "auctol/1", "bids": [], "surprise": 1}')
 
 
+def _with(name: str, change) -> str:
+    """The text of golden file ``name`` after ``change`` edits its parsed tree."""
+    obj = json.loads((GOLDEN / f"{name}.json").read_text())
+    change(obj)
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize(
+    "name, change, pointer",
+    [
+        ("interval-1", lambda o: o["ordering_spec"].update(permutaton=[]), "/ordering_spec/permutaton"),
+        ("budget-overlapping-1", lambda o: o["constraints"].update(extra=1), "/constraints/extra"),
+        ("budget-overlapping-1", lambda o: o["constraints"]["groups"][0].update(extra=1), "/constraints/groups/0/extra"),
+        ("budget-overlapping-1", lambda o: o["constraints"]["groups"][1].update(b=1), "/constraints/groups/1/b"),
+        ("budget-weighted-1", lambda o: o["constraints"]["groups"][0].update(k=1), "/constraints/groups/0/k"),
+        (
+            "interval-1",
+            lambda o: o["ordering_spec"].update(
+                method="tree-decomposition",
+                tree_decomposition={"tree_nodes": ["t"], "tree_edges": [], "bags": {"t": []}, "width": 0},
+            ),
+            "/ordering_spec/tree_decomposition/width",
+        ),
+    ],
+)
+def test_schema_rejects_unknown_keys_in_every_section(name, change, pointer):
+    """An unknown key under the constraints, a group (a limit key of the
+    other kind included), the ordering spec or its tree decomposition is
+    refused with its pointer, like one at the top level or in a bid."""
+    with pytest.raises(SchemaError) as exc:
+        loads_instance(_with(name, change))
+    assert str(exc.value) == f"{pointer}: unknown key"
+
+
 @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e999"])
 def test_non_finite_metadata_rejected_on_load(value):
     """``json`` reads these as floats, but no JSON reader accepts them back."""
@@ -535,6 +569,15 @@ def test_frontier_sets_that_leave_a_bid_out_certify_no_bound():
     assert beta_bound_info(inst, ordering, g) == (None, None)
 
 
+def test_oriented_graph_refuses_frontier_sets_that_leave_a_bid_out():
+    """An explicit spec built by hand whose frontier sets leave out bid b
+    fails like any other hand-built part, with a ValidationError naming b."""
+    inst = _two_bids_on_x(OrderingSpec("explicit", ["a", "b"], frontier_sets={"a": frozenset({"x"})}))
+    with pytest.raises(ValidationError) as exc:
+        oriented_graph(inst)
+    assert type(exc.value) is ValidationError and str(exc.value) == "frontier sets leave out bid 'b'"
+
+
 def test_grid_coordinates_that_leave_a_bid_out_certify_no_bound():
     """A grid spec built by hand with coordinates for a only certifies no
     bound (it once raised KeyError)."""
@@ -860,12 +903,16 @@ def reference_obj_to_instance(obj):
     constraints = None
     if "constraints" in obj:
         cobj = _ref_obj(obj["constraints"], "/constraints")
+        for key in cobj:
+            _ref_expect(key in {"kind", "groups"}, f"/constraints/{key}", "unknown key")
         kind = _ref_str(cobj.get("kind"), "/constraints/kind")
         _ref_expect(kind in ("unweighted", "overlapping", "weighted"), "/constraints/kind", f"unknown kind {kind!r}")
         limit_key = "b" if kind == "weighted" else "k"
         groups = []
         for i, gobj in enumerate(_ref_list(cobj.get("groups"), "/constraints/groups")):
             _ref_obj(gobj, f"/constraints/groups/{i}")
+            for key in gobj:
+                _ref_expect(key in {"label", "members", limit_key}, f"/constraints/groups/{i}/{key}", "unknown key")
             label = _ref_str(gobj.get("label"), f"/constraints/groups/{i}/label")
             members = [
                 _ref_str(m, f"/constraints/groups/{i}/members/{j}")
@@ -885,6 +932,9 @@ def reference_obj_to_instance(obj):
     spec = None
     if "ordering_spec" in obj:
         sobj = _ref_obj(obj["ordering_spec"], "/ordering_spec")
+        spec_keys = {"method", "permutation", "coords", "tree_decomposition", "independent_set", "frontier_sets", "beta_bound"}
+        for key in sobj:
+            _ref_expect(key in spec_keys, f"/ordering_spec/{key}", "unknown key")
         method = _ref_str(sobj.get("method"), "/ordering_spec/method")
         _ref_expect(method in ORDERING_METHODS, "/ordering_spec/method", f"unknown method {method!r}")
         permutation = None
@@ -905,6 +955,8 @@ def reference_obj_to_instance(obj):
         if "tree_decomposition" in sobj:
             tp = "/ordering_spec/tree_decomposition"
             tobj = _ref_obj(sobj["tree_decomposition"], tp)
+            for key in tobj:
+                _ref_expect(key in {"tree_nodes", "tree_edges", "bags", "root"}, f"{tp}/{key}", "unknown key")
             tnodes = [
                 _ref_str(t, f"{tp}/tree_nodes/{i}")
                 for i, t in enumerate(_ref_list(tobj.get("tree_nodes"), f"{tp}/tree_nodes"))

@@ -11,6 +11,8 @@ and the command line's exit codes.
   graph, or explicit frontier sets checked once.
 * ``auctol/1`` documents with several fields wrong at once make
   ``solve``, ``order`` and ``verify`` exit 0, 2, 3, 4 or 5 and never raise.
+* A loadable document with one unknown key added to any object whose keys
+  the format fixes is refused, naming that key's pointer.
 """
 
 import contextlib
@@ -201,21 +203,45 @@ def _at(doc, path):
     return doc
 
 
+# keys no object of the format allows, and ones that some object allows
+EXTRA_KEYS = st.sampled_from(("extra", "permutaton", "k", "b", "id", "kind", "root"))
+
+
 @st.composite
 def broken_documents(draw):
     """A loadable document with two to four of its values replaced by junk
     or by a copy of another of its values or, where they sit in an object,
-    removed."""
+    removed or joined by a key that may be unknown there."""
     doc = _valid_document(draw)
     for _ in range(draw(st.integers(2, 4))):
         paths = list(_paths(doc))
         *where, key = draw(st.sampled_from(paths))
         parent = _at(doc, where)
-        if isinstance(parent, dict) and draw(st.booleans()):
+        action = draw(st.sampled_from(("replace", "delete", "add-key"))) if isinstance(parent, dict) else "replace"
+        if action == "delete":
             del parent[key]
+        elif action == "add-key":
+            parent.setdefault(draw(EXTRA_KEYS), draw(JUNK))
         else:
             parent[key] = copy.deepcopy(draw(st.one_of(JUNK, st.sampled_from(paths).map(lambda p: _at(doc, p)))))
     return doc
+
+
+def _fixed_key_objects(doc):
+    """The pointer and value of every object in ``doc`` whose keys the
+    format fixes: the document, each bid, the constraints and each group,
+    the ordering spec and its tree decomposition."""
+    yield "", doc
+    for i, bid in enumerate(doc["bids"]):
+        yield f"/bids/{i}", bid
+    if "constraints" in doc:
+        yield "/constraints", doc["constraints"]
+        for i, grp in enumerate(doc["constraints"]["groups"]):
+            yield f"/constraints/groups/{i}", grp
+    if "ordering_spec" in doc:
+        yield "/ordering_spec", doc["ordering_spec"]
+        if "tree_decomposition" in doc["ordering_spec"]:
+            yield "/ordering_spec/tree_decomposition", doc["ordering_spec"]["tree_decomposition"]
 
 
 ARGVS = st.sampled_from(
@@ -239,3 +265,27 @@ def test_broken_documents_exit_with_a_code(tmp_path_factory, doc, argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = run(argv)
     assert code in (0, 2, 3, 4, 5), (argv, doc)
+
+
+@settings(max_examples=100, deadline=None, database=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data(), ARGVS)
+def test_an_unknown_key_exits_2_naming_it(tmp_path_factory, data, argv):
+    """A key added to an object whose keys the format fixes, where that
+    object does not allow it, makes ``solve`` and ``order`` exit 2 and
+    ``verify`` report a failed set-up (exit 5), naming the key; in a group
+    the limit key of the other constraint kind is such a key."""
+    doc = _valid_document(data.draw)
+    if "ordering_spec" in doc and data.draw(st.booleans()):
+        doc["ordering_spec"]["tree_decomposition"] = {"tree_nodes": ["t"], "tree_edges": [], "bags": {"t": []}}
+    pointer, obj = data.draw(st.sampled_from(list(_fixed_key_objects(doc))))
+    key = data.draw(EXTRA_KEYS.filter(lambda k: k not in obj and not (k == "root" and pointer.endswith("decomposition"))))
+    obj[key] = data.draw(JUNK)
+    path = tmp_path_factory.mktemp("doc") / "inst.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    argv = argv[:1] + ["--input", str(path)] + argv[1:] + ([] if argv[0] == "verify" else ["--output", str(path.with_name("out.json"))])
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run(argv)
+    message = f"{pointer}/{key}: unknown key"
+    want = (5, f"inst.json: setup failed: {message}\n") if argv[0] == "verify" else (2, f"schema error: {message}\n")
+    assert (code, err.getvalue()) == want, (argv, doc)
