@@ -112,7 +112,6 @@ PATH = [f"o{i:02d}" for i in range(60)]  # a path of 59 valid edges, then a bad 
         (PATH, [*zip(PATH, PATH[1:]), ("o31", "o30")], "duplicate edge 'o30'-'o31'"),
         (PATH, [*zip(PATH, PATH[1:]), ("o40", "o40")], "self-loop on object 'o40'"),
     ],
-    ids=["reversed", "repeated", "self-loop", "undeclared", "duplicate-object", "reversed-late", "self-loop-late"],
 )
 def test_object_graph_names_the_first_bad_edge(objects, edges, message):
     """Edges are checked as id pairs once read; the error still names the

@@ -269,7 +269,7 @@ def test_broken_documents_exit_with_a_code(tmp_path_factory, doc, argv):
 
 @settings(max_examples=100, deadline=None, database=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.data(), ARGVS)
-def test_an_unknown_key_exits_2_naming_it(tmp_path_factory, data, argv):
+def test_an_unknown_key_is_refused_naming_it(tmp_path_factory, data, argv):
     """A key added to an object whose keys the format fixes, where that
     object does not allow it, makes ``solve`` and ``order`` exit 2 and
     ``verify`` report a failed set-up (exit 5), naming the key; in a group
