@@ -130,9 +130,10 @@ def _groups_csr(cs: ConstraintSet, pos: dict[str, int]) -> GroupIndex:
     return GroupIndex(array("q", counts), array("q", gidx), [grp.limit for grp in cs.groups], members_by_rank)
 
 
-def _group_index(g: BidGraph, cs: ConstraintSet) -> GroupIndex:
-    """The group index of ``cs`` over ``g``'s ranks, built once per graph."""
-    return g.cached(cs, lambda: _groups_csr(cs, g.rank()))
+def group_index(g: BidGraph, cs: ConstraintSet) -> GroupIndex:
+    """The group index of ``cs`` over ``g``'s ranks, built on every call from
+    the groups ``cs`` holds then."""
+    return _groups_csr(cs, g.rank())
 
 
 def _expect_kind(cs: ConstraintSet, kind: str) -> None:
@@ -145,13 +146,13 @@ def solve_unweighted(g: BidGraph, cs: ConstraintSet) -> tuple[Solution, ValueTab
     opportunity-cost :func:`~auctol.solvers.forward_pass` over the group
     index, with its value table."""
     _expect_kind(cs, "unweighted")
-    return forward_pass(g, _group_index(g, cs), cs.kind)
+    return forward_pass(g, group_index(g, cs), cs.kind)
 
 
 def solve_unweighted_lr(g: BidGraph, cs: ConstraintSet) -> Solution:
     """Oracle: the local-ratio form of :func:`solve_unweighted`."""
     _expect_kind(cs, "unweighted")
-    return local_ratio(g, _group_index(g, cs), cs.kind + "-lr")
+    return local_ratio(g, group_index(g, cs), cs.kind + "-lr")
 
 
 def solve_overlapping(g: BidGraph, cs: ConstraintSet) -> Solution:
@@ -159,13 +160,13 @@ def solve_overlapping(g: BidGraph, cs: ConstraintSet) -> Solution:
     bid in at most t of them: :func:`~auctol.solvers.forward_pass` over the
     group index."""
     _expect_kind(cs, "overlapping")
-    return forward_pass(g, _group_index(g, cs), cs.kind)[0]
+    return forward_pass(g, group_index(g, cs), cs.kind)[0]
 
 
 def solve_overlapping_lr(g: BidGraph, cs: ConstraintSet) -> Solution:
     """Oracle: the local-ratio form of :func:`solve_overlapping`."""
     _expect_kind(cs, "overlapping")
-    return local_ratio(g, _group_index(g, cs), cs.kind + "-lr")
+    return local_ratio(g, group_index(g, cs), cs.kind + "-lr")
 
 
 # Light-pass numerics: cur > 1e-9 * b decides "still worth selecting", and a
@@ -200,7 +201,7 @@ def solve_light(g: BidGraph, cs: ConstraintSet, mode: str = "lazy") -> tuple[Sol
     order, w = g.order(), g.w
     succ_ptr, succ_idx = g.succ_ptr, g.succ_idx
     n = len(order)
-    gx = _group_index(g, cs)
+    gx = group_index(g, cs)
     gi_of, b, members_by_rank = gx.gidx, gx.limits, gx.members_by_rank
     for i in range(n):
         if 2 * w[i] > b[gi_of[i]]:
@@ -259,7 +260,7 @@ def solve_light(g: BidGraph, cs: ConstraintSet, mode: str = "lazy") -> tuple[Sol
 
 
 def _reweighted(g: BidGraph, w: list[int]) -> BidGraph:
-    """``g`` with rank-space weights ``w``, sharing its rows, orientation and group indexes."""
+    """``g`` with rank-space weights ``w``, sharing its rows and orientation."""
     h = copy.copy(g)
     h.w = w
     return h
@@ -271,13 +272,13 @@ def solve_weighted(g: BidGraph, cs: ConstraintSet, light_mode: str = "lazy") -> 
     Both sides run on ``g`` with the other bids' weights masked to 0 (a bid
     of weight 0 never takes a positive value, so it never charges or wins).
     Heavy bids (b/2 < weight <= b) are mutually exclusive within a group, so
-    that side is :func:`~auctol.solvers.forward_pass` with k=1 per group; the
-    light side (weight <= b/2) runs :func:`solve_light`. Bids above their
-    whole group budget are 0 on both. The higher-revenue side wins; ties go
-    to the heavy side.
+    that side is :func:`~auctol.solvers.forward_pass` with k=1 per group over
+    one group index; the light side (weight <= b/2) runs :func:`solve_light`,
+    which builds its own. Bids above their whole group budget are 0 on both.
+    The higher-revenue side wins; ties go to the heavy side.
     """
     _expect_kind(cs, "weighted")
-    gx = _group_index(g, cs)
+    gx = group_index(g, cs)
     budget = [gx.limits[gi] for gi in gx.gidx]  # the groups partition the bids: one per rank
     heavy_w = [w if w <= b < 2 * w else 0 for w, b in zip(g.w, budget)]
     light_w = [w if 2 * w <= b else 0 for w, b in zip(g.w, budget)]

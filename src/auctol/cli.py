@@ -22,7 +22,7 @@ import time
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 from pathlib import Path
 
 from . import budgets, instances, solvers
@@ -338,15 +338,15 @@ def _bench_instance(family: str, target: int, seed: int):
     return inst, g
 
 
-def _bench_solvers(family: str, inst):
+def _bench_solvers(family: str, inst, g) -> dict:
+    """The timed passes on one fixture, as zero-argument calls. A budget
+    family builds its group index here, so that its row times the count
+    pass alone."""
     if family == "interval":
-        return {
-            "opcost": lambda g: solvers.opcost(g)[0],
-            "lropcost": lambda g: solvers.lropcost(g),
-        }
+        return {"opcost": lambda: solvers.opcost(g), "lropcost": lambda: solvers.lropcost(g)}
     cs = inst.constraints
-    one_pass, _cross_check = budgets.SOLVERS_BY_KIND[cs.kind]
-    return {cs.kind: lambda g: one_pass(g, cs)}
+    gx = budgets.group_index(g, cs)
+    return {cs.kind: lambda: solvers.forward_pass(g, gx, cs.kind)}
 
 
 # A sample times back-to-back calls for at least this long, so that a pass
@@ -391,12 +391,12 @@ def run_bench(family: str, sizes, seed: int = 0, repeats: int = 3) -> dict:
     rows, timed = [], []
     for target in sizes:
         inst, g = _bench_instance(family, target, seed)
-        fns = _bench_solvers(family, inst)
+        calls = _bench_solvers(family, inst, g)
         del inst
         gc.collect()
         row = {"target": target, "n": g.n, "m": g.m, "elements": g.n + g.m, "solvers": {}}
         rows.append(row)
-        timed += [(row, name, partial(fn, g)) for name, fn in fns.items()]
+        timed += [(row, name, call) for name, call in calls.items()]
     samples = interleaved_samples([call for _row, _name, call in timed], repeats)
     for (row, name, _call), (calls, dt) in zip(timed, samples):
         row["solvers"][name] = {

@@ -23,14 +23,13 @@ object graph is stored the same way, over object ids in ascending name
 order, and an instance keeps its bids as rows of those ids
 (:class:`BidTable`).
 
-No structure changes once built, except for four attributes written on
-first use: the id-to-node map ``BidGraph.index``, the index cache
-``BidGraph.derived`` and two records naming the object graph a check passed
-against (``BidTable._germane_in``, ``TreeDecomposition._valid_for``). A
-cached value is the same whichever thread builds it and a record only names
-a passed check, so threads that share an instance risk at most a repeated
-build or check. A record assumes that what it sits on is not changed after
-the check.
+No structure changes once built, except for three attributes written on
+first use: the id-to-node map ``BidGraph.index`` and two records naming the
+object graph a check passed against (``BidTable._germane_in``,
+``TreeDecomposition._valid_for``). The map is the same whichever thread
+builds it and a record only names a passed check, so threads that share an
+instance risk at most a repeated build or check. A record assumes that what
+it sits on is not changed after the check.
 """
 
 from __future__ import annotations
@@ -238,7 +237,6 @@ class BidGraph:
         self.ptr, self.nbr = ptr, nbr
         self.ordering: Ordering | None = None  # it and the rank space are filled in by orient()
         self.w = self.pred_ptr = self.pred_idx = self.succ_ptr = self.succ_idx = None
-        self.derived: list = []  # identity-keyed cache of per-constraint indexes
 
     @cached_property
     def index(self) -> dict[str, int]:
@@ -266,14 +264,6 @@ class BidGraph:
         self.order()  # raises on an unoriented graph
         return self.ordering.rank()
 
-    def cached(self, key, build):
-        """``build()``, computed once per ``key`` object on this graph."""
-        for k, value in self.derived:
-            if k is key:
-                return value
-        value = build()
-        self.derived.append((key, value))
-        return value
 
 def csr(n: int, cliques) -> tuple[array, array]:
     """Adjacency rows of the graph on nodes 0..n-1 in which the members of
@@ -409,10 +399,10 @@ def orient(g: BidGraph, ordering: Ordering) -> BidGraph:
 
 
 def orient_by_index(g: BidGraph, order: list[int], ordering: Ordering) -> BidGraph:
-    """A copy of ``g`` sharing its ids and rows, with its own cache of derived
-    indexes, every edge pointing from the earlier node in ``ordering`` (node
-    indices ``order``) to the later, and the rank-space weights and
-    predecessor/successor slices built once, each row entry ranked once."""
+    """A copy of ``g`` sharing its ids and rows, every edge pointing from the
+    earlier node in ``ordering`` (node indices ``order``) to the later, and
+    the rank-space weights and predecessor/successor slices built once, each
+    row entry ranked once."""
     n, ptr, nbr = g.n, g.ptr, g.nbr
     rank = [0] * n
     for r, i in enumerate(order):
@@ -433,7 +423,6 @@ def orient_by_index(g: BidGraph, order: list[int], ordering: Ordering) -> BidGra
                 p += 1
         pred_ptr[r + 1], succ_ptr[r + 1] = p, q
     out = copy.copy(g)
-    out.derived = []
     out.ordering, out.w = ordering, list(map(g.weights.__getitem__, ordering.order))
     out.pred_ptr, out.pred_idx, out.succ_ptr, out.succ_idx = pred_ptr, pred_idx, succ_ptr, succ_idx
     return out

@@ -285,6 +285,26 @@ def test_weighted_checks_light_pass_inputs_without_light_bids():
         solve_weighted(g, cs, light_mode="bogus")
 
 
+@pytest.mark.parametrize(
+    "kind, before, after, price",
+    [("unweighted", 4, 1, 1), ("weighted", 40, 10, 10)],
+)
+def test_solve_reads_constraints_edited_in_place(kind, before, after, price):
+    # one oriented graph, one constraint set edited between two solves: the
+    # second solve must read the new limit, not an index of the old one
+    ids = ["a", "b", "c", "d"]
+    g = oriented([Bid(u, {f"o{u}"}, price, "g1") for u in ids])
+    cs = ConstraintSet(kind, [Group("g1", set(ids), before)])
+    solve = solve_weighted if kind == "weighted" else (lambda g, cs: solve_unweighted(g, cs)[0])
+    first = solve(g, cs)
+    assert first.selected == frozenset(ids)
+    assert check_feasible(first, g, cs) == (True, [])
+    cs.groups[0] = Group("g1", set(ids), after)
+    second = solve(g, cs)
+    assert check_feasible(second, g, cs) == (True, [])
+    assert len(second.selected) == 1 and second.revenue == price
+
+
 def test_check_feasible_cases():
     bids = [Bid("a", {"s"}, 5, "g"), Bid("b", {"s"}, 3, "g")]
     g = oriented(bids)

@@ -131,7 +131,6 @@ def ref_orient(g, ordering):
     if len(order) != g.n or rank.keys() != g.index.keys():
         raise ValidationError("ordering must be a permutation of exactly the graph's nodes")
     out = copy.copy(g)
-    out.derived = []
     ptr, nbr, index = g.ptr, g.nbr, g.index
     rank_of = [rank[u] for u in g.ids]
     pred_ptr, succ_ptr = array("q", [0]) * (g.n + 1), array("q", [0]) * (g.n + 1)

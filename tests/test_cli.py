@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from auctol import Bid, Instance, OrderingSpec, cli, decreasing_weight_ordering, exact_mwis, instances, opcost, orient
+from auctol import Bid, Instance, OrderingSpec, budgets, cli, decreasing_weight_ordering, exact_mwis, instances, opcost, orient
 from auctol import dumps_instance, gen_budget, gen_grid, gen_interval, gen_interval_selection, gen_subtrees, gen_tight, save_instance
 from auctol.cli import run
 from auctol.errors import ValidationError
@@ -354,6 +354,16 @@ def test_bench_smoke(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["ok"]
     assert set(report["checks"]) == {"opcost", "lropcost"}
+
+
+def test_bench_budget_rows_time_the_count_pass_alone(monkeypatch):
+    # the group index is built once per size, outside the timed calls
+    built = []
+    groups_csr = budgets._groups_csr
+    monkeypatch.setattr(budgets, "_groups_csr", lambda cs, pos: built.append(len(pos)) or groups_csr(cs, pos))
+    report = cli.run_bench("budget-unweighted", [2000, 4000], repeats=1)
+    assert built == [row["n"] for row in report["rows"]]
+    assert [set(row["solvers"]) for row in report["rows"]] == [{"unweighted"}] * 2
 
 
 def test_bench_sizes_not_integers_exit2(capsys):

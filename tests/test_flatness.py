@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from auctol import Bid, ObjectGraph, SchemaError, budgets, instances, orderings
+from auctol import Bid, ObjectGraph, SchemaError, budgets, instances, orderings, solvers
 from auctol.cli import MAX_RATIO, interleaved_samples, verify_instance
 from auctol.graphs import build_bid_graph, frontier_violations, orient
 from test_graphs import disconnected
@@ -51,24 +51,26 @@ def germane_hub(n):
     return lambda: disconnected(og, bids), n
 
 
-def count_pass(kind, params, solve):
+def count_pass(kind, params):
     # the k-of-group pass with limits up to 3, where values are numerators
-    # over a common denominator that the pass refines
+    # over a common denominator that the pass refines; the group index is
+    # built here, so the row times the pass alone
     def build(n):
         inst = instances.gen_budget("interval", kind, {"n": n, "include_object_graph": False, **params}, seed=12)
         assert any(grp.limit > 1 for grp in inst.constraints.groups)
         g = instances.oriented_graph(inst)[0]
-        return lambda: solve(g, inst.constraints), g.n + g.m
+        gx = budgets.group_index(g, inst.constraints)
+        return lambda: solvers.forward_pass(g, gx, kind), g.n + g.m
 
     return build
 
 
 def group_index(n):
-    # the group index a budget solve builds once per graph; the count-pass
-    # rows above time only the pass, as their warm-up call caches the index
+    # the group index a budget solve builds on every call, timed apart from
+    # the count-pass rows above
     inst = instances.gen_budget("interval", "unweighted", {"n": n, "k_max": 3, "group_size": 4, "include_object_graph": False}, seed=12)
     g = instances.oriented_graph(inst)[0]
-    return lambda: budgets._groups_csr(inst.constraints, g.rank()), g.n + g.m
+    return lambda: budgets.group_index(g, inst.constraints), g.n + g.m
 
 
 def object_graph(n):  # a path of n objects; elements are objects + edges
@@ -179,11 +181,8 @@ STAGES = {
     "tree-decomposition": (tree_decomposition, (1000, 8000)),
     "lexbfs": (lexbfs, SIZES),
     "germane-hub": (germane_hub, SIZES),
-    "count-pass-unweighted": (
-        count_pass("unweighted", {"k_max": 3, "group_size": 4}, lambda g, cs: budgets.solve_unweighted(g, cs)[0]),
-        SIZES,
-    ),
-    "count-pass-overlapping": (count_pass("overlapping", {"k_max": 3, "t": 2}, budgets.solve_overlapping), SIZES),
+    "count-pass-unweighted": (count_pass("unweighted", {"k_max": 3, "group_size": 4}), SIZES),
+    "count-pass-overlapping": (count_pass("overlapping", {"k_max": 3, "t": 2}), SIZES),
     "group-index": (group_index, SIZES),
     "object-graph": (object_graph, SIZES),
     "load": (load, SIZES),
