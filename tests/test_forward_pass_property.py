@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from auctol import Bid, ConstraintSet, Group, Ordering, build_bid_graph, orient
-from auctol.budgets import _groups_csr
+from auctol.budgets import group_index
 from auctol.solvers import forward_pass, local_ratio
 
 
@@ -35,7 +35,7 @@ def fraction_values(g, gx):
 
 
 def check_pass(g, cs):
-    gx = _groups_csr(cs, g.rank())
+    gx = group_index(g, cs)
     sol, table = forward_pass(g, gx, cs.kind)
     assert sol.selected == local_ratio(g, gx, cs.kind).selected
     want = fraction_values(g, gx)

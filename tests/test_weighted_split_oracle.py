@@ -29,7 +29,7 @@ from auctol import (
     solve_unweighted,
     solve_weighted,
 )
-from auctol.budgets import _groups_csr
+from auctol.budgets import group_index
 from auctol.graphs import csr
 from auctol.solvers import selection_solution
 
@@ -45,7 +45,7 @@ def induced(g, keep):
 
 
 def ref_weighted(g, cs, light_mode="lazy"):
-    gx = _groups_csr(cs, g.rank())
+    gx = group_index(g, cs)
     budget = [gx.limits[gi] for gi in gx.gidx]
     heavy = [u for u, w, b in zip(g.order(), g.w, budget) if w <= b < 2 * w]
     light = [u for u, w, b in zip(g.order(), g.w, budget) if 2 * w <= b]
