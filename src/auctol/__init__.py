@@ -23,7 +23,6 @@ from .errors import (
     CapacityError,
     NotChordalError,
     SchemaError,
-    UnsupportedOrderingError,
     ValidationError,
 )
 from .graphs import (

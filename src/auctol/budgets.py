@@ -94,12 +94,14 @@ class GroupIndex(NamedTuple):
     members_by_rank: list[list[int]]
 
 
-def _groups_csr(cs: ConstraintSet, pos: dict[str, int]) -> GroupIndex:
-    """Build the group index of ``cs`` over node positions ``pos``.
+def group_index(g: BidGraph, cs: ConstraintSet) -> GroupIndex:
+    """The group index of ``cs`` over ``g``'s ranks, built on every call from
+    the groups ``cs`` holds then.
 
     Checks that every member is a node and, for the partition kinds
     (unweighted, weighted), that every node is in exactly one group.
     """
+    pos = g.rank()
     n = len(pos)
     counts = [0] * (n + 1)
     members_by_rank: list[list[int]] = []
@@ -128,12 +130,6 @@ def _groups_csr(cs: ConstraintSet, pos: dict[str, int]) -> GroupIndex:
             gidx[fill[i]] = gi
             fill[i] += 1
     return GroupIndex(array("q", counts), array("q", gidx), [grp.limit for grp in cs.groups], members_by_rank)
-
-
-def group_index(g: BidGraph, cs: ConstraintSet) -> GroupIndex:
-    """The group index of ``cs`` over ``g``'s ranks, built on every call from
-    the groups ``cs`` holds then."""
-    return _groups_csr(cs, g.rank())
 
 
 def _expect_kind(cs: ConstraintSet, kind: str) -> None:

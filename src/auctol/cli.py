@@ -6,8 +6,9 @@ Subcommands: ``solve`` (run one algorithm on one instance), ``order``
 a corpus and assert every claimed inequality), ``bench`` (assert the
 per-element cost of the linear-time solvers stays flat across sizes).
 
-Exit codes: 0 success, 2 validation failure, 3 capacity refusal, 4
-chordality recognition failure (witness on stderr), 5 verification
+Exit codes: 0 success, 2 validation failure (in every command, an input
+file that cannot be read or that the loader refuses), 3 capacity refusal,
+4 chordality recognition failure (witness on stderr), 5 verification
 violation.
 """
 
@@ -26,7 +27,7 @@ from functools import cache
 from pathlib import Path
 
 from . import budgets, instances, solvers
-from .errors import CapacityError, EncodingError, NotChordalError, SchemaError, ValidationError
+from .errors import CapacityError, NotChordalError, SchemaError, ValidationError
 from .graphs import beta_exact, orient
 from .orderings import decreasing_weight_ordering, min_degree_heuristic_decomposition
 
@@ -190,18 +191,17 @@ def _check_solution_file(args) -> int:
 def verify_instance(path: Path, oracle_cap: int, timings: bool = False) -> dict:
     """Run every applicable solver plus the oracles on one instance and
     check each claimed inequality. Returns a RunReport dict, or raises
-    OSError or EncodingError when the file cannot be read as UTF-8 text."""
+    OSError when the file cannot be read and SchemaError when the loader
+    refuses it: such a file is not an instance."""
     report: dict = {"instance": path.name, "ok": True, "violations": []}
 
     def violate(msg: str) -> None:
         report["ok"] = False
         report["violations"].append(msg)
 
+    inst = instances.load_instance(path)
     try:
-        inst = instances.load_instance(path)
         g, bound, method = instances.oriented_graph(inst)
-    except EncodingError:
-        raise
     except (ValidationError, NotChordalError, CapacityError) as exc:
         violate(f"setup failed: {exc}")
         return report
@@ -303,20 +303,21 @@ def cmd_verify(args) -> int:
     if not paths:
         raise ValidationError(f"no instance files under {root}")
     any_bad = False
-    unread = None  # the first entry that could not be read, raised once the rest are verified
+    refused = None  # the first entry that is not an instance, raised once the rest are verified
     for p in paths:
         try:
             report = verify_instance(p, args.oracle_cap, timings=args.timings)
-        except (OSError, EncodingError) as exc:  # not readable as text
-            unread = unread or exc
+        except (OSError, SchemaError) as exc:  # unreadable, or refused by the loader
+            print(f"{p.name}: {exc}", file=sys.stderr)
+            refused = refused or exc
             continue
         sys.stdout.write(json.dumps(report, sort_keys=True) + "\n")
         if not report["ok"]:
             any_bad = True
             for v in report["violations"]:
                 print(f"{p.name}: {v}", file=sys.stderr)
-    if unread is not None:
-        raise unread
+    if refused is not None:
+        raise refused
     return EXIT_VIOLATION if any_bad else EXIT_OK
 
 

@@ -16,19 +16,8 @@ class SchemaError(ValidationError):
         super().__init__(f"{pointer}: {message}")
 
 
-class EncodingError(SchemaError):
-    """A file is not valid UTF-8: a SchemaError at the root."""
-
-    def __init__(self, exc: UnicodeDecodeError):
-        super().__init__("", f"not valid UTF-8: {exc}")
-
-
 class CapacityError(RuntimeError):
     """An exact routine was asked to exceed its configured size cap."""
-
-
-class UnsupportedOrderingError(ValueError):
-    """The ordering lacks data required by the operation (e.g. frontier sets)."""
 
 
 class NotChordalError(RuntimeError):

@@ -41,7 +41,7 @@ from functools import cached_property
 from itertools import accumulate, chain, compress, filterfalse
 from operator import eq
 
-from .errors import CapacityError, UnsupportedOrderingError, ValidationError
+from .errors import CapacityError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -556,7 +556,7 @@ def beta_bound_frontier(ordering: Ordering) -> int:
     elements, so beta cannot exceed the bound (never reported below 1).
     """
     if ordering.frontier_sets is None:
-        raise UnsupportedOrderingError("ordering carries no frontier sets")
+        raise ValidationError("ordering carries no frontier sets")
     sizes = [len(s) for s in ordering.frontier_sets.values()]
     return max(1, max(sizes, default=1))
 
@@ -577,17 +577,16 @@ def frontier_violations(g: BidGraph, ordering: Ordering, objects: list) -> list[
     B missing frontier(A), ordered by A's then B's position. Empty list
     means the frontier bound is sound. Walks the successor slices of ``g``
     oriented by ``ordering`` (oriented here if it is not): O(|V| + |E|) set
-    tests. Raises UnsupportedOrderingError when the ordering has no frontier
-    sets or its sets leave a bid out, naming the first such bid in the
-    ordering.
+    tests. Raises ValidationError when the ordering has no frontier sets or
+    its sets leave a bid out, naming the first such bid in the ordering.
     """
     if ordering.frontier_sets is None:
-        raise UnsupportedOrderingError("ordering carries no frontier sets")
+        raise ValidationError("ordering carries no frontier sets")
     g = orient(g, ordering)
     order, index, frontier = g.order(), g.index, ordering.frontier_sets
     missing = next(filterfalse(frontier.__contains__, order), None)
     if missing is not None:
-        raise UnsupportedOrderingError(f"frontier sets leave out bid {missing!r}")
+        raise ValidationError(f"frontier sets leave out bid {missing!r}")
     bad = []
     for r, a in enumerate(order):
         fa = frontier[a]

@@ -35,7 +35,7 @@ from math import isfinite
 from operator import add, itemgetter
 
 from .budgets import KINDS, ConstraintSet, Group
-from .errors import EncodingError, SchemaError, UnsupportedOrderingError, ValidationError
+from .errors import SchemaError, ValidationError
 from .graphs import (
     Bid,
     BidGraph,
@@ -607,7 +607,7 @@ def _read_text(path) -> str:
         try:
             return fh.read()
         except UnicodeDecodeError as exc:
-            raise EncodingError(exc) from exc
+            raise SchemaError("", f"not valid UTF-8: {exc}") from exc
 
 
 def loads_instance(text: str) -> Instance:
@@ -695,10 +695,7 @@ def _stage(inst: Instance, oriented: bool) -> tuple[BidGraph | None, int | None,
     h = orient(g, ordering) if oriented else g
     bound, how = beta_bound_info(inst, ordering, h)
     if bound is None and method == "explicit" and spec.frontier_sets is not None:  # name the first failing pair
-        try:
-            a, b = frontier_violations(h, ordering, inst.table.object_sets())[0]
-        except UnsupportedOrderingError as exc:  # hand-built sets that leave a bid out
-            raise ValidationError(str(exc)) from exc
+        a, b = frontier_violations(h, ordering, inst.table.object_sets())[0]
         raise ValidationError(f"frontier sets fail: {a!r} precedes and meets {b!r}, which misses frontier({a!r})")
     return h, bound, how
 
@@ -721,7 +718,7 @@ def beta_bound_info(inst: Instance, ordering: Ordering, g: BidGraph) -> tuple[in
     if ordering.frontier_sets is not None:
         try:
             holds = not frontier_violations(h, ordering, inst.table.object_sets())
-        except UnsupportedOrderingError:  # sets that leave a bid out bound nothing
+        except ValidationError:  # sets that leave a bid out bound nothing
             holds = False
         if holds:
             return beta_bound_frontier(ordering), "frontier-bound"

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from auctol import Bid, Instance, OrderingSpec, budgets, cli, decreasing_weight_ordering, exact_mwis, instances, opcost, orient
+from auctol import Bid, Instance, OrderingSpec, budgets, cli, decreasing_weight_ordering, errors, exact_mwis, instances, opcost, orient
 from auctol import dumps_instance, gen_budget, gen_grid, gen_interval, gen_interval_selection, gen_subtrees, gen_tight, save_instance
 from auctol.cli import run
 from auctol.errors import ValidationError
@@ -359,8 +359,8 @@ def test_bench_smoke(capsys):
 def test_bench_budget_rows_time_the_count_pass_alone(monkeypatch):
     # the group index is built once per size, outside the timed calls
     built = []
-    groups_csr = budgets._groups_csr
-    monkeypatch.setattr(budgets, "_groups_csr", lambda cs, pos: built.append(len(pos)) or groups_csr(cs, pos))
+    group_index = budgets.group_index
+    monkeypatch.setattr(budgets, "group_index", lambda g, cs: built.append(g.n) or group_index(g, cs))
     report = cli.run_bench("budget-unweighted", [2000, 4000], repeats=1)
     assert built == [row["n"] for row in report["rows"]]
     assert [set(row["solvers"]) for row in report["rows"]] == [{"unweighted"}] * 2
@@ -587,7 +587,8 @@ NOT_UTF8 = b'\xff\xfe{"format": 1}'
 @pytest.mark.parametrize("which", ["solve", "verify-input", "verify-solution"])
 def test_not_utf8_exit2(tmp_path, capsys, which):
     """Instance and solution files that are not UTF-8 exit 2 with a schema
-    error at the root, not a UnicodeDecodeError traceback."""
+    error at the root, not a UnicodeDecodeError traceback; ``verify --input``
+    names the file first, with the same message."""
     bad, inst = tmp_path / "bad.json", tmp_path / "c4.json"
     bad.write_bytes(NOT_UTF8)
     inst.write_text(json.dumps(C4_CHORDAL))
@@ -599,12 +600,14 @@ def test_not_utf8_exit2(tmp_path, capsys, which):
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("schema error: : not valid UTF-8: ")
+    *named, last = captured.err.splitlines()
+    assert last.startswith("schema error: : not valid UTF-8: ")
+    assert named == (["bad.json" + last.removeprefix("schema error")] if which == "verify-input" else [])
 
 
 def test_verify_dir_reports_every_utf8_file_before_exit2(tmp_path, capsys):
-    """A file of ``verify --input DIR`` that is not UTF-8 exits 2 only after
-    the files sorted before and after it got their RunReports."""
+    """A file of ``verify --input DIR`` that is not UTF-8 is named and exits 2
+    only after the files sorted before and after it got their RunReports."""
     text = (GOLDEN / "interval-1.json").read_text()
     (tmp_path / "a.json").write_text(text)
     (tmp_path / "m.json").write_bytes(NOT_UTF8)
@@ -614,7 +617,28 @@ def test_verify_dir_reports_every_utf8_file_before_exit2(tmp_path, capsys):
     reports = [json.loads(line) for line in out.splitlines()]
     assert [r["instance"] for r in reports] == ["a.json", "y.json"]
     assert all(r["ok"] for r in reports)
-    assert err.startswith("schema error: : not valid UTF-8: ")
+    named, last = err.splitlines()
+    assert last.startswith("schema error: : not valid UTF-8: ")
+    assert named == "m.json" + last.removeprefix("schema error")
+
+
+def test_verify_dir_reports_every_instance_before_a_refused_file(tmp_path, capsys):
+    """A file of ``verify --input DIR`` that the loader refuses (an unknown
+    key) is named and exits 2 with the schema error ``solve`` writes for it,
+    only after the files sorted before and after it got their RunReports."""
+    doc = json.loads((GOLDEN / "interval-1.json").read_text())
+    (tmp_path / "a.json").write_text(json.dumps(doc))
+    (tmp_path / "y.json").write_text(json.dumps(doc))
+    doc["ordering_spec"]["permutaton"] = []
+    (tmp_path / "m.json").write_text(json.dumps(doc))
+    assert run(["verify", "--input", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    reports = [json.loads(line) for line in out.splitlines()]
+    assert [r["instance"] for r in reports] == ["a.json", "y.json"]
+    assert all(r["ok"] for r in reports)
+    assert err == "m.json: /ordering_spec/permutaton: unknown key\nschema error: /ordering_spec/permutaton: unknown key\n"
+    assert run(["solve", "--input", str(tmp_path / "m.json")]) == 2
+    assert capsys.readouterr().err == err.splitlines(keepends=True)[-1]
 
 
 def test_verify_timings_time_every_entry(capsys):
@@ -785,26 +809,28 @@ def test_verify_checks_the_stated_beta_bound(tmp_path, capsys, inst, stated, vio
 
 def test_unreadable_paths_exit2(tmp_path, capsys):
     """A path that exists but cannot be read or written as a file exits 2
-    with a message, not a traceback; a missing file keeps its message."""
+    with a message, not a traceback; a missing file keeps its message.
+    ``verify --input DIR`` names the entry first."""
     golden = str(GOLDEN / "interval-1.json")
     corpus = tmp_path / "corpus"
     (corpus / "x.json").mkdir(parents=True)
     cases = [
-        (["solve", "--input", str(GOLDEN)], "file error: "),
-        (["verify", "--input", str(corpus)], "file error: "),
-        (["solve", "--input", golden, "--output", str(tmp_path)], "file error: "),
-        (["verify", "--input", golden, "--solution", str(tmp_path)], "file error: "),
-        (["solve", "--input", str(tmp_path / "absent.json")], "missing file: "),
+        (["solve", "--input", str(GOLDEN)], ["file error: "]),
+        (["verify", "--input", str(corpus)], ["x.json: ", "file error: "]),
+        (["solve", "--input", golden, "--output", str(tmp_path)], ["file error: "]),
+        (["verify", "--input", golden, "--solution", str(tmp_path)], ["file error: "]),
+        (["solve", "--input", str(tmp_path / "absent.json")], ["missing file: "]),
     ]
-    for argv, prefix in cases:
+    for argv, prefixes in cases:
         assert run(argv) == 2, argv
-        assert capsys.readouterr().err.startswith(prefix), argv
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == len(prefixes) and all(map(str.startswith, lines, prefixes)), argv
 
 
 def test_verify_dir_reports_every_readable_file_before_an_unreadable_entry(tmp_path, capsys):
     """An entry of ``verify --input DIR`` that cannot be read (here a
-    directory named ``x.json``) exits 2 with ``file error:`` only after the
-    files sorted before and after it got their RunReports."""
+    directory named ``x.json``) is named and exits 2 with ``file error:``
+    only after the files sorted before and after it got their RunReports."""
     corpus = tmp_path / "corpus"
     (corpus / "x.json").mkdir(parents=True)
     text = (GOLDEN / "interval-1.json").read_text()
@@ -815,7 +841,40 @@ def test_verify_dir_reports_every_readable_file_before_an_unreadable_entry(tmp_p
     reports = [json.loads(line) for line in out.splitlines()]
     assert [r["instance"] for r in reports] == ["a.json", "y.json"]
     assert all(r["ok"] for r in reports)
-    assert err.startswith("file error: ") and "x.json" in err
+    named, last = err.splitlines()
+    assert last.startswith("file error: ") and "x.json" in last
+    assert named == "x.json" + last.removeprefix("file error")
+
+
+# every exception type the library defines: an instance, the exit code
+# cli.run returns for it and the prefix of the line it writes to stderr
+LIBRARY_ERRORS = {
+    errors.ValidationError: (errors.ValidationError("bad"), 2, "validation error: "),
+    errors.SchemaError: (errors.SchemaError("/bids", "bad"), 2, "schema error: "),
+    errors.CapacityError: (errors.CapacityError("too big"), 3, "capacity: "),
+    errors.NotChordalError: (errors.NotChordalError(("a", "b", "c")), 4, "not chordal: "),
+}
+
+
+def test_every_library_error_has_one_exit_code(monkeypatch, capsys):
+    """Each exception class in ``auctol.errors`` leaves ``cli.run`` as its
+    documented exit code and stderr line, not as a traceback; a class with
+    no row above fails."""
+    defined = {cls for cls in vars(errors).values() if isinstance(cls, type) and cls.__module__ == errors.__name__}
+    assert defined == set(LIBRARY_ERRORS)
+
+    def raise_it(_args):
+        raise exc  # the one the loop below has reached
+
+    monkeypatch.setattr(cli, "cmd_solve", raise_it)
+    cli.build_parser.cache_clear()  # the parser holds cmd_solve as built
+    try:
+        for cls, (exc, code, prefix) in LIBRARY_ERRORS.items():
+            assert run(["solve", "--input", "unused.json"]) == code, cls
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith(prefix), cls
+    finally:
+        cli.build_parser.cache_clear()  # the next parser takes the real cmd_solve
 
 
 def test_verify_solution_with_a_repeated_winner_exit5(tmp_path, capsys):

@@ -244,11 +244,14 @@ def test_integers_too_long_to_write_back_exit2(tmp_path, capsys, command):
         assert captured.err.startswith("schema error: : ") and want in captured.err, captured.err
 
 
-def test_verify_records_a_long_price_as_a_setup_failure(tmp_path, capsys):
-    """``verify --input`` reports a file that fails to load in its RunReport
-    and exits 5, as for any schema error, rather than ending in a traceback."""
+def test_verify_refuses_a_long_price_exit2(tmp_path, capsys):
+    """``verify --input`` names a file that fails to load and exits 2 with the
+    schema error ``solve`` writes for it, rather than ending in a traceback."""
     long_price, two_long, _plain, _sol = _write_long_numbers(tmp_path)
     for path, want in ((long_price, "Exceeds the limit (4300 digits)"), (two_long, "price must have fewer than 4000 digits")):
-        assert run(["verify", "--input", str(path)]) == 5
-        (violation,) = json.loads(capsys.readouterr().out)["violations"]
-        assert violation.startswith("setup failed: : ") and want in violation
+        assert run(["verify", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        named, last = captured.err.splitlines()
+        assert named.startswith(f"{path.name}: : ") and want in named
+        assert last.startswith("schema error: : ") and want in last

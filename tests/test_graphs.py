@@ -17,7 +17,7 @@ from auctol import (
     orient,
 )
 from auctol.graphs import BidTable
-from auctol.errors import CapacityError, UnsupportedOrderingError, ValidationError
+from auctol.errors import CapacityError, ValidationError
 from auctol.orderings import min_degree_heuristic_decomposition
 from auctol.rng import SplitMix64
 
@@ -282,7 +282,7 @@ def test_beta_bound_frontier_examples():
     assert beta_bound_frontier(ord1) == 3
     ord2 = Ordering(["a", "b"], "explicit", {"a": frozenset({"x"}), "b": frozenset({"y"})})
     assert beta_bound_frontier(ord2) == 1
-    with pytest.raises(UnsupportedOrderingError):
+    with pytest.raises(ValidationError, match="ordering carries no frontier sets"):
         beta_bound_frontier(Ordering(["a"]))
 
 
@@ -311,5 +311,5 @@ def test_frontier_violations_matches_all_pairs():
             if by_id[a].objects & by_id[b].objects and not frontier[a] & by_id[b].objects
         ]
         assert frontier_violations(build_bid_graph(bids), ordering, [b.objects for b in bids]) == expected
-    with pytest.raises(UnsupportedOrderingError):
+    with pytest.raises(ValidationError, match="ordering carries no frontier sets"):
         frontier_violations(build_bid_graph(bids), Ordering(order), [b.objects for b in bids])

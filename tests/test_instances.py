@@ -36,7 +36,7 @@ from auctol import (
 )
 from auctol import budgets, graphs
 from auctol.budgets import KINDS, ConstraintSet, Group
-from auctol.errors import SchemaError, UnsupportedOrderingError, ValidationError
+from auctol.errors import SchemaError, ValidationError
 from auctol.graphs import ObjectGraph, Ordering
 from auctol.instances import (
     BASE_GENERATORS,
@@ -564,7 +564,7 @@ def test_frontier_sets_that_leave_a_bid_out_certify_no_bound():
     inst = _two_bids_on_x()
     ordering = Ordering(["a", "b"], "explicit", {"a": frozenset({"x"})})
     g = bid_graph(inst)
-    with pytest.raises(UnsupportedOrderingError, match="leave out bid 'b'"):
+    with pytest.raises(ValidationError, match="leave out bid 'b'"):
         graphs.frontier_violations(g, ordering, inst.table.object_sets())
     assert beta_bound_info(inst, ordering, g) == (None, None)
 

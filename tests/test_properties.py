@@ -271,9 +271,10 @@ def test_broken_documents_exit_with_a_code(tmp_path_factory, doc, argv):
 @given(st.data(), ARGVS)
 def test_an_unknown_key_is_refused_naming_it(tmp_path_factory, data, argv):
     """A key added to an object whose keys the format fixes, where that
-    object does not allow it, makes ``solve`` and ``order`` exit 2 and
-    ``verify`` report a failed set-up (exit 5), naming the key; in a group
-    the limit key of the other constraint kind is such a key."""
+    object does not allow it, makes ``solve``, ``order`` and ``verify`` exit 2
+    with one schema error naming the key, which ``verify`` writes after the
+    file's name; in a group the limit key of the other constraint kind is
+    such a key."""
     doc = _valid_document(data.draw)
     if "ordering_spec" in doc and data.draw(st.booleans()):
         doc["ordering_spec"]["tree_decomposition"] = {"tree_nodes": ["t"], "tree_edges": [], "bags": {"t": []}}
@@ -287,5 +288,6 @@ def test_an_unknown_key_is_refused_naming_it(tmp_path_factory, data, argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = run(argv)
     message = f"{pointer}/{key}: unknown key"
-    want = (5, f"inst.json: setup failed: {message}\n") if argv[0] == "verify" else (2, f"schema error: {message}\n")
+    named = f"inst.json: {message}\n" if argv[0] == "verify" else ""
+    want = (2, f"{named}schema error: {message}\n")
     assert (code, err.getvalue()) == want, (argv, doc)
