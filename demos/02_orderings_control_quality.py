@@ -9,6 +9,7 @@ graphs and grids.
 """
 
 from auctol import (
+    NotChordalError,
     beta_bound_frontier,
     beta_bound_union,
     beta_exact,
@@ -28,14 +29,12 @@ from auctol import (
     planted_optimal_ordering,
     tree_decomposition_ordering,
 )
-from auctol.orderings import NotChordal
 
 inst = gen_interval(30, seed=11)
 g = bid_graph(inst)
 print(f"interval instance: {g.n} bids, {g.m} conflicts")
 
 peo = lexbfs_peo(g)
-assert not isinstance(peo, NotChordal)
 exact = exact_mwis(g).revenue
 for name, ordering in (
     ("perfect elimination", peo),
@@ -49,9 +48,13 @@ print(f"  {'greedy baseline':>20}: revenue {gr.revenue}")
 
 print("\nnon-chordal graphs are recognized with a witness:")
 c4 = gen_grid((2, 2), seed=0)
-result = lexbfs_peo(bid_graph(c4))
-assert isinstance(result, NotChordal)
-print(f"  2x2 grid: node {result.node} sees non-adjacent later neighbors {result.a}, {result.b}")
+try:
+    lexbfs_peo(bid_graph(c4))
+except NotChordalError as exc:
+    v, a, b = exc.witness
+    print(f"  2x2 grid: node {v} sees non-adjacent later neighbors {a}, {b}")
+else:
+    raise AssertionError("a 2x2 grid is a 4-cycle, which is not chordal")
 
 print("\ntree decompositions certify a ratio for subtree auctions:")
 sub = gen_subtrees(10, 14, seed=5)

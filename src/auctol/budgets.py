@@ -94,6 +94,12 @@ class GroupIndex(NamedTuple):
     members_by_rank: list[list[int]]
 
 
+def _check_members(grp: Group, nodes: dict) -> None:
+    """Refuse ``grp`` if a member is not in ``nodes``, naming the least such id."""
+    if not nodes.keys() >= grp.members:
+        raise ValidationError(f"group {grp.label!r} member {min(grp.members - nodes.keys())!r} is not a bid node")
+
+
 def group_index(g: BidGraph, cs: ConstraintSet) -> GroupIndex:
     """The group index of ``cs`` over ``g``'s ranks, built on every call from
     the groups ``cs`` holds then.
@@ -106,12 +112,10 @@ def group_index(g: BidGraph, cs: ConstraintSet) -> GroupIndex:
     counts = [0] * (n + 1)
     members_by_rank: list[list[int]] = []
     for grp in cs.groups:
+        _check_members(grp, pos)
         ranks = []
         for u in grp.members:
-            i = pos.get(u)
-            if i is None:
-                u = min(v for v in grp.members if v not in pos)  # id order, not hash order
-                raise ValidationError(f"group {grp.label!r} member {u!r} is not a bid node")
+            i = pos[u]
             counts[i + 1] += 1
             ranks.append(i)
         ranks.sort()
@@ -339,9 +343,7 @@ def group_clique_graph(g: BidGraph, cs: ConstraintSet) -> BidGraph:
     index, ptr, nbr = g.index, g.ptr, g.nbr
     cliques: list = [(i, j) for i in range(g.n) for j in nbr[ptr[i] : ptr[i + 1]] if i < j]
     for grp in cs.groups:
-        for u in sorted(grp.members):
-            if u not in index:
-                raise ValidationError(f"group {grp.label!r} member {u!r} is not a bid node")
+        _check_members(grp, index)
         cliques.append([index[u] for u in sorted(grp.members)])
     return BidGraph(dict(g.weights), *csr(g.n, cliques))
 
@@ -362,9 +364,9 @@ def exact_feasible(g: BidGraph, cs: ConstraintSet | None, node_cap: int = 20) ->
         pos = {u: i for i, u in enumerate(ids)}
         groups_of: list[list[int]] = [[] for _ in ids]
         for gi, grp in enumerate(cs.groups):
+            _check_members(grp, pos)
             for u in grp.members:
-                if u in pos:
-                    groups_of[pos[u]].append(gi)
+                groups_of[pos[u]].append(gi)
         groups = (groups_of, [grp.limit for grp in cs.groups], w if cs.kind == "weighted" else [1] * len(ids))
     best, taken = exact_search(neighbor_masks(g, [g.index[u] for u in ids]), w, groups)
     return best, frozenset(u for i, u in enumerate(ids) if taken >> i & 1)

@@ -21,9 +21,9 @@ class CapacityError(RuntimeError):
 
 
 class NotChordalError(RuntimeError):
-    """Raised by pipeline code when a chordal ordering was demanded but the
-    conflict graph is not chordal. ``witness`` is a triple (v, a, b): a and b
-    are later neighbors of v with no edge between them."""
+    """The one form of chordality failure: a chordal ordering was demanded but
+    the conflict graph is not chordal. ``witness`` is a triple (v, a, b), a
+    ``NotChordal`` from lex-BFS: a and b are later neighbors of v with no edge."""
 
     def __init__(self, witness: tuple[str, str, str]):
         self.witness = witness

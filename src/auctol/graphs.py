@@ -562,7 +562,9 @@ def beta_bound_frontier(ordering: Ordering) -> int:
 
 
 def beta_bound_union(bounds: list[int]) -> int:
-    """Compose beta bounds across an edge-union decomposition: the sum."""
+    """Compose beta bounds (one or more, each >= 1) across an edge-union decomposition: the sum."""
+    if not bounds:
+        raise ValidationError("no beta bounds to compose")
     for b in bounds:
         if b < 1:
             raise ValidationError(f"beta bound must be >= 1, got {b}")

@@ -89,12 +89,11 @@ class Instance:
     :class:`BidTable` given as ``bids`` (interned against ``object_graph``,
     as the loader's is) or a list of :class:`Bid` interned here by
     :meth:`BidTable.from_bids`, which raises ValidationError on a repeated id
-    or an undeclared object. ``bids`` is a list of :class:`Bid` made from the
-    table on first access and kept; reading it changes nothing else."""
+    or an undeclared object. ``bids`` is a new list of :class:`Bid` made
+    from ``table`` on each read; reading it changes nothing."""
 
     def __init__(self, bids, object_graph=None, constraints=None, ordering_spec=None, metadata=None):
         self.table: BidTable = bids if isinstance(bids, BidTable) else BidTable.from_bids(bids, object_graph)
-        self._bids: list[Bid] | None = None
         self.object_graph: ObjectGraph | None = object_graph
         self.constraints: ConstraintSet | None = constraints
         self.ordering_spec: OrderingSpec | None = ordering_spec
@@ -102,10 +101,8 @@ class Instance:
 
     @property
     def bids(self) -> list[Bid]:
-        if self._bids is None:
-            t = self.table
-            self._bids = list(map(Bid, t.ids, t.object_sets(), t.prices, t.groups))
-        return self._bids
+        t = self.table
+        return list(map(Bid, t.ids, t.object_sets(), t.prices, t.groups))
 
 
 # ---------------------------------------------------------------------------

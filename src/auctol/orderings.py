@@ -14,15 +14,15 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import NotChordalError, ValidationError
 from .graphs import Bid, BidGraph, BidTable, ObjectGraph, Ordering, orient, orient_by_index
 
 
-@dataclass
-class NotChordal:
-    """Witness of non-chordality: ``a`` and ``b`` are later neighbors of
-    ``node`` under the candidate ordering but share no edge."""
+class NotChordal(NamedTuple):
+    """The witness a NotChordalError carries: ``a`` and ``b`` are later
+    neighbors of ``node`` under the candidate ordering but share no edge."""
 
     node: str
     a: str
@@ -376,7 +376,7 @@ def lexbfs_orientation(g: BidGraph) -> BidGraph:
     later neighbors must form a clique, which the standard parent check
     certifies in linear time. Returns ``g`` oriented by the ordering, a
     perfect elimination ordering, so the caller may certify beta <= 1 from
-    it. On failure raises NotChordalError with a witness.
+    it. On failure raises NotChordalError carrying a :class:`NotChordal`.
 
     Ties are broken by bid id. The search refines on ``g``'s own rows, in
     node indices: the first block lists every node in ascending id order,
@@ -448,12 +448,9 @@ def lexbfs_orientation(g: BidGraph) -> BidGraph:
     p, order = parent[bad], h.ordering.order
     near = set(h.succ_idx[h.succ_ptr[p] : h.succ_ptr[p + 1]])
     v = next(s for s in h.succ_idx[h.succ_ptr[bad] : h.succ_ptr[bad + 1]] if s != p and s not in near)
-    raise NotChordalError((order[bad], order[p], order[v]))
+    raise NotChordalError(NotChordal(order[bad], order[p], order[v]))
 
 
-def lexbfs_peo(g: BidGraph) -> Ordering | NotChordal:
-    """The ordering of :func:`lexbfs_orientation`, or its witness."""
-    try:
-        return lexbfs_orientation(g).ordering
-    except NotChordalError as exc:
-        return NotChordal(*exc.witness)
+def lexbfs_peo(g: BidGraph) -> Ordering:
+    """The ordering of :func:`lexbfs_orientation`, which raises NotChordalError."""
+    return lexbfs_orientation(g).ordering

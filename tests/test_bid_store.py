@@ -3,12 +3,13 @@
 With every way to make :class:`Bid` objects from a table, or a table from
 :class:`Bid` objects, made to raise, the CLI still orders, solves and
 checks frontier sets on loaded files. Reading ``inst.bids`` leaves the
-table the instance was loaded with in place.
+table the instance was loaded with in place, and lists the bids of the
+table the instance holds at the time of the read.
 """
 
 import json
 
-from auctol import dumps_instance, gen_subtrees, load_instance
+from auctol import dumps_instance, gen_interval, gen_subtrees, load_instance
 from auctol.cli import run
 from auctol.graphs import BidTable
 from auctol.instances import Instance, OrderingSpec, bid_graph
@@ -47,3 +48,10 @@ def test_reading_bids_keeps_the_loaded_table(tmp_path, monkeypatch):
     monkeypatch.setattr(BidTable, "from_bids", classmethod(_refuse))
     g = bid_graph(inst)
     assert (g.ids, list(g.ptr), list(g.nbr)) == (want.ids, list(want.ptr), list(want.nbr))
+
+
+def test_bids_follow_a_replaced_table():
+    inst = gen_interval(5, seed=1)
+    assert len(inst.bids) == 5
+    inst.table = gen_interval(7, seed=2).table
+    assert [b.id for b in inst.bids] == inst.table.ids and len(inst.bids) == 7

@@ -292,6 +292,8 @@ def test_beta_bound_union():
     assert beta_bound_union([5]) == 5
     with pytest.raises(ValidationError):
         beta_bound_union([1, 0])
+    with pytest.raises(ValidationError, match="^no beta bounds to compose$"):
+        beta_bound_union([])
 
 
 def test_frontier_violations_matches_all_pairs():

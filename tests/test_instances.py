@@ -226,6 +226,13 @@ OVERLAPPING_PARTITION = ConstraintSet("unweighted", [Group("g1", {"b", "a"}, 1),
         (lambda: budgets.solve_unweighted(GRAPH_A, STRAY_MEMBER), "group 'g' member 'z' is not a bid node"),
         (lambda: budgets.group_clique_graph(GRAPH_A, STRAY_MEMBER), "group 'g' member 'z' is not a bid node"),
         (
+            lambda: budgets.exact_feasible(
+                graphs.build_bid_graph([Bid("a", {"x"}, 5), Bid("b", {"y"}, 5)]),
+                ConstraintSet("weighted", [Group("g", {"a", "zz"}, 5)]),
+            ),
+            "group 'g' member 'zz' is not a bid node",
+        ),
+        (
             lambda: tree_decomposition_ordering(
                 TreeDecomposition(["t0"], [], {"t0": frozenset({"x"})}), [Bid("a", {"x", "z"}, 1)], None
             ),
@@ -248,6 +255,7 @@ OVERLAPPING_PARTITION = ConstraintSet("unweighted", [Group("g1", {"b", "a"}, 1),
         "constraint-kind",
         "group-index-member",
         "clique-member",
+        "feasible-member",
         "bag-coverage",
         "no-coordinates",
         "coordinate-dimension",

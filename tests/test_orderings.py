@@ -24,7 +24,7 @@ from auctol import (
     tree_decomposition_ordering,
     validate_tree_decomposition,
 )
-from auctol.errors import ValidationError
+from auctol.errors import NotChordalError, ValidationError
 from auctol.instances import bid_graph
 from auctol.orderings import NotChordal, TreeDecomposition
 from auctol.rng import SplitMix64
@@ -50,9 +50,19 @@ def c4_graph():
     return build_bid_graph(bids)
 
 
+def recognized(g):
+    """lex-BFS's ordering of ``g``, or the witness its NotChordalError carries."""
+    try:
+        return lexbfs_peo(g)
+    except NotChordalError as exc:
+        return exc.witness
+
+
 def test_lexbfs_rejects_c4_with_witness():
     g = c4_graph()
-    result = lexbfs_peo(g)
+    with pytest.raises(NotChordalError) as caught:
+        lexbfs_peo(g)
+    result = caught.value.witness
     assert isinstance(result, NotChordal)
     assert result.a in g.neighbors(result.node) and result.b in g.neighbors(result.node)
     assert result.b not in g.neighbors(result.a)
@@ -96,7 +106,7 @@ def test_lexbfs_rejects_planted_long_cycles():
             j = (i + 1) % cycle_len
             bids.append(Bid(f"cyc{i}", {f"edge{min(i, j)}_{max(i, j)}", f"edge{min(i, (i - 1) % cycle_len)}_{max(i, (i - 1) % cycle_len)}"}, 1))
         g = build_bid_graph(bids)
-        assert isinstance(lexbfs_peo(g), NotChordal)
+        assert isinstance(recognized(g), NotChordal)
 
 
 def naive_td_check(og, td):
@@ -700,7 +710,7 @@ def test_lexbfs_equals_reference_loop():
     outcomes = set()
     for seed in range(800):
         g = build_bid_graph(random_lexbfs_bids(seed))
-        got = lexbfs_peo(g)
+        got = recognized(g)
         assert got == reference_lexbfs_peo(g), f"seed {seed}"
         outcomes.add(type(got).__name__)
     for bids in (
@@ -709,5 +719,5 @@ def test_lexbfs_equals_reference_loop():
         gen_subtrees(200, 400, seed=3).bids,
     ):
         g = build_bid_graph(bids)
-        assert lexbfs_peo(g) == reference_lexbfs_peo(g)
+        assert recognized(g) == reference_lexbfs_peo(g)
     assert outcomes == {"Ordering", "NotChordal"}
